@@ -20,6 +20,11 @@
 //! | `heuristic_stats` | §4.3/§5.2 decision percentages |
 //! | `robustness` | §7 (alternative machine latencies) |
 //! | `allocation` | §3.2 footnote 4 (registers vs MaxLive) |
+//!
+//! Performance is measured by one binary, `benchmark`, a Cargo package
+//! of its own under `src/bin/benchmark/` that times the whole compile
+//! on four workloads (see its README). The binaries above report
+//! schedule quality and deterministic work counters, never wall clock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -186,11 +191,6 @@ pub struct CorpusReport {
     pub records: Vec<LoopRecord>,
     /// Loops that failed a pipeline stage, in input order.
     pub failures: Vec<CorpusFailure>,
-    /// Total worker idle time (µs) spent waiting for the slowest worker
-    /// to finish — the parallel run's straggler tax. Always 0 on the
-    /// sequential path. Purely informational: records are identical
-    /// whatever this reports.
-    pub straggler_idle_us: u64,
 }
 
 impl CorpusReport {
@@ -229,12 +229,9 @@ pub fn evaluate_corpus_session(
 /// Evaluates an already-built loop list through a session on `jobs`
 /// worker threads, preserving input order in the output.
 ///
-/// The parallel path dispatches loops in descending expected-cost order
-/// (longest-processing-time-first over [`CompileSession::corpus_cost_hint`]),
-/// so the expensive tail of the corpus starts early instead of landing
-/// on one straggling worker at the end of the run. Dispatch order only
-/// affects wall clock: results are reassembled by input index, so every
-/// downstream report is byte-identical to a sequential run.
+/// Workers claim loops in input order from a shared counter; results
+/// are reassembled by input index, so every downstream report is
+/// byte-identical to a sequential run.
 pub fn evaluate_loops_session(
     session: &CompileSession,
     loops: &[CompiledLoop],
@@ -248,62 +245,39 @@ pub fn evaluate_loops_session(
         let _span = lsms_trace::span_with("corpus.loop", &[("index", i as i64)]);
         LoopRecord::try_evaluate(session, &loops[i])
     };
-    let mut straggler_idle_us = 0u64;
     let results: Vec<Result<LoopRecord, LsmsError>> = if jobs == 1 {
         (0..loops.len()).map(eval_one).collect()
     } else {
-        // Work-stealing by atomic counter over the cost-sorted order;
-        // results are reassembled by index so the order (and thus every
-        // downstream text report) is deterministic.
-        let order = tail_aware_order(session, loops);
         let next = std::sync::atomic::AtomicUsize::new(0);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<LoopRecord, LsmsError>)>();
+        let mut slots: Vec<Option<Result<LoopRecord, LsmsError>>> =
+            (0..loops.len()).map(|_| None).collect();
         std::thread::scope(|s| {
             let workers: Vec<_> = (0..jobs)
                 .map(|_| {
-                    let tx = tx.clone();
-                    let next = &next;
-                    let eval_one = &eval_one;
-                    let order = &order;
-                    s.spawn(move || {
+                    s.spawn(|| {
+                        let mut done = Vec::new();
                         loop {
-                            let slot = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(&i) = order.get(slot) else { break };
-                            let result = eval_one(i);
-                            if tx.send((i, result)).is_err() {
-                                break;
+                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            if i >= loops.len() {
+                                break done;
                             }
+                            done.push((i, eval_one(i)));
                         }
-                        std::time::Instant::now()
                     })
                 })
                 .collect();
-            drop(tx);
-            let mut slots: Vec<Option<Result<LoopRecord, LsmsError>>> =
-                (0..loops.len()).map(|_| None).collect();
-            for (i, result) in rx {
-                slots[i] = Some(result);
+            for worker in workers {
+                for (i, result) in worker.join().expect("corpus worker panicked") {
+                    slots[i] = Some(result);
+                }
             }
-            let finishes: Vec<std::time::Instant> = workers
-                .into_iter()
-                .map(|w| w.join().expect("corpus worker panicked"))
-                .collect();
-            if let Some(&last) = finishes.iter().max() {
-                straggler_idle_us = finishes
-                    .iter()
-                    .map(|&f| last.duration_since(f).as_micros() as u64)
-                    .sum();
-            }
-            slots
-                .into_iter()
-                .map(|r| r.expect("every corpus index evaluated"))
-                .collect()
-        })
+        });
+        slots
+            .into_iter()
+            .map(|r| r.expect("every corpus index evaluated"))
+            .collect()
     };
-    let mut report = CorpusReport {
-        straggler_idle_us,
-        ..CorpusReport::default()
-    };
+    let mut report = CorpusReport::default();
     for (index, result) in results.into_iter().enumerate() {
         match result {
             Ok(record) => report.records.push(record),
@@ -315,16 +289,6 @@ pub fn evaluate_loops_session(
         }
     }
     report
-}
-
-/// Largest-expected-cost-first dispatch order for a parallel corpus run.
-/// Ties (and ledger-less runs over uniform loops) fall back to input
-/// order, keeping dispatch deterministic.
-fn tail_aware_order(session: &CompileSession, loops: &[CompiledLoop]) -> Vec<usize> {
-    let costs: Vec<u64> = loops.iter().map(|l| session.corpus_cost_hint(l)).collect();
-    let mut order: Vec<usize> = (0..loops.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
-    order
 }
 
 /// Evaluates the standard corpus on a machine with [`default_jobs`]
@@ -357,12 +321,23 @@ pub fn evaluate_loops(loops: &[CompiledLoop], machine: &Machine, jobs: usize) ->
     report.records
 }
 
-/// The corpus size used by the experiment binaries: the paper's 1,525.
-pub fn default_corpus_size() -> usize {
-    std::env::var("LSMS_CORPUS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(lsms_loops::PAPER_CORPUS_SIZE)
+/// The corpus size used by the experiment binaries: `LSMS_CORPUS` when
+/// set, else the paper's 1,525.
+///
+/// # Errors
+///
+/// A usage-error message when `LSMS_CORPUS` is not a positive integer.
+pub fn default_corpus_size() -> Result<usize, String> {
+    match std::env::var("LSMS_CORPUS") {
+        Ok(v) => {
+            positive(&v).ok_or_else(|| format!("LSMS_CORPUS needs a positive integer, got `{v}`"))
+        }
+        Err(_) => Ok(lsms_loops::PAPER_CORPUS_SIZE),
+    }
+}
+
+fn positive(value: &str) -> Option<usize> {
+    value.parse().ok().filter(|&n| n >= 1)
 }
 
 /// Worker threads used by [`evaluate_corpus`]: the `LSMS_JOBS` environment
@@ -405,20 +380,17 @@ impl BenchArgs {
     /// Parses an explicit argument list; malformed input comes back as a
     /// usage-error message instead of a panic.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        let mut out = Self {
-            corpus_size: default_corpus_size(),
-            jobs: default_jobs(),
-        };
+        let (mut corpus_size, mut jobs) = (None, None);
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             let mut value_for = |flag: &str| -> Result<usize, String> {
                 it.next()
-                    .and_then(|v| v.parse().ok())
+                    .and_then(|v| positive(&v))
                     .ok_or_else(|| format!("{flag} needs a positive integer"))
             };
             match arg.as_str() {
-                "--corpus-size" => out.corpus_size = value_for("--corpus-size")?,
-                "--jobs" => out.jobs = value_for("--jobs")?.max(1),
+                "--corpus-size" => corpus_size = Some(value_for("--corpus-size")?),
+                "--jobs" => jobs = Some(value_for("--jobs")?),
                 other => {
                     return Err(format!(
                         "unknown option `{other}` (expected --corpus-size N / --jobs N)"
@@ -426,7 +398,13 @@ impl BenchArgs {
                 }
             }
         }
-        Ok(out)
+        Ok(Self {
+            corpus_size: match corpus_size {
+                Some(n) => n,
+                None => default_corpus_size()?,
+            },
+            jobs: jobs.unwrap_or_else(default_jobs),
+        })
     }
 }
 
@@ -500,148 +478,6 @@ pub fn cumulative_histogram(title: &str, series: &[(&str, Vec<i64>)]) -> String 
         }
     }
     out
-}
-
-/// The dense-vs-sparse bounds-propagation A/B over the corpus's
-/// ejection-heavy loops (the `bounds_sweep` microbench; see DESIGN.md
-/// "Engine complexity").
-#[derive(Clone, Debug, Default)]
-pub struct BoundsSweepReport {
-    /// Loops drawn from the corpus.
-    pub corpus_size: usize,
-    /// Loops whose dependence graph built into a scheduling problem.
-    pub probed: usize,
-    /// Ejection-heavy subset actually timed (`ejected_ops > 0` on the
-    /// probe run — the loops where `recompute_bounds` and the forcing
-    /// sweep, the O(n²)-per-ejection terms, run at all).
-    pub kept: usize,
-    /// Total operations ejected across the kept loops.
-    pub ejections: u64,
-    /// Wall-clock for the kept loops under the dense reference.
-    pub dense_ms: f64,
-    /// Wall-clock for the kept loops under the sparse (default) path.
-    pub sparse_ms: f64,
-    /// `MinDist` cells probed by dense bounds propagation.
-    pub dense_cells: u64,
-    /// Reachability-list entries read by sparse bounds propagation.
-    pub sparse_cells: u64,
-}
-
-impl BoundsSweepReport {
-    /// The JSON object embedded in `BENCH_corpus.json` and written by the
-    /// `bounds_sweep` binary.
-    pub fn json(&self) -> String {
-        format!(
-            "{{\"corpus_size\":{},\"probed\":{},\"kept\":{},\"ejections\":{},\
-             \"dense_ms\":{:.4},\"sparse_ms\":{:.4},\"dense_cells\":{},\"sparse_cells\":{}}}",
-            self.corpus_size,
-            self.probed,
-            self.kept,
-            self.ejections,
-            self.dense_ms,
-            self.sparse_ms,
-            self.dense_cells,
-            self.sparse_cells,
-        )
-    }
-
-    /// Human-readable summary lines.
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "bounds_sweep: {} corpus loops, {} schedulable, {} ejection-heavy ({} ejections)",
-            self.corpus_size, self.probed, self.kept, self.ejections
-        );
-        let _ = writeln!(
-            out,
-            "  dense reference: {:>9.3} ms  ({} MinDist cells probed)",
-            self.dense_ms, self.dense_cells
-        );
-        let _ = writeln!(
-            out,
-            "  sparse (default):{:>9.3} ms  ({} reachability entries read)",
-            self.sparse_ms, self.sparse_cells
-        );
-        if self.sparse_ms > 0.0 && self.sparse_cells > 0 {
-            let _ = writeln!(
-                out,
-                "  speedup {:.2}x, cells ratio {:.2}x",
-                self.dense_ms / self.sparse_ms,
-                self.dense_cells as f64 / self.sparse_cells as f64
-            );
-        }
-        out
-    }
-}
-
-/// Times dense-reference vs sparse bounds propagation over the corpus's
-/// ejection-heavy loops, asserting the schedules are identical. Each arm
-/// recycles one mode-pinned [`lsms_sched::EngineWorkspace`] across loops
-/// and pays for a fresh `MinDistCache` per loop, so the arms differ only
-/// in [`lsms_sched::BoundsMode`].
-pub fn bounds_sweep(count: usize, seed: u64) -> BoundsSweepReport {
-    use lsms_sched::{BoundsMode, EngineWorkspace, MinDistCache, SchedProblem, SlackScheduler};
-    use std::time::Instant;
-
-    let machine = lsms_machine::huff_machine();
-    let scheduler = SlackScheduler::new();
-    let loops = lsms_loops::corpus(count, seed);
-    let mut report = BoundsSweepReport {
-        corpus_size: loops.len(),
-        ..BoundsSweepReport::default()
-    };
-
-    // Probe pass (sparse, untimed): find the loops where the ejection
-    // machinery actually runs.
-    let mut probe_ws = EngineWorkspace::new();
-    let mut kept: Vec<&lsms_front::CompiledLoop> = Vec::new();
-    for l in &loops {
-        let Ok(problem) = SchedProblem::new(&l.body, &machine) else {
-            continue;
-        };
-        report.probed += 1;
-        let (result, _) = scheduler.run_in(&problem, &MinDistCache::new(), None, &mut probe_ws);
-        if let Ok(s) = result {
-            if s.stats.ejected_ops > 0 {
-                report.ejections += s.stats.ejected_ops;
-                kept.push(l);
-            }
-        }
-    }
-    report.kept = kept.len();
-
-    // Timed arms. Dense first so the sparse arm cannot borrow its warmed
-    // caches unfairly — both arms still re-lower and re-schedule from
-    // scratch per loop.
-    let run_arm = |mode: BoundsMode| -> (f64, u64, Vec<(u32, Vec<i64>)>) {
-        let mut ws = EngineWorkspace::new();
-        ws.set_bounds_mode(mode);
-        let mut cells = 0u64;
-        let mut schedules = Vec::with_capacity(kept.len());
-        let started = Instant::now();
-        for l in &kept {
-            let problem = SchedProblem::new(&l.body, &machine).expect("probed already");
-            let (result, _) = scheduler.run_in(&problem, &MinDistCache::new(), None, &mut ws);
-            let s = result.expect("probed loop schedules");
-            cells += s.stats.bounds_cells_touched;
-            schedules.push((s.ii, s.times));
-        }
-        let elapsed = started.elapsed().as_secs_f64() * 1e3;
-        (elapsed, cells, schedules)
-    };
-    let (dense_ms, dense_cells, dense_schedules) = run_arm(BoundsMode::DenseReference);
-    let (sparse_ms, sparse_cells, sparse_schedules) = run_arm(BoundsMode::Sparse);
-    assert_eq!(
-        dense_schedules, sparse_schedules,
-        "sparse bounds propagation changed a schedule"
-    );
-    report.dense_ms = dense_ms;
-    report.sparse_ms = sparse_ms;
-    report.dense_cells = dense_cells;
-    report.sparse_cells = sparse_cells;
-    report
 }
 
 /// Sums II over records using achieved-or-last-attempted (Table 4's
@@ -760,25 +596,11 @@ mod tests {
         assert!(err.contains("--jobs needs a positive integer"), "{err}");
         let err = BenchArgs::from_args(["--corpus-size", "many"].map(String::from)).unwrap_err();
         assert!(err.contains("--corpus-size"), "{err}");
-    }
-
-    /// The tail-aware dispatch order is a pure scheduling hint: a
-    /// parallel run must stay byte-identical to a sequential one, and
-    /// the order itself must be deterministic, largest-first.
-    #[test]
-    fn tail_aware_order_is_deterministic_and_cost_sorted() {
-        let session = CompileSession::with_machine(huff_machine());
-        let loops = lsms_loops::corpus(12, CORPUS_SEED);
-        let order = tail_aware_order(&session, &loops);
-        assert_eq!(order.len(), loops.len());
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..loops.len()).collect::<Vec<_>>());
-        assert_eq!(order, tail_aware_order(&session, &loops));
-        let costs: Vec<u64> = loops.iter().map(|l| session.corpus_cost_hint(l)).collect();
-        for pair in order.windows(2) {
-            assert!(costs[pair[0]] >= costs[pair[1]]);
-        }
+        let err = BenchArgs::from_args(["--corpus-size", "0"].map(String::from)).unwrap_err();
+        assert!(
+            err.contains("--corpus-size needs a positive integer"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -30,12 +30,6 @@
 //!                                a pass; overruns emit a
 //!                                `budget_exceeded` trace event and
 //!                                counter (repeatable, never aborts)
-//!   --warm-start PATH            load the schedule-cache ledger at PATH
-//!                                (fingerprint → achieved II) before
-//!                                running, seed II escalation from it,
-//!                                and rewrite it afterwards with every
-//!                                schedule this run memoized; schedules
-//!                                stay byte-identical to a cold run
 //!   --quality PATH               write per-loop schedule-quality records
 //!                                (II vs MII, MaxLive, lifetimes,
 //!                                backtracking) plus the corpus rollup as
@@ -56,7 +50,7 @@
 //!   --eval-corpus                no FILE: schedule the synthetic corpus
 //!                                and print a summary instead
 //!   --corpus-size N              corpus loops for --eval-corpus
-//!                                (env LSMS_CORPUS)
+//!                                (env LSMS_CORPUS; default 1525)
 //!   --jobs N                     worker threads for --eval-corpus
 //!                                (env LSMS_JOBS)
 //! ```
@@ -95,7 +89,7 @@ struct Options {
     straight_line: bool,
     run: Option<u64>,
     eval_corpus: bool,
-    corpus_size: usize,
+    corpus_size: Option<usize>,
     jobs: usize,
     timings: Option<String>,
     trace: Option<String>,
@@ -104,7 +98,6 @@ struct Options {
     quality_report: Option<String>,
     budgets: Vec<PassBudget>,
     explain_pass: Option<String>,
-    warm_start: Option<String>,
 }
 
 fn usage() -> ! {
@@ -114,7 +107,7 @@ fn usage() -> ! {
          \x20             [--unroll N] [--straight-line] [--run TRIP] [--timings PATH|-]\n\
          \x20             [--trace PATH] [--metrics PATH|-] [--pass-budget NAME=MILLIS]\n\
          \x20             [--quality PATH|-] [--quality-report PATH|-]\n\
-         \x20             [--warm-start PATH] [--explain-pass NAME]\n\
+         \x20             [--explain-pass NAME]\n\
          \x20      lsmsc --eval-corpus [--corpus-size N] [--jobs N] [--machine ...]\n\
          \x20      lsmsc --explain-pass NAME\n\
          \x20      lsmsc --list-backends"
@@ -134,7 +127,7 @@ fn parse_args() -> Options {
         straight_line: false,
         run: None,
         eval_corpus: false,
-        corpus_size: lsms_bench::default_corpus_size(),
+        corpus_size: None,
         jobs: lsms_bench::default_jobs(),
         timings: None,
         trace: None,
@@ -143,7 +136,6 @@ fn parse_args() -> Options {
         quality_report: None,
         budgets: Vec::new(),
         explain_pass: None,
-        warm_start: None,
     };
     let need = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
         args.next().unwrap_or_else(|| {
@@ -207,13 +199,16 @@ fn parse_args() -> Options {
             "--straight-line" => options.straight_line = true,
             "--eval-corpus" => options.eval_corpus = true,
             "--corpus-size" => {
-                options.corpus_size =
+                options.corpus_size = Some(
                     need(&mut args, "--corpus-size")
                         .parse()
-                        .unwrap_or_else(|_| {
+                        .ok()
+                        .filter(|&n: &usize| n >= 1)
+                        .unwrap_or_else(|| {
                             eprintln!("--corpus-size needs a positive integer");
                             usage();
-                        })
+                        }),
+                )
             }
             "--jobs" => {
                 options.jobs = need(&mut args, "--jobs")
@@ -248,7 +243,6 @@ fn parse_args() -> Options {
                     }));
             }
             "--explain-pass" => options.explain_pass = Some(need(&mut args, "--explain-pass")),
-            "--warm-start" => options.warm_start = Some(need(&mut args, "--warm-start")),
             "--help" | "-h" => usage(),
             other if options.file.is_empty() && !other.starts_with('-') => {
                 options.file = other.to_owned();
@@ -265,6 +259,12 @@ fn parse_args() -> Options {
         && !options.list_backends
     {
         usage();
+    }
+    if options.eval_corpus && options.corpus_size.is_none() {
+        options.corpus_size = Some(lsms_bench::default_corpus_size().unwrap_or_else(|e| {
+            eprintln!("{e}");
+            usage();
+        }));
     }
     options
 }
@@ -326,7 +326,6 @@ fn session_config(options: &Options) -> SessionConfig {
     config.mve = options.emit.iter().any(|e| e == "mve");
     config.verify = options.run.map(VerifySpec::with_trip);
     config.budgets = options.budgets.clone();
-    config.warm_start = options.warm_start.clone().map(Into::into);
     config
 }
 
@@ -337,7 +336,7 @@ fn session_config(options: &Options) -> SessionConfig {
 fn eval_corpus(options: &Options, session: &CompileSession) -> Vec<lsms_obs::ScheduleQuality> {
     let corpus = lsms_bench::evaluate_corpus_session(
         session,
-        options.corpus_size,
+        options.corpus_size.expect("resolved in parse_args"),
         lsms_bench::CORPUS_SEED,
         options.jobs,
     );
@@ -362,34 +361,12 @@ fn eval_corpus(options: &Options, session: &CompileSession) -> Vec<lsms_obs::Sch
     if let Some(record) = report.get("sched-cache") {
         let get = |key| record.counters.get(key).copied().unwrap_or(0);
         println!(
-            "schedule-cache: hits={} misses={} inserts={} warm={} ledger={} straggler-idle-us={}",
+            "schedule-cache: hits={} misses={}",
             get("hits"),
-            get("misses"),
-            get("inserts"),
-            get("warm_hits"),
-            session.warm_ledger_len(),
-            corpus.straggler_idle_us,
+            get("misses")
         );
     }
     quality
-}
-
-/// `--warm-start PATH`: rewrites the schedule-cache ledger with the
-/// loaded entries merged with everything this run memoized.
-fn write_warm_ledger(path: &str, session: &CompileSession) -> Result<(), LsmsError> {
-    let lines = session.warm_ledger_lines();
-    if session.warm_ledger_skipped() > 0 {
-        eprintln!(
-            "lsmsc: warm-start ledger {path}: skipped {} corrupt line(s)",
-            session.warm_ledger_skipped()
-        );
-    }
-    let parent = std::path::Path::new(path).parent();
-    if let Some(dir) = parent.filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| LsmsError::io(format!("cannot create {}: {e}", dir.display())))?;
-    }
-    std::fs::write(path, lines).map_err(|e| LsmsError::io(format!("cannot write {path}: {e}")))
 }
 
 /// Compiles the input file and prints everything the options ask for.
@@ -666,16 +643,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = &options.warm_start {
-        if options.eval_corpus || !options.file.is_empty() {
-            if let Err(e) = write_warm_ledger(path, &session) {
-                eprintln!("lsmsc: {}", e.render(None));
-                if code == 0 {
-                    code = e.exit_code();
-                }
-            }
-        }
-    }
     if let Some(name) = &options.explain_pass {
         if let Err(e) = explain_pass(name, &session) {
             eprintln!("lsmsc: {}", e.render(None));

@@ -121,7 +121,18 @@ fn list_backends_names_every_builtin_with_flags() {
         assert!(text.contains(name), "{text}");
     }
     assert!(text.contains("capabilities ["), "{text}");
-    assert!(text.contains("warm-start"), "{text}");
+    assert!(text.contains("budget-degradation"), "{text}");
+}
+
+#[test]
+fn retired_and_zero_valued_flags_are_usage_errors() {
+    for args in [
+        &["--list-backends", "--warm-start", "ledger.jsonl"][..],
+        &["--eval-corpus", "--corpus-size", "0"][..],
+    ] {
+        let out = lsmsc().args(args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
 }
 
 #[test]

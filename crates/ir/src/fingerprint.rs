@@ -33,21 +33,6 @@ use crate::{Dep, LoopBody, Op, ValueId, ValueType};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fingerprint(pub u128);
 
-impl Fingerprint {
-    /// Renders the fingerprint as 32 lowercase hex digits.
-    pub fn to_hex(self) -> String {
-        format!("{:032x}", self.0)
-    }
-
-    /// Parses the 32-hex-digit form produced by [`Fingerprint::to_hex`].
-    pub fn parse_hex(s: &str) -> Option<Self> {
-        if s.len() != 32 {
-            return None;
-        }
-        u128::from_str_radix(s, 16).ok().map(Fingerprint)
-    }
-}
-
 impl std::fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:032x}", self.0)
@@ -384,16 +369,6 @@ mod tests {
             structural_fingerprint(&build(ValueType::Int)),
             structural_fingerprint(&build(ValueType::Float))
         );
-    }
-
-    #[test]
-    fn hex_round_trips() {
-        let fp = structural_fingerprint(&daxpy_like("h", ["b", "a", "x", "t"]));
-        let hex = fp.to_hex();
-        assert_eq!(hex.len(), 32);
-        assert_eq!(Fingerprint::parse_hex(&hex), Some(fp));
-        assert_eq!(Fingerprint::parse_hex("zz"), None);
-        assert_eq!(Fingerprint::parse_hex(&hex[..31]), None);
     }
 
     #[test]

@@ -107,16 +107,13 @@ pub const PASSES: &[PassInfo] = &[
                   scheduling pass that paid it): backend runs are keyed \
                   by an alpha-invariant fingerprint of (dependence graph, \
                   machine, backend, options, straight-line flag). Hits \
-                  replay the memoized schedule byte-identically; misses \
-                  may still warm-start II escalation from a persisted \
-                  ledger entry (lsmsc --warm-start).",
+                  replay the memoized schedule byte-identically; every \
+                  miss runs the backend and memoizes its result.",
         counters: &[
             ("hits", "backend runs answered from the in-memory cache"),
-            ("misses", "backend runs that executed a scheduler"),
-            ("inserts", "freshly memoized backend runs"),
             (
-                "warm_hits",
-                "misses whose ledger-seeded first II attempt verified",
+                "misses",
+                "backend runs that executed and memoized a scheduler",
             ),
         ],
     },

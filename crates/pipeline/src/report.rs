@@ -126,8 +126,8 @@ impl PassReport {
     ///
     /// The shape is stable: `schema_version` bumps on breaking changes,
     /// passes keep canonical pipeline order (unknown ones sorted by
-    /// name), and counter keys are `BTreeMap`-ordered — so `timings-diff`
-    /// never flakes on map ordering.
+    /// name), and counter keys are `BTreeMap`-ordered — so diffs of two
+    /// reports never flake on map ordering.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"schema_version\": 1,\n  \"passes\": [\n");
         for (i, r) in self.records.iter().enumerate() {

@@ -1,35 +1,19 @@
 //! Content-addressed schedule memoization: the in-memory sharded cache
 //! a [`CompileSession`](crate::CompileSession) consults before running a
-//! scheduling pass, and the persistent warm-start ledger behind
-//! `lsmsc --warm-start PATH`.
+//! scheduling pass.
 //!
-//! Two tiers:
-//!
-//! * **In-memory** ([`ScheduleCache`]): fingerprint → the full
-//!   `(Result<Schedule, SchedFailure>, DecisionStats)` a backend
-//!   produced. A hit clones the stored run — byte-identical to a
-//!   recompute because the framework is deterministic per input. The
-//!   map is sharded by the key's low bits so the parallel corpus pool
-//!   doesn't serialize on one lock.
-//! * **Persistent** ([`WarmLedger`]): fingerprint → the achieved II
-//!   plus the run's deterministic counters, one JSON line per schedule
-//!   in `results/schedule_cache.jsonl`. A later process loads it and
-//!   pins the first II attempt to the recorded value
-//!   ([`SchedContext::warm_ii`](lsms_sched::SchedContext)); when the
-//!   attempt verifies, the ledger's counters are substituted so the
-//!   outcome matches the cold escalation it skipped. Entries are keyed
-//!   by salted fingerprints ([`lsms_sched::FINGERPRINT_SALT`]), so
-//!   ledgers from behaviourally different builds miss instead of lying;
-//!   corrupt or hand-edited lines are skipped (and stale IIs are
-//!   rejected downstream by the escalation-sequence check), falling
-//!   back to cold scheduling.
+//! [`ScheduleCache`] maps a fingerprint to the full
+//! `(Result<Schedule, SchedFailure>, DecisionStats)` a backend produced.
+//! A hit clones the stored run — byte-identical to a recompute because
+//! the framework is deterministic per input. The map is sharded by the
+//! key's low bits so the parallel corpus pool doesn't serialize on one
+//! lock.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Mutex;
-use std::time::Duration;
 
 use lsms_ir::Fingerprint;
-use lsms_sched::{DecisionStats, SchedFailure, SchedStats, Schedule};
+use lsms_sched::{DecisionStats, SchedFailure, Schedule};
 
 /// Number of independently locked shards. More than the worker count on
 /// any plausible host, so corpus workers rarely contend.
@@ -39,8 +23,6 @@ const SHARDS: usize = 16;
 /// to reproduce the run's observable outcome without scheduling.
 #[derive(Clone, Debug)]
 pub(crate) struct CachedRun {
-    /// The backend's registry name (for ledger serialization).
-    pub backend: String,
     /// The schedule or the deterministic failure.
     pub result: Result<Schedule, SchedFailure>,
     /// The §5.2 decision tallies of the run.
@@ -80,282 +62,12 @@ impl ScheduleCache {
             .entry(key.0)
             .or_insert(run);
     }
-
-    /// Every successful schedule currently memoized, as ledger entries.
-    pub(crate) fn successes(&self) -> Vec<(u128, LedgerEntry)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            for (&key, run) in shard.lock().expect("schedule cache shard").iter() {
-                if let Ok(schedule) = &run.result {
-                    out.push((
-                        key,
-                        LedgerEntry {
-                            backend: run.backend.clone(),
-                            ii: schedule.ii,
-                            wall_us: schedule.stats.elapsed.as_micros().min(u64::MAX as u128)
-                                as u64,
-                            stats: schedule.stats.clone(),
-                            decisions: run.decisions.clone(),
-                        },
-                    ));
-                }
-            }
-        }
-        out
-    }
-}
-
-/// One persisted schedule: the achieved II plus the deterministic
-/// counters of the cold run that achieved it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct LedgerEntry {
-    pub backend: String,
-    pub ii: u32,
-    /// Wall time of the run that produced the entry, for tail-aware
-    /// cost ordering (not for correctness).
-    pub wall_us: u64,
-    pub stats: SchedStats,
-    pub decisions: DecisionStats,
-}
-
-/// The loaded persistent tier: fingerprint → [`LedgerEntry`].
-#[derive(Debug, Default)]
-pub(crate) struct WarmLedger {
-    entries: HashMap<u128, LedgerEntry>,
-    /// Lines the loader could not parse (corrupt ledger diagnostics).
-    pub skipped: usize,
-}
-
-impl WarmLedger {
-    pub(crate) fn empty() -> Self {
-        Self::default()
-    }
-
-    /// Loads a ledger file; a missing file is an empty ledger, and any
-    /// unparsable line is counted in `skipped` rather than failing the
-    /// session — the fallback is always a cold run.
-    pub(crate) fn load(path: &std::path::Path) -> Self {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return Self::empty();
-        };
-        let mut ledger = Self::empty();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match parse_line(line) {
-                Some((fp, entry)) => {
-                    ledger.entries.insert(fp, entry);
-                }
-                None => ledger.skipped += 1,
-            }
-        }
-        ledger
-    }
-
-    pub(crate) fn get(&self, key: Fingerprint) -> Option<&LedgerEntry> {
-        self.entries.get(&key.0)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// This ledger merged with the given successes, serialized as JSONL
-    /// sorted by fingerprint (so rewrites are deterministic and
-    /// diff-friendly). New entries win, except that a warm rerun's tiny
-    /// wall time never replaces the cold cost estimate already stored —
-    /// the tail-aware sort wants the cold cost.
-    pub(crate) fn merged_lines(&self, fresh: Vec<(u128, LedgerEntry)>) -> String {
-        let mut merged: BTreeMap<u128, LedgerEntry> =
-            self.entries.iter().map(|(&k, v)| (k, v.clone())).collect();
-        for (key, mut entry) in fresh {
-            if let Some(old) = merged.get(&key) {
-                entry.wall_us = entry.wall_us.max(old.wall_us);
-            }
-            merged.insert(key, entry);
-        }
-        let mut out = String::new();
-        for (key, e) in &merged {
-            out.push_str(&format_line(*key, e));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-fn format_line(fp: u128, e: &LedgerEntry) -> String {
-    format!(
-        "{{\"v\":1,\"fp\":\"{:032x}\",\"backend\":\"{}\",\"ii\":{},\"wall_us\":{},\
-         \"stats\":[{},{},{},{},{},{},{}],\"decisions\":[{},{},{},{},{},{},{},{}]}}",
-        fp,
-        e.backend,
-        e.ii,
-        e.wall_us,
-        e.stats.central_iterations,
-        e.stats.step3_invocations,
-        e.stats.ejected_ops,
-        e.stats.step6_restarts,
-        e.stats.attempts,
-        e.stats.bounds_cells_touched,
-        e.stats.choose_scan_len,
-        e.decisions.zero_slack,
-        e.decisions.isolated_early,
-        e.decisions.early_more_inputs,
-        e.decisions.late_more_outputs,
-        e.decisions.tie_early,
-        e.decisions.tie_late,
-        e.decisions.unique_min_priority,
-        e.decisions.selections,
-    )
-}
-
-/// Minimal scanner for the exact shape [`format_line`] writes. Anything
-/// that deviates — wrong schema version, missing field, non-numeric
-/// payload — returns `None` and the line is skipped.
-fn parse_line(line: &str) -> Option<(u128, LedgerEntry)> {
-    fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let tag = format!("\"{key}\":\"");
-        let start = line.find(&tag)? + tag.len();
-        let end = line[start..].find('"')? + start;
-        Some(&line[start..end])
-    }
-    fn num_field(line: &str, key: &str) -> Option<u64> {
-        let tag = format!("\"{key}\":");
-        let start = line.find(&tag)? + tag.len();
-        let digits: String = line[start..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        digits.parse().ok()
-    }
-    fn array_field(line: &str, key: &str, n: usize) -> Option<Vec<u64>> {
-        let tag = format!("\"{key}\":[");
-        let start = line.find(&tag)? + tag.len();
-        let end = line[start..].find(']')? + start;
-        let items: Vec<u64> = line[start..end]
-            .split(',')
-            .map(|s| s.trim().parse().ok())
-            .collect::<Option<Vec<u64>>>()?;
-        (items.len() == n).then_some(items)
-    }
-
-    if num_field(line, "v")? != 1 {
-        return None;
-    }
-    let fp = Fingerprint::parse_hex(str_field(line, "fp")?)?;
-    let backend = str_field(line, "backend")?.to_owned();
-    let ii = u32::try_from(num_field(line, "ii")?).ok()?;
-    if ii == 0 {
-        return None;
-    }
-    let wall_us = num_field(line, "wall_us")?;
-    // 7 entries since the sparsity counters landed; older 5-entry lines
-    // fail here and the loop is simply re-scheduled cold.
-    let s = array_field(line, "stats", 7)?;
-    let d = array_field(line, "decisions", 8)?;
-    Some((
-        fp.0,
-        LedgerEntry {
-            backend,
-            ii,
-            wall_us,
-            stats: SchedStats {
-                central_iterations: s[0],
-                step3_invocations: s[1],
-                ejected_ops: s[2],
-                step6_restarts: s[3],
-                attempts: u32::try_from(s[4]).ok()?,
-                bounds_cells_touched: s[5],
-                choose_scan_len: s[6],
-                elapsed: Duration::from_micros(wall_us),
-            },
-            decisions: DecisionStats {
-                zero_slack: d[0],
-                isolated_early: d[1],
-                early_more_inputs: d[2],
-                late_more_outputs: d[3],
-                tie_early: d[4],
-                tie_late: d[5],
-                unique_min_priority: d[6],
-                selections: d[7],
-            },
-        },
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn entry() -> LedgerEntry {
-        LedgerEntry {
-            backend: "slack".to_owned(),
-            ii: 7,
-            wall_us: 1234,
-            stats: SchedStats {
-                central_iterations: 10,
-                step3_invocations: 2,
-                ejected_ops: 3,
-                step6_restarts: 1,
-                attempts: 4,
-                bounds_cells_touched: 99,
-                choose_scan_len: 123,
-                elapsed: Duration::from_micros(1234),
-            },
-            decisions: DecisionStats {
-                zero_slack: 1,
-                isolated_early: 2,
-                early_more_inputs: 3,
-                late_more_outputs: 4,
-                tie_early: 5,
-                tie_late: 6,
-                unique_min_priority: 7,
-                selections: 8,
-            },
-        }
-    }
-
-    #[test]
-    fn ledger_line_round_trips() {
-        let e = entry();
-        let line = format_line(0xdead_beef, &e);
-        let (fp, parsed) = parse_line(&line).expect("round trip");
-        assert_eq!(fp, 0xdead_beef);
-        assert_eq!(parsed, e);
-    }
-
-    #[test]
-    fn corrupt_lines_are_rejected() {
-        assert!(parse_line("").is_none());
-        assert!(parse_line("not json at all").is_none());
-        assert!(parse_line("{\"v\":2,\"fp\":\"00\"}").is_none());
-        // Truncated stats array.
-        let line = format_line(1, &entry()).replace(",123]", "]");
-        assert!(parse_line(&line).is_none());
-        // Pre-sparsity 5-entry stats line: skipped, loop re-scheduled cold.
-        let line = format_line(1, &entry()).replace(",99,123]", "]");
-        assert!(parse_line(&line).is_none());
-        // Zero II is meaningless.
-        let line = format_line(1, &entry()).replace("\"ii\":7", "\"ii\":0");
-        assert!(parse_line(&line).is_none());
-    }
-
-    #[test]
-    fn merge_keeps_cold_wall_and_sorts() {
-        let mut ledger = WarmLedger::empty();
-        ledger.entries.insert(5, entry());
-        let mut warm = entry();
-        warm.wall_us = 3; // warm rerun was fast
-        let mut other = entry();
-        other.backend = "cydrome".to_owned();
-        let text = ledger.merged_lines(vec![(5, warm), (2, other)]);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"cydrome\""), "sorted by fingerprint");
-        assert!(lines[1].contains("\"wall_us\":1234"), "cold cost kept");
-    }
+    use lsms_sched::SchedStats;
 
     #[test]
     fn cache_round_trips_failures_too() {
@@ -365,7 +77,6 @@ mod tests {
         cache.insert(
             key,
             CachedRun {
-                backend: "slack".to_owned(),
                 result: Err(SchedFailure {
                     last_ii: 9,
                     stats: SchedStats::default(),
@@ -376,9 +87,5 @@ mod tests {
         );
         let hit = cache.get(key).expect("stored");
         assert_eq!(hit.result.unwrap_err().last_ii, 9);
-        assert!(
-            cache.successes().is_empty(),
-            "failures never reach the ledger"
-        );
     }
 }

@@ -27,7 +27,7 @@ use lsms_sim::{check_equivalence, check_equivalence_mve, EquivReport, RunConfig}
 use crate::backend::{lookup_backend, resolve_backend, BackendEntry, BackendSelection};
 use crate::error::{LsmsError, Stage};
 use crate::report::PassReport;
-use crate::schedcache::{CachedRun, ScheduleCache, WarmLedger};
+use crate::schedcache::{CachedRun, ScheduleCache};
 
 /// A wall-clock deadline for one pass. When an invocation overruns it,
 /// the session emits a `budget_exceeded` trace event and bumps the
@@ -93,10 +93,6 @@ pub struct SessionConfig {
     /// deadline bypass the cache either way, because a deadline-capped
     /// result is not deterministic.
     pub sched_cache: bool,
-    /// Warm-start ledger to load (`lsmsc --warm-start PATH`): recorded
-    /// IIs seed the first escalation attempt, and verified hits reuse
-    /// the recorded counters. A missing file is an empty ledger.
-    pub warm_start: Option<std::path::PathBuf>,
 }
 
 impl SessionConfig {
@@ -115,7 +111,6 @@ impl SessionConfig {
             verify: None,
             budgets: Vec::new(),
             sched_cache: true,
-            warm_start: None,
         }
     }
 }
@@ -238,8 +233,6 @@ pub struct CompileSession {
     report: Mutex<PassReport>,
     /// In-memory schedule memoization, shared by every worker thread.
     sched_cache: ScheduleCache,
-    /// The warm-start ledger loaded from [`SessionConfig::warm_start`].
-    ledger: WarmLedger,
 }
 
 impl CompileSession {
@@ -259,10 +252,6 @@ impl CompileSession {
         });
         let eval = ["slack", "early", "cydrome"]
             .map(|name| lookup_backend(name).expect("built-in backend registered"));
-        let ledger = match &config.warm_start {
-            Some(path) => WarmLedger::load(path),
-            None => WarmLedger::empty(),
-        };
         Self {
             config,
             primary,
@@ -270,7 +259,6 @@ impl CompileSession {
             eval,
             report: Mutex::new(PassReport::new()),
             sched_cache: ScheduleCache::new(),
-            ledger,
         }
     }
 
@@ -554,11 +542,10 @@ impl CompileSession {
     /// Runs one backend through the session's content-addressed schedule
     /// cache.
     ///
-    /// A miss runs the backend — seeding the first II attempt from the
-    /// warm-start ledger when an entry for this key exists — and
-    /// memoizes the outcome; a hit clones the stored run, which is
-    /// byte-identical to recomputing because the scheduling framework
-    /// is deterministic per (problem, machine, backend, options, mode).
+    /// A miss runs the backend and memoizes the outcome; a hit clones
+    /// the stored run, which is byte-identical to recomputing because
+    /// the scheduling framework is deterministic per (problem, machine,
+    /// backend, options, mode).
     /// Invocations carrying a [`PassBudget`] deadline bypass the cache
     /// entirely: a deadline-capped result depends on the wall clock,
     /// not just the inputs, so it is never safe to memoize.
@@ -573,14 +560,13 @@ impl CompileSession {
         ws: &mut EngineWorkspace,
         deadline: Option<Instant>,
     ) -> (Result<Schedule, lsms_sched::SchedFailure>, DecisionStats) {
-        let ctx = |warm_ii| SchedContext {
+        let ctx = SchedContext {
             pass: entry.pass,
             deadline,
             straight_line,
-            warm_ii,
         };
         if deadline.is_some() || !self.config.sched_cache {
-            let run = entry.scheduler.run(problem, cache, ws, &ctx(None));
+            let run = entry.scheduler.run(problem, cache, ws, &ctx);
             return (run.result, run.decisions);
         }
         let key = lsms_sched::schedule_key(
@@ -590,117 +576,19 @@ impl CompileSession {
             straight_line,
         );
         if let Some(hit) = self.sched_cache.get(key) {
-            self.record(
-                "sched-cache",
-                Instant::now(),
-                &[("hits", 1), ("misses", 0), ("inserts", 0), ("warm_hits", 0)],
-            );
+            self.record("sched-cache", Instant::now(), &[("hits", 1), ("misses", 0)]);
             return (hit.result, hit.decisions);
         }
-        // Warm starts apply to modulo escalation only; the straight-line
-        // "II" is a horizon, not an escalation result.
-        let ledger = if straight_line {
-            None
-        } else {
-            self.ledger.get(key)
-        };
-        let run = entry
-            .scheduler
-            .run(problem, cache, ws, &ctx(ledger.map(|e| e.ii)));
-        let mut result = run.result;
-        let mut decisions = run.decisions;
-        let mut warm_hit = 0;
-        if let (Some(le), Ok(s)) = (ledger, result.as_mut()) {
-            if s.ii == le.ii {
-                // The warm attempt reproduced the recorded II, skipping
-                // the cold escalation's failed attempts — so this run's
-                // counters undercount the canonical cold run. Substitute
-                // the ledger's recorded counters (keeping this run's
-                // wall clock) so warm and cold outcomes are identical
-                // modulo elapsed time.
-                let elapsed = s.stats.elapsed;
-                s.stats = SchedStats {
-                    elapsed,
-                    ..le.stats.clone()
-                };
-                decisions = le.decisions.clone();
-                warm_hit = 1;
-            }
-        }
+        let run = entry.scheduler.run(problem, cache, ws, &ctx);
         self.sched_cache.insert(
             key,
             CachedRun {
-                backend: entry.scheduler.name().to_owned(),
-                result: result.clone(),
-                decisions: decisions.clone(),
+                result: run.result.clone(),
+                decisions: run.decisions.clone(),
             },
         );
-        self.record(
-            "sched-cache",
-            Instant::now(),
-            &[
-                ("hits", 0),
-                ("misses", 1),
-                ("inserts", 1),
-                ("warm_hits", warm_hit),
-            ],
-        );
-        (result, decisions)
-    }
-
-    /// The number of entries in the loaded warm-start ledger.
-    pub fn warm_ledger_len(&self) -> usize {
-        self.ledger.len()
-    }
-
-    /// How many lines of the loaded warm-start ledger were corrupt and
-    /// skipped.
-    pub fn warm_ledger_skipped(&self) -> usize {
-        self.ledger.skipped
-    }
-
-    /// The warm-start ledger state after a run, serialized as JSONL: the
-    /// loaded entries merged with every schedule memoized this session,
-    /// sorted by fingerprint so rewrites are deterministic.
-    pub fn warm_ledger_lines(&self) -> String {
-        self.ledger.merged_lines(self.sched_cache.successes())
-    }
-
-    /// A relative cost key for tail-aware corpus ordering: the ledger's
-    /// recorded wall time summed over the evaluation trio's cache keys
-    /// when available, else a cheap ops×recurrence-bound estimate (the
-    /// single-arc-circuit RecMII lower bound — O(deps), no circuit
-    /// enumeration). Purely a scheduling hint — output order never
-    /// depends on it.
-    pub fn corpus_cost_hint(&self, compiled: &CompiledLoop) -> u64 {
-        let fp = lsms_sched::problem_fingerprint(&compiled.body, &self.config.machine);
-        let mut sum = 0u64;
-        let mut found = false;
-        for entry in &self.eval {
-            let key = lsms_sched::schedule_key(fp, entry.scheduler.name(), &[], false);
-            if let Some(e) = self.ledger.get(key) {
-                sum = sum.saturating_add(e.wall_us);
-                found = true;
-            }
-        }
-        if found {
-            return sum.max(1);
-        }
-        let body = &compiled.body;
-        let bound = body
-            .deps()
-            .iter()
-            .filter(|d| d.omega > 0)
-            .map(|d| {
-                self.config
-                    .machine
-                    .latency(body.op(d.from).kind)
-                    .div_ceil(d.omega)
-            })
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        (body.num_ops() as u64 + 1).saturating_mul(u64::from(bound))
+        self.record("sched-cache", Instant::now(), &[("hits", 0), ("misses", 1)]);
+        (run.result, run.decisions)
     }
 
     /// Folds the shared MinDist cache's counters into the report under

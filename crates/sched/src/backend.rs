@@ -28,9 +28,6 @@ use crate::{
 /// the session before it relies on a feature.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BackendCaps {
-    /// The backend reuses a caller-owned [`EngineWorkspace`] across II
-    /// attempts (allocation-only warm start).
-    pub warm_start: bool,
     /// The backend honours [`SchedContext::deadline`] by giving up with
     /// [`SchedFailure::deadline_capped`] set, enabling budget-driven
     /// degradation to a fallback backend.
@@ -48,9 +45,6 @@ impl BackendCaps {
     /// `--list-backends`.
     pub fn flags(&self) -> String {
         let mut out = Vec::new();
-        if self.warm_start {
-            out.push("warm-start");
-        }
         if self.budget_degradation {
             out.push("budget-degradation");
         }
@@ -90,13 +84,6 @@ pub struct SchedContext {
     /// Schedule as a single basic block (no iteration overlap). Only set
     /// for backends with [`BackendCaps::straight_line`].
     pub straight_line: bool,
-    /// An II this problem is known to schedule at (from a warm-start
-    /// ledger). Backends that honour it try one attempt pinned at this
-    /// II first and fall back to full MII escalation if the attempt
-    /// fails or the hint is outside the escalation sequence — so the
-    /// resulting schedule is byte-identical either way, just cheaper to
-    /// reach. Backends may ignore the hint entirely.
-    pub warm_ii: Option<u32>,
 }
 
 impl SchedContext {
@@ -106,14 +93,7 @@ impl SchedContext {
             pass,
             deadline: None,
             straight_line: false,
-            warm_ii: None,
         }
-    }
-
-    /// The same context with a warm-start II hint.
-    pub fn with_warm_ii(mut self, warm_ii: Option<u32>) -> Self {
-        self.warm_ii = warm_ii;
-        self
     }
 }
 
@@ -278,7 +258,6 @@ impl ModuloScheduler for SlackBackend {
 
     fn capabilities(&self) -> BackendCaps {
         BackendCaps {
-            warm_start: true,
             budget_degradation: true,
             straight_line: true,
             decision_stats: true,
@@ -336,30 +315,6 @@ impl ModuloScheduler for SlackBackend {
             };
         }
         let scheduler = SlackScheduler::with_config(self.config.clone());
-        if let Some(warm) = ctx.warm_ii.filter(|&w| {
-            let max_ii = self
-                .config
-                .max_ii
-                .unwrap_or(4 * problem.mii() + 64)
-                .max(problem.mii());
-            ctx.deadline.is_none()
-                && crate::ii_reachable_by_escalation(
-                    problem.mii(),
-                    max_ii,
-                    self.config.increment,
-                    w,
-                )
-        }) {
-            let (result, decisions) = scheduler.run_at_ii_in(problem, cache, warm, ws);
-            if let Ok(schedule) = result {
-                return BackendRun {
-                    result: Ok(schedule),
-                    decisions,
-                };
-            }
-            // Stale hint: discard the warm attempt's tallies and rerun
-            // the full cold escalation so the outcome matches a cold run.
-        }
         let (result, decisions) = scheduler.run_in(problem, cache, ctx.deadline, ws);
         BackendRun { result, decisions }
     }
@@ -406,7 +361,6 @@ impl ModuloScheduler for CydromeBackend {
 
     fn capabilities(&self) -> BackendCaps {
         BackendCaps {
-            warm_start: true,
             budget_degradation: false,
             straight_line: false,
             decision_stats: false,
@@ -435,29 +389,8 @@ impl ModuloScheduler for CydromeBackend {
         problem: &SchedProblem<'_>,
         cache: &MinDistCache,
         ws: &mut EngineWorkspace,
-        ctx: &SchedContext,
+        _ctx: &SchedContext,
     ) -> BackendRun {
-        if let Some(warm) = ctx.warm_ii.filter(|&w| {
-            let max_ii = self
-                .scheduler
-                .max_ii
-                .unwrap_or(4 * problem.mii() + 64)
-                .max(problem.mii());
-            ctx.deadline.is_none()
-                && crate::ii_reachable_by_escalation(
-                    problem.mii(),
-                    max_ii,
-                    crate::IiIncrement::default(),
-                    w,
-                )
-        }) {
-            if let Ok(schedule) = self.scheduler.run_at_ii_in(problem, cache, warm, ws) {
-                return BackendRun {
-                    result: Ok(schedule),
-                    decisions: DecisionStats::default(),
-                };
-            }
-        }
         BackendRun {
             result: self.scheduler.run_cached_in(problem, cache, ws),
             decisions: DecisionStats::default(),
@@ -543,9 +476,9 @@ mod tests {
     fn capability_flags_render_for_listing() {
         assert_eq!(
             SlackBackend::bidirectional().capabilities().flags(),
-            "[warm-start, budget-degradation, straight-line, decision-stats]"
+            "[budget-degradation, straight-line, decision-stats]"
         );
-        assert_eq!(CydromeBackend::new().capabilities().flags(), "[warm-start]");
+        assert_eq!(CydromeBackend::new().capabilities().flags(), "[]");
     }
 
     #[test]

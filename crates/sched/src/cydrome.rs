@@ -118,36 +118,6 @@ impl CydromeScheduler {
             ws,
         )
     }
-
-    /// One attempt pinned at exactly `ii` — the warm-start entry point
-    /// (see [`SlackScheduler::run_at_ii_in`](crate::SlackScheduler::run_at_ii_in)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchedFailure`] if the single attempt at `ii` fails.
-    pub fn run_at_ii_in(
-        &self,
-        problem: &SchedProblem<'_>,
-        cache: &MinDistCache,
-        ii: u32,
-        ws: &mut EngineWorkspace,
-    ) -> Result<Schedule, SchedFailure> {
-        let mut decisions = DecisionStats::default();
-        let mut heuristic = CydromeHeuristic::new(problem);
-        crate::engine::run_framework_from(
-            problem,
-            &mut heuristic,
-            self.budget_factor.max(1),
-            ii,
-            ii,
-            crate::IiIncrement::default(),
-            false,
-            None,
-            cache,
-            &mut decisions,
-            ws,
-        )
-    }
 }
 
 struct CydromeHeuristic {

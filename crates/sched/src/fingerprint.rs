@@ -10,16 +10,13 @@
 //!
 //! The key is salted with [`FINGERPRINT_SALT`]; bump the salt whenever
 //! a scheduling algorithm, heuristic, or escalation policy changes
-//! behaviour, and every persisted cache entry from older builds becomes
-//! unreachable instead of wrong.
+//! behaviour, so keys from older builds never collide with current ones.
 
 use lsms_ir::{Fingerprint, FpHasher, LoopBody};
 use lsms_machine::Machine;
 
-use crate::IiIncrement;
-
 /// Domain-separation salt for schedule cache keys. Versioned: bump on
-/// any behavioural change to the schedulers so stale persisted entries
+/// any behavioural change to the schedulers so keys from older builds
 /// miss instead of replaying outdated results.
 pub const FINGERPRINT_SALT: &str = "lsms-sched-fp/1";
 
@@ -83,37 +80,6 @@ pub fn schedule_key(
     h.finish()
 }
 
-/// True if `target` is one of the IIs a cold escalation from `mii`
-/// would attempt under `increment` (§4.2) before stopping at `max_ii`.
-///
-/// Warm starts only pin the II to values the cold run could have ended
-/// on; a ledger entry outside the sequence (hand-edited, or from a
-/// different increment policy) is rejected so warm and cold runs stay
-/// byte-identical.
-pub fn ii_reachable_by_escalation(
-    mii: u32,
-    max_ii: u32,
-    increment: IiIncrement,
-    target: u32,
-) -> bool {
-    if target > max_ii {
-        return false;
-    }
-    if increment == IiIncrement::ByOne {
-        return target >= mii.max(1);
-    }
-    let mut ii = mii.max(1);
-    loop {
-        if ii == target {
-            return true;
-        }
-        if ii >= target || ii >= max_ii {
-            return false;
-        }
-        ii = (ii + (ii * 4 / 100).max(1)).min(max_ii);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,58 +128,5 @@ mod tests {
             problem_fingerprint(&body, &m1),
             problem_fingerprint(&body, &m2)
         );
-    }
-
-    #[test]
-    fn escalation_sequence_membership() {
-        // From MII 10, four-percent steps are 10, 11, 12, ... (4% of
-        // small IIs floors to 0, so the step clamps to 1).
-        assert!(ii_reachable_by_escalation(
-            10,
-            104,
-            IiIncrement::FourPercent,
-            10
-        ));
-        assert!(ii_reachable_by_escalation(
-            10,
-            104,
-            IiIncrement::FourPercent,
-            11
-        ));
-        assert!(!ii_reachable_by_escalation(
-            10,
-            104,
-            IiIncrement::FourPercent,
-            9
-        ));
-        assert!(!ii_reachable_by_escalation(
-            10,
-            104,
-            IiIncrement::FourPercent,
-            200
-        ));
-        // From 100 the step is 4: 104 is reachable, 105 is not.
-        assert!(ii_reachable_by_escalation(
-            100,
-            200,
-            IiIncrement::FourPercent,
-            104
-        ));
-        assert!(!ii_reachable_by_escalation(
-            100,
-            200,
-            IiIncrement::FourPercent,
-            105
-        ));
-        // The sequence clamps at max_ii, so max_ii itself is reachable.
-        assert!(ii_reachable_by_escalation(
-            100,
-            106,
-            IiIncrement::FourPercent,
-            106
-        ));
-        // ByOne reaches everything in range.
-        assert!(ii_reachable_by_escalation(3, 10, IiIncrement::ByOne, 7));
-        assert!(!ii_reachable_by_escalation(3, 10, IiIncrement::ByOne, 2));
     }
 }

@@ -68,9 +68,7 @@ pub use backend::{
 pub use bounds::{mii, rec_mii, rec_mii_min_ratio, res_mii};
 pub use cydrome::CydromeScheduler;
 pub use engine::{BoundsMode, EngineWorkspace};
-pub use fingerprint::{
-    ii_reachable_by_escalation, problem_fingerprint, schedule_key, FINGERPRINT_SALT,
-};
+pub use fingerprint::{problem_fingerprint, schedule_key, FINGERPRINT_SALT};
 pub use mindist::{MinDist, MinDistCache, MinDistCacheStats, ParametricMinDist};
 pub use pressure::PressureReport;
 pub use problem::{Arc, ProblemError, SchedProblem};

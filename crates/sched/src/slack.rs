@@ -323,40 +323,6 @@ impl SlackScheduler {
         (result, decisions)
     }
 
-    /// One modulo-scheduling attempt pinned at exactly `ii` — no
-    /// escalation. This is the warm-start entry point: a caller holding
-    /// a previously *achieved* II (from a schedule-cache ledger) tries
-    /// it directly, and because the framework is deterministic per
-    /// (problem, heuristic, II), success reproduces the byte-identical
-    /// schedule the escalating run would have ended on. On failure the
-    /// caller falls back to the full MII escalation.
-    pub fn run_at_ii_in(
-        &self,
-        problem: &SchedProblem<'_>,
-        cache: &MinDistCache,
-        ii: u32,
-        ws: &mut EngineWorkspace,
-    ) -> (Result<Schedule, SchedFailure>, DecisionStats) {
-        let mut decisions = DecisionStats::default();
-        let mut heuristic = SlackHeuristic {
-            policy: self.config.direction,
-        };
-        let result = crate::engine::run_framework_from(
-            problem,
-            &mut heuristic,
-            self.config.budget_factor,
-            ii,
-            ii,
-            self.config.increment,
-            false,
-            None,
-            cache,
-            &mut decisions,
-            ws,
-        );
-        (result, decisions)
-    }
-
     /// The scheduler's configuration.
     pub fn config(&self) -> &SlackConfig {
         &self.config

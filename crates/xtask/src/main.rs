@@ -1,20 +1,9 @@
 //! `cargo xtask` — repo maintenance tasks.
 //!
 //! ```text
-//! cargo run -p xtask -- timings-diff OLD.json NEW.json [--max-ratio R] [--floor-us N]
-//! cargo run -p xtask -- bench-diff OLD.json NEW.json [--max-ratio R] [--floor-ms F]
 //! cargo run -p xtask -- quality-diff OLD.json NEW.json
-//! cargo run -p xtask -- cache-check TIMINGS.json [--min-warm N]
 //! cargo run -p xtask -- backend-audit
 //! ```
-//!
-//! `timings-diff` is the CI perf gate: it compares two `lsmsc --timings`
-//! JSON reports pass by pass and fails (exit 1) when any pass's
-//! wall-clock regressed by more than `--max-ratio` (default 2.0×).
-//! Passes whose new wall time is under `--floor-us` (default 10 ms) are
-//! ignored — at that scale the numbers are scheduler-noise, not
-//! regressions. A missing OLD file is a clean skip (exit 0), so the
-//! first run of a fresh cache passes.
 //!
 //! `backend-audit` is the consistency gate for the scheduler-backend
 //! registry: for every registered backend it checks that the derived
@@ -23,236 +12,19 @@
 //! names all agree. It compiles one loop per backend with tracing on, so
 //! a backend whose span never opens fails the audit too.
 //!
-//! `bench-diff` gates the corpus benchmark the same way, on the p99
-//! per-loop latency out of two `corpus_time` reports (`BENCH_corpus.json`
-//! shape). Each report's p99 is the best across its runs — both runs
-//! evaluate the same corpus, so the minimum is the least noisy estimate.
-//! New p99s under `--floor-ms` (default 1 ms) are ignored, and a missing
-//! OLD file is again a clean skip.
-//!
 //! `quality-diff` gates schedule *quality* out of two `lsmsc --quality`
-//! reports (`BENCH_quality.json` shape). Unlike the wall-clock gates it
-//! is exact-count: scheduling is deterministic, so any increase in the
-//! corpus-wide II sum or MaxLive sum over the records both reports share
+//! reports (`BENCH_quality.json` shape). It is exact-count: scheduling
+//! is deterministic, so any increase in the corpus-wide II sum or
+//! MaxLive sum over the records both reports share
 //! (matched by loop name + backend, so corpus resizes never false-fail)
 //! is a regression — no ratio, no noise floor. Every loop that moved is
 //! attributed by name with the `schedule:<backend>` pass that produced
 //! it. A missing OLD file is a clean first-run skip.
 //!
-//! `cache-check` closes the warm-start loop in CI: given the `--timings`
-//! report of an `--eval-corpus --warm-start` run, it fails unless the
-//! `sched-cache` pass reports at least `--min-warm` warm hits — proof
-//! that the persisted schedule-cache ledger was loaded and actually
-//! seeded II escalation, rather than silently falling back to cold runs.
+//! Wall-clock performance is gated by the `benchmark` binary's noise-aware
+//! `compare` mode, not here.
 
 use std::process::ExitCode;
-
-/// One pass's wall time out of a `lsmsc --timings` report.
-#[derive(Debug, PartialEq)]
-struct PassWall {
-    name: String,
-    wall_us: u64,
-}
-
-/// Extracts `(name, wall_us)` per pass from the timings JSON. The format
-/// is the driver's own fixed emission, so a targeted scan beats a full
-/// JSON parser here; unknown surroundings are ignored.
-fn parse_timings(json: &str) -> Vec<PassWall> {
-    let mut out = Vec::new();
-    for record in json.split("{\"name\": \"").skip(1) {
-        let Some(name) = record.split('"').next() else {
-            continue;
-        };
-        let Some(wall) = record
-            .split("\"wall_us\": ")
-            .nth(1)
-            .and_then(|r| r.split(|c: char| !c.is_ascii_digit()).next())
-            .and_then(|n| n.parse().ok())
-        else {
-            continue;
-        };
-        out.push(PassWall {
-            name: name.to_owned(),
-            wall_us: wall,
-        });
-    }
-    out
-}
-
-/// A pass that got slower than the gate allows.
-#[derive(Debug, PartialEq)]
-struct Regression {
-    name: String,
-    old_us: u64,
-    new_us: u64,
-}
-
-/// The gate: every pass present in both reports whose new wall time
-/// exceeds both `floor_us` and `max_ratio × old` is a regression.
-fn diff(old: &[PassWall], new: &[PassWall], max_ratio: f64, floor_us: u64) -> Vec<Regression> {
-    new.iter()
-        .filter(|n| n.wall_us >= floor_us)
-        .filter_map(|n| {
-            let o = old.iter().find(|o| o.name == n.name)?;
-            (n.wall_us as f64 > o.wall_us as f64 * max_ratio).then(|| Regression {
-                name: n.name.clone(),
-                old_us: o.wall_us,
-                new_us: n.wall_us,
-            })
-        })
-        .collect()
-}
-
-fn timings_diff(args: &[String]) -> ExitCode {
-    let mut paths = Vec::new();
-    let mut max_ratio = 2.0f64;
-    let mut floor_us = 10_000u64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--max-ratio" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(r) => max_ratio = r,
-                None => return usage("--max-ratio needs a number"),
-            },
-            "--floor-us" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(f) => floor_us = f,
-                None => return usage("--floor-us needs an integer"),
-            },
-            other => paths.push(other.to_owned()),
-        }
-    }
-    let [old_path, new_path] = paths.as_slice() else {
-        return usage("timings-diff wants exactly OLD.json and NEW.json");
-    };
-
-    let Ok(old_json) = std::fs::read_to_string(old_path) else {
-        println!("timings-diff: no previous report at {old_path}; skipping (first run)");
-        return ExitCode::SUCCESS;
-    };
-    let new_json = match std::fs::read_to_string(new_path) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("timings-diff: cannot read {new_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let old = parse_timings(&old_json);
-    let new = parse_timings(&new_json);
-    if new.is_empty() {
-        eprintln!("timings-diff: {new_path} contains no passes");
-        return ExitCode::FAILURE;
-    }
-    let regressions = diff(&old, &new, max_ratio, floor_us);
-    for r in &regressions {
-        eprintln!(
-            "timings-diff: pass {} regressed {:.2}x ({} us -> {} us, gate {max_ratio}x)",
-            r.name,
-            r.new_us as f64 / (r.old_us.max(1)) as f64,
-            r.old_us,
-            r.new_us
-        );
-    }
-    if regressions.is_empty() {
-        println!(
-            "timings-diff: {} passes compared, none above {max_ratio}x (floor {floor_us} us)",
-            new.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Pulls one per-loop latency percentile (`"p50"`, `"p99"`, …) out of a
-/// `corpus_time` report: the minimum across the report's runs (same
-/// corpus, so the best run is the least noisy measurement). The format is
-/// the bench binary's own fixed emission, so a targeted scan suffices, as
-/// in [`parse_timings`].
-fn parse_bench_stat(json: &str, stat: &str) -> Option<f64> {
-    let tag = format!("\"{stat}\": ");
-    json.split(tag.as_str())
-        .skip(1)
-        .filter_map(|rest| {
-            rest.split(|c: char| !c.is_ascii_digit() && c != '.')
-                .next()
-                .and_then(|n| n.parse::<f64>().ok())
-        })
-        .min_by(f64::total_cmp)
-}
-
-/// The bench gate: a new percentile is a regression when it clears both
-/// the noise floor and `max_ratio ×` the old value.
-fn bench_regressed(old_ms: f64, new_ms: f64, max_ratio: f64, floor_ms: f64) -> bool {
-    new_ms > floor_ms && new_ms > old_ms * max_ratio
-}
-
-fn bench_diff(args: &[String]) -> ExitCode {
-    let mut paths = Vec::new();
-    let mut max_ratio = 2.0f64;
-    let mut floor_ms = 1.0f64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--max-ratio" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(r) => max_ratio = r,
-                None => return usage("--max-ratio needs a number"),
-            },
-            "--floor-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(f) => floor_ms = f,
-                None => return usage("--floor-ms needs a number"),
-            },
-            other => paths.push(other.to_owned()),
-        }
-    }
-    let [old_path, new_path] = paths.as_slice() else {
-        return usage("bench-diff wants exactly OLD.json and NEW.json");
-    };
-
-    let Ok(old_json) = std::fs::read_to_string(old_path) else {
-        println!("bench-diff: no previous report at {old_path}; skipping (first run)");
-        return ExitCode::SUCCESS;
-    };
-    let new_json = match std::fs::read_to_string(new_path) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("bench-diff: cannot read {new_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // Both ends of the latency distribution are gated with the same rule:
-    // the p99 tail (the expensive loops) and the p50 median (the common
-    // case the ready-set/sparsity machinery must never bloat). The 1 ms
-    // floor keeps sub-millisecond medians from tripping on noise.
-    let mut failed = false;
-    for stat in ["p50", "p99"] {
-        let Some(old_ms) = parse_bench_stat(&old_json, stat) else {
-            eprintln!("bench-diff: {old_path} contains no {stat} samples");
-            return ExitCode::FAILURE;
-        };
-        let Some(new_ms) = parse_bench_stat(&new_json, stat) else {
-            eprintln!("bench-diff: {new_path} contains no {stat} samples");
-            return ExitCode::FAILURE;
-        };
-        if bench_regressed(old_ms, new_ms, max_ratio, floor_ms) {
-            eprintln!(
-                "bench-diff: corpus {stat} regressed {:.2}x ({old_ms:.4} ms -> {new_ms:.4} ms, gate {max_ratio}x)",
-                new_ms / old_ms.max(1e-9)
-            );
-            failed = true;
-        } else {
-            println!(
-                "bench-diff: corpus {stat} {old_ms:.4} ms -> {new_ms:.4} ms, within {max_ratio}x (floor {floor_ms} ms)"
-            );
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
 
 fn quality_diff(args: &[String]) -> ExitCode {
     let [old_path, new_path] = args else {
@@ -440,76 +212,9 @@ fn backend_audit() -> ExitCode {
     }
 }
 
-/// One counter of one pass out of a `lsmsc --timings` report, scanned
-/// with the same targeted approach as [`parse_timings`].
-fn parse_pass_counter(json: &str, pass: &str, counter: &str) -> Option<u64> {
-    let record = json
-        .split("{\"name\": \"")
-        .skip(1)
-        .find(|r| r.split('"').next() == Some(pass))?;
-    record
-        .split(&format!("\"{counter}\": "))
-        .nth(1)
-        .and_then(|r| r.split(|c: char| !c.is_ascii_digit()).next())
-        .and_then(|n| n.parse().ok())
-}
-
-/// `cache-check TIMINGS.json [--min-warm N]`: asserts that a warm-started
-/// run actually used its schedule-cache ledger — the `sched-cache` pass
-/// must report at least `--min-warm` (default 1) warm hits. CI runs this
-/// on the second `--eval-corpus --warm-start` invocation to prove the
-/// persisted ledger round-trips.
-fn cache_check(args: &[String]) -> ExitCode {
-    let mut paths = Vec::new();
-    let mut min_warm = 1u64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--min-warm" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => min_warm = n,
-                None => return usage("--min-warm needs a count"),
-            },
-            other => paths.push(other.to_owned()),
-        }
-    }
-    let [path] = paths.as_slice() else {
-        return usage("cache-check wants exactly one TIMINGS.json");
-    };
-    let json = match std::fs::read_to_string(path) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("cache-check: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(warm) = parse_pass_counter(&json, "sched-cache", "warm_hits") else {
-        eprintln!("cache-check: {path} has no sched-cache pass (cache disabled or no run?)");
-        return ExitCode::FAILURE;
-    };
-    let hits = parse_pass_counter(&json, "sched-cache", "hits").unwrap_or(0);
-    let misses = parse_pass_counter(&json, "sched-cache", "misses").unwrap_or(0);
-    if warm < min_warm {
-        eprintln!(
-            "cache-check: only {warm} warm hit(s) in {path} (wanted >= {min_warm}; \
-             {hits} cache hits, {misses} misses) — the warm-start ledger did not take"
-        );
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "cache-check: {warm} warm hit(s), {hits} cache hit(s), {misses} miss(es) in {path}"
-        );
-        ExitCode::SUCCESS
-    }
-}
-
 fn usage(message: &str) -> ExitCode {
     eprintln!("xtask: {message}");
-    eprintln!("usage: cargo run -p xtask -- timings-diff OLD.json NEW.json [--max-ratio R] [--floor-us N]");
-    eprintln!(
-        "       cargo run -p xtask -- bench-diff OLD.json NEW.json [--max-ratio R] [--floor-ms F]"
-    );
-    eprintln!("       cargo run -p xtask -- quality-diff OLD.json NEW.json");
-    eprintln!("       cargo run -p xtask -- cache-check TIMINGS.json [--min-warm N]");
+    eprintln!("usage: cargo run -p xtask -- quality-diff OLD.json NEW.json");
     eprintln!("       cargo run -p xtask -- backend-audit");
     ExitCode::FAILURE
 }
@@ -517,123 +222,14 @@ fn usage(message: &str) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("timings-diff") => timings_diff(&args[1..]),
-        Some("bench-diff") => bench_diff(&args[1..]),
         Some("quality-diff") => quality_diff(&args[1..]),
-        Some("cache-check") => cache_check(&args[1..]),
         Some("backend-audit") => backend_audit(),
-        _ => {
-            usage("known tasks: timings-diff, bench-diff, quality-diff, cache-check, backend-audit")
-        }
+        _ => usage("known tasks: quality-diff, backend-audit"),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    const REPORT: &str = r#"{
-  "schema_version": 1,
-  "passes": [
-    {"name": "parse", "invocations": 1, "wall_us": 120, "counters": {"loops": 1}},
-    {"name": "schedule:slack", "invocations": 1, "wall_us": 50000, "counters": {"ii": 4}}
-  ]
-}
-"#;
-
-    const CACHE_TIMINGS: &str = r#"{
-  "schema_version": 1,
-  "passes": [
-    {"name": "depgraph", "invocations": 24, "wall_us": 900, "counters": {"arcs": 100}},
-    {"name": "sched-cache", "invocations": 72, "wall_us": 3, "counters": {"hits": 5, "inserts": 67, "misses": 67, "warm_hits": 61}}
-  ]
-}
-"#;
-
-    #[test]
-    fn pass_counters_parse_for_cache_check() {
-        let get = |pass, counter| parse_pass_counter(CACHE_TIMINGS, pass, counter);
-        assert_eq!(get("sched-cache", "warm_hits"), Some(61));
-        assert_eq!(get("sched-cache", "hits"), Some(5));
-        assert_eq!(get("sched-cache", "absent"), None);
-        assert_eq!(get("sched-cache", "arcs"), None);
-        assert_eq!(get("no-such-pass", "hits"), None);
-    }
-
-    #[test]
-    fn parses_the_driver_timings_format() {
-        let passes = parse_timings(REPORT);
-        assert_eq!(
-            passes,
-            vec![
-                PassWall {
-                    name: "parse".into(),
-                    wall_us: 120
-                },
-                PassWall {
-                    name: "schedule:slack".into(),
-                    wall_us: 50_000
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn flags_only_large_real_regressions() {
-        let old = parse_timings(REPORT);
-        // parse blew up 100x but sits under the floor; slack is 3x over.
-        let new = vec![
-            PassWall {
-                name: "parse".into(),
-                wall_us: 9_999,
-            },
-            PassWall {
-                name: "schedule:slack".into(),
-                wall_us: 150_001,
-            },
-        ];
-        let regressions = diff(&old, &new, 2.0, 10_000);
-        assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].name, "schedule:slack");
-        assert_eq!(regressions[0].old_us, 50_000);
-    }
-
-    #[test]
-    fn new_passes_and_shrinkage_are_fine() {
-        let old = parse_timings(REPORT);
-        let new = vec![
-            // Not in the old report: no baseline, no verdict.
-            PassWall {
-                name: "regalloc".into(),
-                wall_us: 900_000,
-            },
-            // Faster than before.
-            PassWall {
-                name: "schedule:slack".into(),
-                wall_us: 20_000,
-            },
-        ];
-        assert!(diff(&old, &new, 2.0, 10_000).is_empty());
-    }
-
-    const BENCH: &str = r#"{
-  "benchmark": "corpus_time",
-  "corpus_size": 1525,
-  "runs": [
-    {"jobs": 1, "total_secs": 3.5, "per_loop_ms": {"p50": 0.0357, "p90": 1.1457, "p99": 23.3062}},
-    {"jobs": 4, "total_secs": 1.2, "per_loop_ms": {"p50": 0.0348, "p90": 1.1567, "p99": 25.1881}}
-  ]
-}
-"#;
-
-    #[test]
-    fn bench_stats_take_the_best_run() {
-        assert_eq!(parse_bench_stat(BENCH, "p99"), Some(23.3062));
-        assert_eq!(parse_bench_stat(BENCH, "p50"), Some(0.0348));
-        assert_eq!(parse_bench_stat(BENCH, "p90"), Some(1.1457));
-        assert_eq!(parse_bench_stat("{}", "p99"), None);
-    }
-
     const QUALITY: &str = r#"{
   "schema_version": 1,
   "kind": "lsms-quality",
@@ -693,23 +289,5 @@ mod tests {
         let diff = lsms_obs::diff_quality(&old, &shrunk);
         assert!(!diff.regressed());
         assert_eq!((diff.compared, diff.only_old), (1, 1));
-    }
-
-    #[test]
-    fn bench_gate_respects_ratio_and_floor() {
-        let old = parse_bench_stat(BENCH, "p99").unwrap();
-        // 3x over the baseline trips the 2x gate; improvement never does.
-        assert!(bench_regressed(old, old * 3.0, 2.0, 1.0));
-        assert!(!bench_regressed(old, old * 1.9, 2.0, 1.0));
-        assert!(!bench_regressed(old, old / 2.0, 2.0, 1.0));
-        // A p99 under the floor never regresses, however large the
-        // ratio: sub-floor numbers are noise, not regressions. This is
-        // also what keeps the p50 gate (same rule, same floor) quiet on
-        // the corpus's sub-0.1 ms medians while still catching a median
-        // that blows past a full millisecond.
-        assert!(!bench_regressed(0.01, 0.9, 2.0, 1.0));
-        let p50 = parse_bench_stat(BENCH, "p50").unwrap();
-        assert!(!bench_regressed(p50, p50 * 20.0, 2.0, 1.0));
-        assert!(bench_regressed(p50, 1.5, 2.0, 1.0));
     }
 }
