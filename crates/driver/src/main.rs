@@ -14,8 +14,9 @@
 //!   --emit    report|sched|asm|mve|dot|all   what to print (default: report)
 //!   --unroll  N                  unroll the loop N times before scheduling
 //!   --straight-line              schedule as a basic block (no overlap)
-//!   --run     TRIP               simulate TRIP iterations and verify
-//!                                against the reference interpreter
+//!   --run     TRIP               simulate TRIP iterations of the emitted
+//!                                kernel (any backend) and verify against
+//!                                the reference interpreter
 //!   --timings PATH               write the per-pass report as JSON to
 //!                                PATH ("-" = stdout)
 //!   --trace PATH                 write a Chrome trace-event JSON file
@@ -316,7 +317,8 @@ fn parse_budget(spec: &str) -> Result<PassBudget, String> {
 }
 
 /// The session configuration an option set implies. The session runs
-/// codegen exactly when an emission needs the artifacts.
+/// codegen when `--emit asm` prints the kernel or `--run` simulates it
+/// (the session's `verify` implies codegen).
 fn session_config(options: &Options) -> SessionConfig {
     let mut config = SessionConfig::new(options.machine.clone());
     config.backend = options.backend.clone();

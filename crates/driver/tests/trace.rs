@@ -272,6 +272,62 @@ fn trace_is_wellformed_balanced_and_covers_the_pipeline() {
     }
 }
 
+/// `--run` simulates the kernel the session already built: it adds no
+/// scheduling decisions and no dependence graph of its own, and it runs
+/// regalloc and codegen even without `--emit asm`.
+#[test]
+fn run_does_no_scheduling_of_its_own() {
+    let path = write_loop("lsmsc_trace_run_reuse.loop", HARD);
+    let counts = |run: &[&str], trace_name: &str| {
+        let trace_path = temp(trace_name);
+        let out = lsmsc()
+            .arg(&path)
+            .args(run)
+            .arg("--trace")
+            .arg(&trace_path)
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let json = std::fs::read_to_string(&trace_path).expect("trace file written");
+        let events = trace_events(&json);
+        let count = |name: &str, ph: &str| {
+            events
+                .iter()
+                .filter(|(n, p, _)| n == name && p == ph)
+                .count()
+        };
+        (count("sched.place", "i"), count("depgraph", "B"))
+    };
+    let compiled = counts(&[], "lsmsc_trace_run_reuse_plain.json");
+    let verified = counts(&["--run", "50"], "lsmsc_trace_run_reuse_run.json");
+    assert!(compiled.0 > 0, "no sched.place events: {compiled:?}");
+    assert_eq!(compiled, verified, "(sched.place, depgraph) counts");
+
+    let timings_path = temp("lsmsc_trace_run_reuse_timings.json");
+    let out = lsmsc()
+        .arg(&path)
+        .args(["--run", "50", "--timings"])
+        .arg(&timings_path)
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let timings = std::fs::read_to_string(&timings_path).expect("timings written");
+    for pass in ["regalloc", "codegen", "simulate-verify"] {
+        assert!(
+            timings.contains(&format!("{{\"name\": \"{pass}\"")),
+            "no {pass} row: {timings}"
+        );
+    }
+}
+
 #[test]
 fn metrics_totals_reconcile_with_timings_counters() {
     let path = write_loop("lsmsc_trace_reconcile.loop", HARD);

@@ -149,6 +149,37 @@ mod tests {
         assert_eq!(err.exit_code(), 2);
     }
 
+    /// The §2.3 sample loop: two interleaved recurrences.
+    const SAMPLE: &str = "loop sample(i = 3..n) { real x[], y[];
+         x[i] = x[i-1] + y[i-2];
+         y[i] = y[i-1] + x[i-2]; }";
+
+    #[test]
+    fn every_builtin_backend_verifies_its_own_kernels() {
+        for backend in ["slack", "early", "late", "cydrome"] {
+            let mut config = SessionConfig::new(huff_machine());
+            config.backend = BackendSelection::named(backend);
+            config.mve = true;
+            config.verify = Some(VerifySpec::with_trip(10));
+            let session = CompileSession::new(config);
+            let kernels = lsms_loops::kernels();
+            let sources = [DAXPY, SAMPLE]
+                .into_iter()
+                .chain(kernels.iter().map(|l| l.source.as_str()));
+            for source in sources {
+                let unit = session.compile_source(source).expect("compiles");
+                let name = &unit.loops[0].def.name;
+                let artifacts = session
+                    .run_loop(&unit.loops[0])
+                    .unwrap_or_else(|e| panic!("{backend} {name}: {e}"));
+                assert!(artifacts.kernel.is_some(), "verify implies codegen");
+                let equiv = artifacts.equiv.expect("verified");
+                assert_eq!(equiv.ii, artifacts.schedule.ii, "{backend} {name}");
+                assert!(equiv.elements > 0, "{backend} {name}");
+            }
+        }
+    }
+
     #[test]
     fn backend_pass_names_are_stable() {
         for (name, pass) in [

@@ -181,10 +181,13 @@ pub const PASSES: &[PassInfo] = &[
     PassInfo {
         name: "simulate-verify",
         summary: "run the kernel and compare against the reference",
-        details: "Executes the generated code on the VLIW simulator with \
-                  seeded inputs and compares every array element bit for \
-                  bit against the reference interpreter (codes E0801 for \
-                  execution faults, E0802 for mismatches).",
+        details: "Executes the kernels codegen emitted for this loop (the \
+                  rotating-file kernel, plus the MVE kernel when one is \
+                  emitted) on the VLIW simulator with seeded inputs and \
+                  compares every array element bit for bit against the \
+                  reference interpreter; it schedules nothing itself \
+                  (codes E0801 for execution faults, E0802 for \
+                  mismatches).",
         counters: &[
             ("cycles", "machine cycles simulated"),
             ("elements", "array elements compared"),

@@ -22,7 +22,7 @@ use lsms_sched::{
     validate, DecisionStats, EngineWorkspace, MinDistCache, PressureReport, SchedContext,
     SchedProblem, SchedStats, Schedule,
 };
-use lsms_sim::{check_equivalence, check_equivalence_mve, EquivReport, RunConfig};
+use lsms_sim::{EquivReport, Oracle};
 
 use crate::backend::{lookup_backend, resolve_backend, BackendEntry, BackendSelection};
 use crate::error::{LsmsError, Stage};
@@ -79,12 +79,14 @@ pub struct SessionConfig {
     pub straight_line: bool,
     /// Run rotating register allocation (implied by `codegen`).
     pub regalloc: bool,
-    /// Emit rotating-file kernel code.
+    /// Emit rotating-file kernel code (implied by `verify`).
     pub codegen: bool,
     /// Also emit the modulo-variable-expansion kernel, and (when
     /// verifying) check it against the reference too.
     pub mve: bool,
-    /// Run the simulate-verify pass with these parameters.
+    /// Run the simulate-verify pass with these parameters. It simulates
+    /// the kernels this session emitted, so it implies `codegen`; it
+    /// rejects unrolled and straight-line sessions.
     pub verify: Option<VerifySpec>,
     /// Optional per-pass wall-clock deadlines (see [`PassBudget`]).
     pub budgets: Vec<PassBudget>,
@@ -649,6 +651,17 @@ impl CompileSession {
     /// be recorded as data instead.
     pub fn run_loop(&self, compiled: &CompiledLoop) -> Result<LoopArtifacts, LsmsError> {
         let cfg = &self.config;
+        let backend = self.backend()?.clone();
+        // The simulator and reference interpreter read per-source-loop
+        // metadata (array layout, pre-loop instances), which an unrolled
+        // or straight-line body no longer matches.
+        if cfg.verify.is_some() && (cfg.unroll > 1 || cfg.straight_line) {
+            return Err(LsmsError::usage(
+                "simulate-verify applies to the plain modulo pipeline only \
+                 (drop --unroll / --straight-line)",
+            ));
+        }
+        let codegen = cfg.codegen || cfg.verify.is_some();
         let body = if cfg.unroll > 1 {
             let started = Instant::now();
             let unrolled = {
@@ -668,10 +681,9 @@ impl CompileSession {
             compiled.body.clone()
         };
 
-        let backend = self.backend()?.clone();
-        let cache = MinDistCache::new();
-        let (schedule, rr, icr, kernel, mve, quality) = {
+        let (schedule, rr, icr, kernel, mve, equiv, quality) = {
             let problem = self.depgraph(&body)?;
+            let cache = MinDistCache::new();
             let run = self.schedule(&backend, &problem, &cache, &mut EngineWorkspace::new());
             let (sched_pass, sched_backend, degraded) = (run.pass, run.backend, run.degraded);
             let schedule = run.result?;
@@ -694,7 +706,10 @@ impl CompileSession {
                 },
             );
             self.record_mindist(&cache);
-            let (rr, icr) = if cfg.regalloc || cfg.codegen {
+            // Nothing after scheduling reads MinDist: free its matrices
+            // before the back end allocates.
+            drop(cache);
+            let (rr, icr) = if cfg.regalloc || codegen {
                 (
                     Some(self.regalloc(&problem, &schedule, RegClass::Rr)?),
                     Some(self.regalloc(&problem, &schedule, RegClass::Icr)?),
@@ -702,7 +717,7 @@ impl CompileSession {
             } else {
                 (None, None)
             };
-            let kernel = if cfg.codegen {
+            let kernel = if codegen {
                 let started = Instant::now();
                 let kernel = {
                     let _span = lsms_trace::span("codegen");
@@ -737,12 +752,22 @@ impl CompileSession {
             } else {
                 None
             };
-            (schedule, rr, icr, kernel, mve, quality)
-        };
-
-        let equiv = match &cfg.verify {
-            Some(spec) => Some(self.verify(compiled, *spec)?),
-            None => None,
+            let equiv = match cfg.verify {
+                Some(spec) => Some(self.verify(
+                    spec,
+                    compiled,
+                    &problem,
+                    &schedule,
+                    (
+                        kernel.as_ref().expect("verify implies codegen"),
+                        rr.as_ref().expect("codegen implies regalloc"),
+                        icr.as_ref().expect("codegen implies regalloc"),
+                    ),
+                    mve.as_ref(),
+                )?),
+                None => None,
+            };
+            (schedule, rr, icr, kernel, mve, equiv, quality)
         };
 
         Ok(LoopArtifacts {
@@ -758,37 +783,34 @@ impl CompileSession {
         })
     }
 
-    /// Runs `simulate-verify`: end-to-end execution of the generated code
-    /// checked bit for bit against the reference interpreter (and the MVE
-    /// kernel too, when the session emits one).
-    fn verify(&self, compiled: &CompiledLoop, spec: VerifySpec) -> Result<EquivReport, LsmsError> {
-        let cfg = &self.config;
-        if cfg.unroll > 1 || cfg.straight_line {
-            return Err(LsmsError::usage(
-                "simulate-verify applies to the plain modulo pipeline only \
-                 (drop --unroll / --straight-line)",
-            ));
-        }
-        let backend = self.backend()?;
-        let Some(slack) = backend.scheduler.verify_config() else {
-            return Err(LsmsError::usage(
-                "simulate-verify requires a slack scheduler backend",
-            ));
-        };
-        let run = RunConfig {
-            trip: spec.trip,
-            seed: spec.seed,
-            scheduler: slack,
-        };
+    /// Runs `simulate-verify` on the kernels this loop's codegen emitted:
+    /// executes the rotating-file kernel (and the MVE kernel, when the
+    /// session emits one) and checks every array bit for bit against the
+    /// reference interpreter. It schedules and allocates nothing itself.
+    fn verify(
+        &self,
+        spec: VerifySpec,
+        compiled: &CompiledLoop,
+        problem: &SchedProblem<'_>,
+        schedule: &Schedule,
+        (kernel, rr, icr): (&KernelCode, &RotatingAllocation, &RotatingAllocation),
+        mve: Option<&MveKernel>,
+    ) -> Result<EquivReport, LsmsError> {
         let started = Instant::now();
-        let _span = lsms_trace::span("simulate-verify");
-        let mut result =
-            check_equivalence(compiled, &cfg.machine, &run).map_err(LsmsError::verification);
-        if result.is_ok() && cfg.mve {
-            if let Err(e) = check_equivalence_mve(compiled, &cfg.machine, &run) {
-                result = Err(LsmsError::verification(format!("mve: {e}")));
-            }
-        }
+        let result = {
+            let _span = lsms_trace::span("simulate-verify");
+            let oracle = Oracle::new(compiled, spec.trip, spec.seed);
+            oracle
+                .check_kernel(compiled, problem, schedule, kernel, rr, icr)
+                .and_then(|report| match mve {
+                    Some(mve) => oracle
+                        .check_mve(compiled, problem, schedule, mve)
+                        .map(|_| report)
+                        .map_err(|e| format!("mve: {e}")),
+                    None => Ok(report),
+                })
+                .map_err(LsmsError::verification)
+        };
         let counters = match &result {
             Ok(r) => [("cycles", r.cycles), ("elements", r.elements as u64)],
             Err(_) => [("cycles", 0), ("elements", 0)],

@@ -135,8 +135,10 @@ pub trait ModuloScheduler: Send + Sync + std::fmt::Debug {
     fn configure(&self, options: &[(String, String)]) -> Result<Arc<dyn ModuloScheduler>, String>;
 
     /// The slack configuration equivalent to this backend, when there is
-    /// one — the simulate-verify pass replays scheduling through
-    /// [`SlackConfig`], so only slack-family backends can verify.
+    /// one, for callers that rebuild a schedule outside a session with
+    /// [`SlackScheduler::with_config`]. Simulate-verify does not need it:
+    /// the session simulates the kernel it built from this backend's own
+    /// schedule, whatever the backend.
     fn verify_config(&self) -> Option<SlackConfig> {
         None
     }

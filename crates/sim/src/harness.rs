@@ -3,14 +3,17 @@
 
 use std::collections::BTreeMap;
 
+use lsms_codegen::{KernelCode, MveKernel};
 use lsms_front::{CompiledLoop, Expr, InitialSource, LValue, Stmt, Ty};
+use lsms_ir::RegClass;
 use lsms_machine::Machine;
 use lsms_prng::SmallRng;
-use lsms_regalloc::{allocate_rotating, Strategy};
-use lsms_sched::{SchedProblem, SlackConfig, SlackScheduler};
+use lsms_regalloc::{allocate_rotating, RotatingAllocation, Strategy};
+use lsms_sched::{SchedProblem, Schedule, SlackConfig, SlackScheduler};
 
+use crate::mve_sim::run_mve;
 use crate::reference::run_reference;
-use crate::vliw::run_kernel;
+use crate::vliw::{run_kernel, SimOutcome};
 use crate::Workspace;
 
 /// Parameters of one equivalence run.
@@ -157,8 +160,160 @@ fn visit_offsets(stmts: &[Stmt], sink: &mut impl FnMut(i64)) {
     }
 }
 
-/// Runs the full pipeline on `compiled` and checks the simulated pipeline
-/// produces bitwise-identical arrays to the reference interpreter.
+/// Seeded inputs for one loop and the reference interpreter's arrays for
+/// them: what every simulated kernel of that loop is compared against.
+///
+/// Building one costs the workspace and one reference run; checking a
+/// kernel costs one simulation and the comparison. A caller that already
+/// holds its schedule, allocations and kernels therefore checks them
+/// without compiling anything again.
+#[derive(Clone, Debug)]
+pub struct Oracle {
+    workspace: Workspace,
+    /// The reference interpreter's final arrays for `workspace`.
+    expected: Vec<Vec<u64>>,
+}
+
+impl Oracle {
+    /// Builds the workspace for `trip` iterations from `seed` and runs the
+    /// reference interpreter on it.
+    pub fn new(compiled: &CompiledLoop, trip: u64, seed: u64) -> Self {
+        let workspace = make_workspace(compiled, trip, seed);
+        let expected = run_reference(compiled, &workspace);
+        Self {
+            workspace,
+            expected,
+        }
+    }
+
+    /// Simulates a rotating-file kernel and compares its arrays with the
+    /// reference.
+    ///
+    /// # Errors
+    ///
+    /// A simulator fault, or the first mismatching element (with the
+    /// array, the element, both values, the II and the trip count).
+    pub fn check_kernel(
+        &self,
+        compiled: &CompiledLoop,
+        problem: &SchedProblem<'_>,
+        schedule: &Schedule,
+        kernel: &KernelCode,
+        rr: &RotatingAllocation,
+        icr: &RotatingAllocation,
+    ) -> Result<EquivReport, String> {
+        let outcome = run_kernel(
+            compiled,
+            problem,
+            schedule,
+            kernel,
+            rr,
+            icr,
+            &self.workspace,
+        )
+        .map_err(|e| format!("sim: {e}"))?;
+        self.report(compiled, schedule, &outcome)
+    }
+
+    /// Simulates a modulo-variable-expansion kernel (static registers, no
+    /// rotation: the §2.3 alternative) and compares its arrays with the
+    /// reference.
+    ///
+    /// # Errors
+    ///
+    /// As for [`check_kernel`](Self::check_kernel).
+    pub fn check_mve(
+        &self,
+        compiled: &CompiledLoop,
+        problem: &SchedProblem<'_>,
+        schedule: &Schedule,
+        kernel: &MveKernel,
+    ) -> Result<EquivReport, String> {
+        let outcome = run_mve(compiled, problem, schedule, kernel, &self.workspace)
+            .map_err(|e| format!("sim: {e}"))?;
+        self.report(compiled, schedule, &outcome)
+    }
+
+    fn report(
+        &self,
+        compiled: &CompiledLoop,
+        schedule: &Schedule,
+        outcome: &SimOutcome,
+    ) -> Result<EquivReport, String> {
+        let elements = self.compare(compiled, schedule.ii, &outcome.arrays)?;
+        Ok(EquivReport {
+            ii: schedule.ii,
+            stages: schedule.stages(),
+            cycles: outcome.cycles,
+            elements,
+        })
+    }
+
+    /// Compares simulated arrays with the reference element by element and
+    /// returns how many were compared. Every kernel kind goes through here,
+    /// so all of them report a mismatch the same way: a
+    /// `sim.verify_mismatch` trace event and a message naming the array,
+    /// the element, both values, the loop, the II and the trip count.
+    fn compare(
+        &self,
+        compiled: &CompiledLoop,
+        ii: u32,
+        arrays: &[Vec<u64>],
+    ) -> Result<usize, String> {
+        let mut elements = 0usize;
+        for (a, (got, want)) in arrays.iter().zip(&self.expected).enumerate() {
+            for (idx, (g, w)) in got.iter().zip(want).enumerate() {
+                elements += 1;
+                if g != w {
+                    lsms_trace::instant(
+                        "sim.verify_mismatch",
+                        &[
+                            ("array", a as i64),
+                            ("element", idx as i64),
+                            ("ii", i64::from(ii)),
+                        ],
+                    );
+                    lsms_trace::add("sim", "verify_mismatches", 1);
+                    return Err(format!(
+                        "array {} ({}) element {idx}: pipeline {:e} ({g:#x}) != reference {:e} ({w:#x}) \
+                         [loop {}, II {}, trip {}]",
+                        a,
+                        compiled.info.arrays[a].0,
+                        f64::from_bits(*g),
+                        f64::from_bits(*w),
+                        compiled.def.name,
+                        ii,
+                        self.workspace.trip,
+                    ));
+                }
+            }
+        }
+        lsms_trace::add("sim", "verified_elements", elements as u64);
+        Ok(elements)
+    }
+}
+
+/// Schedules `compiled` with the slack configuration `config` names and
+/// validates the result.
+fn slack_schedule<'a>(
+    compiled: &'a CompiledLoop,
+    machine: &'a Machine,
+    config: &RunConfig,
+) -> Result<(SchedProblem<'a>, Schedule), String> {
+    let problem =
+        SchedProblem::new(&compiled.body, machine).map_err(|e| format!("problem: {e}"))?;
+    let schedule = SlackScheduler::with_config(config.scheduler.clone())
+        .run(&problem)
+        .map_err(|e| format!("schedule: {e}"))?;
+    lsms_sched::validate(&problem, &schedule).map_err(|e| format!("validate: {e}"))?;
+    Ok((problem, schedule))
+}
+
+/// Builds the whole pipeline for `compiled` (slack schedule, both
+/// register files, rotating-file kernel) and checks the simulated
+/// pipeline produces bitwise-identical arrays to the reference
+/// interpreter. To check a kernel that already exists, use
+/// [`Oracle::check_kernel`].
 ///
 /// # Errors
 ///
@@ -170,76 +325,23 @@ pub fn check_equivalence(
     machine: &Machine,
     config: &RunConfig,
 ) -> Result<EquivReport, String> {
-    let workspace = make_workspace(compiled, config.trip, config.seed);
-    let expected = run_reference(compiled, &workspace);
-
-    let problem =
-        SchedProblem::new(&compiled.body, machine).map_err(|e| format!("problem: {e}"))?;
-    let schedule = SlackScheduler::with_config(config.scheduler.clone())
-        .run(&problem)
-        .map_err(|e| format!("schedule: {e}"))?;
-    lsms_sched::validate(&problem, &schedule).map_err(|e| format!("validate: {e}"))?;
-    let rr = allocate_rotating(
-        &problem,
-        &schedule,
-        lsms_ir::RegClass::Rr,
-        Strategy::default(),
-    )
-    .map_err(|e| format!("rr alloc: {e}"))?;
-    let icr = allocate_rotating(
-        &problem,
-        &schedule,
-        lsms_ir::RegClass::Icr,
-        Strategy::default(),
-    )
-    .map_err(|e| format!("icr alloc: {e}"))?;
+    let (problem, schedule) = slack_schedule(compiled, machine, config)?;
+    let alloc = |class, label| {
+        allocate_rotating(&problem, &schedule, class, Strategy::default())
+            .map_err(|e| format!("{label} alloc: {e}"))
+    };
+    let rr = alloc(RegClass::Rr, "rr")?;
+    let icr = alloc(RegClass::Icr, "icr")?;
     let kernel =
         lsms_codegen::emit(&problem, &schedule, &rr, &icr).map_err(|e| format!("codegen: {e}"))?;
-    let outcome = run_kernel(
-        compiled, &problem, &schedule, &kernel, &rr, &icr, &workspace,
-    )
-    .map_err(|e| format!("sim: {e}"))?;
-
-    let mut elements = 0usize;
-    for (a, (got, want)) in outcome.arrays.iter().zip(&expected).enumerate() {
-        for (idx, (g, w)) in got.iter().zip(want).enumerate() {
-            elements += 1;
-            if g != w {
-                lsms_trace::instant(
-                    "sim.verify_mismatch",
-                    &[
-                        ("array", a as i64),
-                        ("element", idx as i64),
-                        ("ii", i64::from(schedule.ii)),
-                    ],
-                );
-                lsms_trace::add("sim", "verify_mismatches", 1);
-                return Err(format!(
-                    "array {} ({}) element {idx}: pipeline {:e} ({g:#x}) != reference {:e} ({w:#x}) \
-                     [loop {}, II {}, trip {}]",
-                    a,
-                    compiled.info.arrays[a].0,
-                    f64::from_bits(*g),
-                    f64::from_bits(*w),
-                    compiled.def.name,
-                    schedule.ii,
-                    config.trip,
-                ));
-            }
-        }
-    }
-    lsms_trace::add("sim", "verified_elements", elements as u64);
-    Ok(EquivReport {
-        ii: schedule.ii,
-        stages: schedule.stages(),
-        cycles: outcome.cycles,
-        elements,
-    })
+    Oracle::new(compiled, config.trip, config.seed)
+        .check_kernel(compiled, &problem, &schedule, &kernel, &rr, &icr)
 }
 
 /// Like [`check_equivalence`] but executing through the
-/// modulo-variable-expansion path (static registers, no rotation) —
-/// validating the §2.3 alternative end to end.
+/// modulo-variable-expansion path (static registers, no rotation),
+/// validating the §2.3 alternative end to end. To check an MVE kernel
+/// that already exists, use [`Oracle::check_mve`].
 ///
 /// # Errors
 ///
@@ -249,39 +351,10 @@ pub fn check_equivalence_mve(
     machine: &Machine,
     config: &RunConfig,
 ) -> Result<EquivReport, String> {
-    let workspace = make_workspace(compiled, config.trip, config.seed);
-    let expected = run_reference(compiled, &workspace);
-    let problem =
-        SchedProblem::new(&compiled.body, machine).map_err(|e| format!("problem: {e}"))?;
-    let schedule = SlackScheduler::with_config(config.scheduler.clone())
-        .run(&problem)
-        .map_err(|e| format!("schedule: {e}"))?;
+    let (problem, schedule) = slack_schedule(compiled, machine, config)?;
     let kernel = lsms_codegen::emit_mve(&problem, &schedule).map_err(|e| format!("mve: {e}"))?;
-    let outcome = crate::mve_sim::run_mve(compiled, &problem, &schedule, &kernel, &workspace)
-        .map_err(|e| format!("sim: {e}"))?;
-    let mut elements = 0usize;
-    for (a, (got, want)) in outcome.arrays.iter().zip(&expected).enumerate() {
-        for (idx, (g, w)) in got.iter().zip(want).enumerate() {
-            elements += 1;
-            if g != w {
-                return Err(format!(
-                    "MVE array {} element {idx}: {:e} != {:e} [loop {}, II {}, unroll {}]",
-                    a,
-                    f64::from_bits(*g),
-                    f64::from_bits(*w),
-                    compiled.def.name,
-                    schedule.ii,
-                    kernel.unroll,
-                ));
-            }
-        }
-    }
-    Ok(EquivReport {
-        ii: schedule.ii,
-        stages: schedule.stages(),
-        cycles: outcome.cycles,
-        elements,
-    })
+    Oracle::new(compiled, config.trip, config.seed)
+        .check_mve(compiled, &problem, &schedule, &kernel)
 }
 
 #[cfg(test)]
@@ -290,6 +363,29 @@ mod tests {
     use lsms_front::compile;
     use lsms_machine::huff_machine;
     use lsms_sched::DirectionPolicy;
+
+    #[test]
+    fn a_mismatch_names_array_element_ii_and_trip() {
+        let unit = compile(
+            "loop axpy(i = 1..n) {
+                 real x[], y[];
+                 param real a;
+                 y[i] = y[i] + a * x[i];
+             }",
+        )
+        .unwrap();
+        let compiled = &unit.loops[0];
+        let mut oracle = Oracle::new(compiled, 9, 4);
+        let got = oracle.expected.clone();
+        let all: usize = got.iter().map(Vec::len).sum();
+        assert_eq!(oracle.compare(compiled, 3, &got), Ok(all));
+
+        // Corrupt one expected element of `y`, the second array.
+        oracle.expected[1][5] ^= 1;
+        let err = oracle.compare(compiled, 3, &got).unwrap_err();
+        assert!(err.starts_with("array 1 (y) element 5: pipeline "), "{err}");
+        assert!(err.ends_with("[loop axpy, II 3, trip 9]"), "{err}");
+    }
 
     fn check(src: &str) {
         let unit = compile(src).unwrap();

@@ -12,7 +12,8 @@
 //!   predication), guard predicates, and a flat word-addressed memory;
 //! * [`harness`] — lays out arrays, seeds initial register-file
 //!   instances, runs both engines on identical inputs, and compares every
-//!   array bit for bit.
+//!   array bit for bit: [`Oracle`] checks kernels a caller already built,
+//!   [`check_equivalence`] builds one first.
 //!
 //! Arithmetic is evaluated identically on both sides (including `-x`
 //! lowering to `0.0 - x`, wrapping integer arithmetic, and
@@ -29,7 +30,7 @@ pub mod trace;
 pub mod vliw;
 
 pub use harness::{
-    check_equivalence, check_equivalence_mve, make_workspace, EquivReport, RunConfig,
+    check_equivalence, check_equivalence_mve, make_workspace, EquivReport, Oracle, RunConfig,
 };
 pub use mve_sim::run_mve;
 pub use reference::run_reference;

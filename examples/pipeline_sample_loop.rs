@@ -13,7 +13,7 @@ use lsms::machine::huff_machine;
 use lsms::regalloc::{allocate_rotating, Strategy};
 use lsms::sched::pressure::{lifetimes, live_vector, measure};
 use lsms::sched::{SchedProblem, SlackScheduler};
-use lsms::sim::{check_equivalence, RunConfig};
+use lsms::sim::Oracle;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let unit = compile(
@@ -75,16 +75,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let kernel = emit(&problem, &schedule, &rr, &icr)?;
     print!("{}", to_asm(&kernel, &problem));
 
-    // And prove the pipeline computes what the source says.
-    let report = check_equivalence(
-        compiled,
-        &machine,
-        &RunConfig {
-            trip: 50,
-            ..RunConfig::default()
-        },
-    )
-    .map_err(std::io::Error::other)?;
+    // And prove the kernel printed above computes what the source says.
+    let report = Oracle::new(compiled, 50, 0x5eed)
+        .check_kernel(compiled, &problem, &schedule, &kernel, &rr, &icr)
+        .map_err(std::io::Error::other)?;
     println!(
         "\npipeline verified against the reference interpreter: {} array elements identical \
          after {} cycles ({} iterations at II {})",

@@ -4,7 +4,7 @@
 //! `--list-backends`, `PassReport` (`--timings`), and the trace, without
 //! touching `lsms-pipeline` internals or its dispatch code.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use lsms::machine::huff_machine;
 use lsms::pipeline::{
@@ -70,17 +70,23 @@ impl ModuloScheduler for EchoBackend {
     }
 }
 
-/// Registers `echo` exactly once, however many tests run first.
-fn ensure_echo() {
+/// Registers `echo` exactly once, however many tests run first, and
+/// returns a guard that serializes the tests of this binary: the trace
+/// collector is process-global, so a `schedule:echo` pass run by one test
+/// while another has tracing on would be counted in the other's metrics.
+fn ensure_echo() -> MutexGuard<'static, ()> {
     static ONCE: OnceLock<()> = OnceLock::new();
+    static SERIAL: Mutex<()> = Mutex::new(());
+    let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     ONCE.get_or_init(|| {
         register_backend(Arc::new(EchoBackend::default())).expect("first registration succeeds");
     });
+    guard
 }
 
 #[test]
 fn external_backend_registers_schedules_and_traces() {
-    ensure_echo();
+    let _serial = ensure_echo();
 
     // Listed alongside the built-ins, with its summary and flags.
     assert!(registered_backends()
@@ -154,10 +160,10 @@ fn external_backend_registers_schedules_and_traces() {
 
 #[test]
 fn external_backend_can_verify_and_explain() {
-    ensure_echo();
+    let _serial = ensure_echo();
 
-    // verify_config delegates to the wrapped slack scheduler, so the
-    // simulate-verify pass works through the synthetic backend too.
+    // Simulate-verify runs the kernel built from whatever schedule the
+    // backend produced, so it works through the synthetic backend too.
     let mut config = SessionConfig::new(huff_machine());
     config.backend = BackendSelection::named("echo");
     config.verify = Some(lsms::pipeline::VerifySpec::with_trip(10));

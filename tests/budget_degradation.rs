@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use lsms::machine::huff_machine;
-use lsms::pipeline::{BackendSelection, CompileSession, PassBudget, SessionConfig};
+use lsms::pipeline::{BackendSelection, CompileSession, PassBudget, SessionConfig, VerifySpec};
 use lsms::sched::{validate, SchedProblem};
 
 /// The §2.3 sample loop: small, schedulable by every backend.
@@ -51,6 +51,31 @@ fn blown_schedule_budget_degrades_to_cydrome() {
     let cydrome = report.get("schedule:cydrome").expect("fallback recorded");
     assert_eq!(cydrome.counters.get("degraded"), Some(&1));
     assert_eq!(cydrome.counters.get("failures"), Some(&0));
+}
+
+/// Simulate-verify checks the kernel built from the fallback's schedule,
+/// not a fresh run of the starved slack configuration.
+#[test]
+fn a_degraded_loop_verifies_its_fallback_kernel() {
+    let mut config = SessionConfig::new(huff_machine());
+    config.backend = starved_slack();
+    config.budgets = vec![PassBudget {
+        pass: "schedule:slack",
+        limit: Duration::ZERO,
+    }];
+    config.codegen = true;
+    config.verify = Some(VerifySpec::with_trip(10));
+    let session = CompileSession::new(config);
+    let unit = session.compile_source(SOURCE).expect("compiles");
+    let artifacts = session
+        .run_loop(&unit.loops[0])
+        .expect("the degraded kernel verifies");
+    let equiv = artifacts.equiv.as_ref().expect("simulate-verify ran");
+    assert_eq!(equiv.ii, artifacts.schedule.ii);
+
+    let report = session.report();
+    let cydrome = report.get("schedule:cydrome").expect("fallback recorded");
+    assert_eq!(cydrome.counters.get("degraded"), Some(&1));
 }
 
 #[test]
