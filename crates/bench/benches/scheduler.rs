@@ -12,9 +12,7 @@ use std::time::{Duration, Instant};
 use lsms_front::compile;
 use lsms_machine::{huff_machine, Mrt};
 use lsms_sched::bounds::{rec_mii_by_enumeration, rec_mii_min_ratio};
-use lsms_sched::{
-    CydromeScheduler, MinDist, MinDistCache, ParametricMinDist, SchedProblem, SlackScheduler,
-};
+use lsms_sched::{CydromeScheduler, MinDist, MinDistCache, SchedProblem, SlackScheduler};
 
 /// Times `f`, printing mean wall-clock per iteration.
 fn bench(filter: &str, name: &str, mut f: impl FnMut()) {
@@ -110,30 +108,6 @@ fn bench_analyses(filter: &str) {
             for &ii in &sweep {
                 cache.get(&problem, ii);
             }
-        }
-    });
-    // The tentpole comparison: re-evaluating MinDist at fresh IIs (the
-    // shape of II escalation) by per-II Floyd–Warshall versus by
-    // materializing from the once-per-problem parametric envelope. The
-    // envelope build itself is timed separately — it is paid once, then
-    // every subsequent II costs only an O(n²·envelope) evaluation.
-    let parametric = ParametricMinDist::compute(&problem).expect("envelope builds");
-    let fresh: Vec<u32> = (parametric.rec_mii()..parametric.rec_mii() + 8).collect();
-    // Both variants recycle one matrix buffer, as the cache's pool does.
-    let mut buf = Vec::new();
-    bench(filter, "mindist_sweep/floyd_warshall_x8", || {
-        for &ii in &fresh {
-            let md = MinDist::compute_into(&problem, ii, std::mem::take(&mut buf));
-            buf = std::hint::black_box(md).into_buf();
-        }
-    });
-    bench(filter, "mindist_sweep/parametric_build", || {
-        std::hint::black_box(ParametricMinDist::compute(&problem));
-    });
-    bench(filter, "mindist_sweep/materialize_x8", || {
-        for &ii in &fresh {
-            let md = parametric.materialize_into(ii, std::mem::take(&mut buf));
-            buf = std::hint::black_box(md).into_buf();
         }
     });
     bench(filter, "recmii/circuits/big", || {

@@ -84,19 +84,15 @@ pub const PASSES: &[PassInfo] = &[
     },
     PassInfo {
         name: "mindist",
-        summary: "MinDist cache accounting: Floyd-Warshall vs parametric",
-        details: "Accounting view of the shared MinDist cache (the wall \
+        summary: "MinDist cache accounting: hits and Floyd-Warshall misses",
+        details: "Accounting view of the per-loop MinDist cache (the wall \
                   clock of each matrix lives inside the scheduling pass \
                   that requested it): how many matrix requests hit the \
-                  cache, how many misses paid a fixed-II Floyd-Warshall, \
-                  and how many were materialized from the once-per-problem \
-                  parametric envelope that an II-escalation sweep builds.",
+                  cache, and how many misses paid one fixed-II \
+                  Floyd-Warshall each.",
         counters: &[
             ("hits", "requests answered from an already-built matrix"),
-            ("misses", "requests that built a new matrix"),
-            ("fw_computes", "misses served by fixed-II Floyd-Warshall"),
-            ("parametric_builds", "parametric envelope constructions"),
-            ("materialized", "misses served by envelope evaluation"),
+            ("misses", "requests that ran a Floyd-Warshall"),
         ],
     },
     PassInfo {

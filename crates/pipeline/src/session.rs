@@ -604,13 +604,7 @@ impl CompileSession {
         self.record(
             "mindist",
             Instant::now(),
-            &[
-                ("hits", stats.hits),
-                ("misses", stats.misses),
-                ("fw_computes", stats.fw_computes),
-                ("parametric_builds", stats.parametric_builds),
-                ("materialized", stats.materializations),
-            ],
+            &[("hits", stats.hits), ("misses", stats.misses)],
         );
     }
 

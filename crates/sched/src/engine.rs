@@ -77,8 +77,8 @@ pub(crate) trait Heuristic {
 /// assignments, placement history — are recomputed from scratch each
 /// attempt, so a warm-started run produces schedules byte-identical to a
 /// cold-started one; what escalation no longer pays is the dozen fresh
-/// allocations per attempt (the MinDist matrix itself is the
-/// [`MinDistCache`]'s two-tier job).
+/// allocations per attempt (the MinDist matrix itself comes from the
+/// [`MinDistCache`], one Floyd–Warshall per II).
 ///
 /// The workspace is public (with opaque contents) so that callers outside
 /// this crate — notably [`ModuloScheduler`](crate::ModuloScheduler)
@@ -1120,22 +1120,16 @@ pub(crate) fn run_framework_from(
                 };
                 let next_ii = (ii + step).min(max_ii);
                 // `warm` reports whether the next attempt reuses this
-                // one's allocations; `parametric` whether MinDist at
-                // next_ii will be an envelope evaluation rather than a
-                // fresh Floyd–Warshall. Gated so the untraced hot path
-                // does not take the cache lock just to build arguments.
-                if lsms_trace::enabled() {
-                    lsms_trace::instant(
-                        "sched.ii_escalate",
-                        &[
-                            ("from", i64::from(ii)),
-                            ("to", i64::from(next_ii)),
-                            ("warm", i64::from(ws.mrt.is_some())),
-                            ("parametric", i64::from(cache.has_parametric())),
-                        ],
-                    );
-                    lsms_trace::add("sched", "ii_escalations", 1);
-                }
+                // one's allocations.
+                lsms_trace::instant(
+                    "sched.ii_escalate",
+                    &[
+                        ("from", i64::from(ii)),
+                        ("to", i64::from(next_ii)),
+                        ("warm", i64::from(ws.mrt.is_some())),
+                    ],
+                );
+                lsms_trace::add("sched", "ii_escalations", 1);
                 ii = next_ii;
             }
         }

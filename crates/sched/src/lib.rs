@@ -11,8 +11,8 @@
 //!   independently by elementary-circuit enumeration and by the minimum
 //!   cost-to-time-ratio method), and `MII = max(ResMII, RecMII)`;
 //! * the [`MinDist`] relation — all-pairs longest paths with arc weight
-//!   `latency − ω·II` — and its parametric form [`ParametricMinDist`],
-//!   one envelope computation per problem serving every II of a sweep;
+//!   `latency − ω·II` — computed once per candidate II and shared through
+//!   the per-problem [`MinDistCache`];
 //! * the [slack-scheduling framework](slack) (§4) with the bidirectional
 //!   lifetime heuristic (§5), and the [Cydrome baseline](cydrome) (§8);
 //! * schedule-independent and schedule-dependent register-pressure measures
@@ -69,7 +69,7 @@ pub use bounds::{mii, rec_mii, rec_mii_min_ratio, res_mii};
 pub use cydrome::CydromeScheduler;
 pub use engine::{BoundsMode, EngineWorkspace};
 pub use fingerprint::{problem_fingerprint, schedule_key, FINGERPRINT_SALT};
-pub use mindist::{MinDist, MinDistCache, MinDistCacheStats, ParametricMinDist};
+pub use mindist::{MinDist, MinDistCache, MinDistCacheStats};
 pub use pressure::PressureReport;
 pub use problem::{Arc, ProblemError, SchedProblem};
 pub use schedule::{validate, Schedule, ScheduleError};

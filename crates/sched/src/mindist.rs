@@ -1,14 +1,7 @@
 //! The `MinDist` relation (§4.1): all-pairs longest paths at a given II.
 //!
-//! Two ways to produce the matrix coexist here. [`MinDist::compute`] is
-//! the direct Floyd–Warshall at one fixed II. [`ParametricMinDist`]
-//! exploits that every path's weight `Σ latency − II·Σ ω` is *linear in
-//! II*: one envelope-valued Floyd–Warshall per problem captures, for each
-//! `(x, y)`, the convex upper envelope of `(latency, distance)` path
-//! pairs, after which `MinDist(x, y; II) = max_k (lat_k − dist_k·II)`
-//! evaluates in O(envelope) for any II ≥ RecMII — and RecMII itself falls
-//! out analytically as the smallest II with no positive diagonal.
-//! [`MinDistCache`] picks between the two tiers.
+//! [`MinDist::compute`] runs Floyd–Warshall at one fixed II;
+//! [`MinDistCache`] memoizes its result per II for one problem.
 
 use crate::SchedProblem;
 use std::sync::{Arc, Mutex};
@@ -45,9 +38,9 @@ pub struct MinDist {
 /// Dependence graphs are sparse, so most matrix cells are `NO_PATH`; the
 /// scheduling engine's bound maintenance iterates these lists instead of
 /// probing whole matrix rows. Distances ride along in the pairs so the
-/// hot loops never re-probe the dense matrix. Built once per materialized
-/// matrix (O(n²), trivial next to the Floyd–Warshall or envelope
-/// evaluation that produced it) and shared through the matrix's `Arc`.
+/// hot loops never re-probe the dense matrix. Built once per matrix
+/// (O(n²), trivial next to the Floyd–Warshall that produced it) and
+/// shared through the matrix's `Arc`.
 #[derive(Clone, Debug, Default)]
 pub struct Reachability {
     /// `succs[succ_offsets[x]..succ_offsets[x+1]]` = the `(y, MinDist(x, y))`
@@ -127,18 +120,9 @@ impl MinDist {
     /// if `ii < RecMII` some diagonal entry would want to be positive, which
     /// [`is_feasible`](Self::is_feasible) reports.
     pub fn compute(problem: &SchedProblem<'_>, ii: u32) -> Self {
-        Self::compute_into(problem, ii, Vec::new())
-    }
-
-    /// Like [`compute`](Self::compute) but recycles `buf` as the matrix
-    /// storage, avoiding a fresh allocation when a same-size buffer from an
-    /// earlier II attempt is available.
-    pub fn compute_into(problem: &SchedProblem<'_>, ii: u32, mut buf: Vec<i64>) -> Self {
         assert!(ii > 0, "II must be positive");
         let n = problem.num_nodes();
-        buf.clear();
-        buf.resize(n * n, NO_PATH);
-        let mut d = buf;
+        let mut d = vec![NO_PATH; n * n];
         for arc in problem.arcs() {
             let idx = arc.from * n + arc.to;
             d[idx] = d[idx].max(arc.weight(ii));
@@ -229,399 +213,27 @@ impl MinDist {
     pub fn reach(&self) -> &Reachability {
         &self.reach
     }
-
-    /// Recovers the matrix storage, for recycling through
-    /// [`compute_into`](Self::compute_into) or
-    /// [`ParametricMinDist::materialize_into`].
-    pub fn into_buf(self) -> Vec<i64> {
-        self.d
-    }
-}
-
-/// Cells whose envelope outgrows this abandon the parametric construction
-/// (the problem falls back to per-II Floyd–Warshall). With pruning
-/// restricted to `[RecMII − 1, ∞)` envelopes stay tiny — repeated
-/// traversals of one recurrence circuit are concurrent lines through
-/// `(L/ω, value)` and collapse to two hull members, and path families
-/// that only win at small IIs never enter the hull — so the cap exists
-/// only to bound pathological inputs.
-const MAX_ENVELOPE: usize = 64;
-
-/// Prunes a candidate set of `(latency, distance)` lines to the convex
-/// upper envelope of `II ↦ latency − distance·II` over the domain
-/// `II ≥ low`.
-///
-/// Pruning is a congruence for the envelope-valued Floyd–Warshall: if a
-/// line is pointwise dominated by the set's maximum on `[low, ∞)`, every
-/// sum involving it is dominated by the corresponding sums, so dropping
-/// it mid-computation never changes any later pointwise maximum on that
-/// domain. The choice of `low` is the whole game: over `[1, ∞)` corpus
-/// loops keep 30–60 hull lines per cell and the construction drowns;
-/// over `[RecMII − 1, ∞)` — one step below the only IIs the envelope is
-/// ever evaluated at — almost everything collapses into the cell's best
-/// line or two. `low` must sit strictly below RecMII, not at it: at
-/// feasible IIs the diagonal's `(0, 0)` line dominates every cycle line,
-/// and pruning the cycles away would destroy the analytic RecMII. One
-/// step below, the cycle whose crossing point *is* RecMII still beats
-/// `(0, 0)` and survives.
-fn prune_envelope(cand: &mut Vec<(i64, i64)>, low: i64) {
-    // One line per distance: the largest latency (descending distance =
-    // ascending slope order for the hull sweep below).
-    cand.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(b.0.cmp(&a.0)));
-    cand.dedup_by(|next, prev| next.1 == prev.1);
-    if cand.len() <= 1 {
-        return;
-    }
-    // Upper-hull sweep over lines in ascending-slope order. With
-    // a, b, c adjacent and slope(a) < slope(b) < slope(c), b is redundant
-    // exactly when c overtakes a no later than b does:
-    // (La−Lc)/(da−dc) ≤ (La−Lb)/(da−db), cross-multiplied to stay in
-    // integers (both denominators are positive).
-    let mut m = 0usize;
-    for i in 0..cand.len() {
-        let c = cand[i];
-        while m >= 2 {
-            let a = cand[m - 2];
-            let b = cand[m - 1];
-            let lhs = i128::from(a.0 - c.0) * i128::from(a.1 - b.1);
-            let rhs = i128::from(a.0 - b.0) * i128::from(a.1 - c.1);
-            if lhs <= rhs {
-                m -= 1;
-            } else {
-                break;
-            }
-        }
-        cand[m] = c;
-        m += 1;
-    }
-    cand.truncate(m);
-    // Hull segments run left to right in index order; restrict to
-    // II ≥ low by dropping leading lines already overtaken at the edge.
-    let eval = |(lat, dist): (i64, i64)| lat - dist * low;
-    let mut start = 0usize;
-    while start + 1 < cand.len() && eval(cand[start + 1]) >= eval(cand[start]) {
-        start += 1;
-    }
-    if start > 0 {
-        cand.drain(..start);
-    }
-}
-
-/// The parametric MinDist: per `(x, y)`, the convex upper envelope of
-/// `(latency, distance)` pairs over all dependence paths, computed once
-/// per problem by an envelope-valued Floyd–Warshall.
-///
-/// For `II ≥ RecMII` the envelope maximum equals the fixed-II
-/// Floyd–Warshall entry exactly: every cycle weight is non-positive
-/// there, so the longest *walk* the relaxation closes over is realized
-/// by a simple path, and all simple paths are in the envelope. Below
-/// RecMII walk values diverge and the envelope is not a valid MinDist —
-/// [`MinDistCache`] falls back to Floyd–Warshall for those IIs.
-#[derive(Clone, Debug)]
-pub struct ParametricMinDist {
-    n: usize,
-    rec_mii: u32,
-    /// CSR-style cell index: pairs of cell `(x, y)` live at
-    /// `pairs[offsets[x·n+y] .. offsets[x·n+y+1]]`; an empty range means
-    /// no path.
-    offsets: Vec<u32>,
-    pairs: Vec<(i64, i64)>,
-}
-
-impl ParametricMinDist {
-    /// Builds the envelope matrix for `problem`, or `None` when some
-    /// cell's envelope exceeds [`MAX_ENVELOPE`] (callers then keep using
-    /// the per-II Floyd–Warshall).
-    pub fn compute(problem: &SchedProblem<'_>) -> Option<Self> {
-        let n = problem.num_nodes();
-        // Envelopes are pruned over [RecMII − 1, ∞): the matrix is only
-        // ever evaluated at II ≥ RecMII, and keeping one II of margin
-        // below preserves exactly the cycle lines whose crossing points
-        // determine RecMII (see `prune_envelope`). The problem's RecMII
-        // comes from the independent min-ratio circuit analysis; the
-        // derivation below re-obtains it from the pruned diagonal.
-        let low = i64::from(problem.rec_mii()).max(2) - 1;
-        let mut cells: Vec<Vec<(i64, i64)>> = vec![Vec::new(); n * n];
-        for arc in problem.arcs() {
-            cells[arc.from * n + arc.to].push((arc.latency, i64::from(arc.omega)));
-        }
-        for i in 0..n {
-            // The empty path: mirrors the fixed-II diagonal pin at 0.
-            cells[i * n + i].push((0, 0));
-        }
-        for cell in &mut cells {
-            prune_envelope(cell, low);
-        }
-        // Structure-of-arrays mirror of each cell's *first* hull line —
-        // the winner at the domain edge (`prune_envelope` trims the hull
-        // so index 0 attains the maximum at `low`): its value at `low`
-        // (`i64::MIN` = no path), its distance, and the cell's line
-        // count. The hot no-improvement test below then reads three flat
-        // arrays instead of chasing `Vec<Vec>` pointers, which keeps the
-        // envelope Floyd–Warshall within a small factor of the fixed-II
-        // one when (as on real loops) almost every cell is one line.
-        let mut val = vec![i64::MIN; n * n];
-        let mut dst = vec![0i64; n * n];
-        let mut env = vec![0u32; n * n];
-        for (idx, cell) in cells.iter().enumerate() {
-            if let Some(&(lat, dist)) = cell.first() {
-                val[idx] = lat - dist * low;
-                dst[idx] = dist;
-            }
-            env[idx] = u32::try_from(cell.len()).ok()?;
-        }
-        let sync = |cells: &[Vec<(i64, i64)>],
-                    val: &mut [i64],
-                    dst: &mut [i64],
-                    env: &mut [u32],
-                    idx: usize| {
-            let (lat, dist) = cells[idx][0];
-            val[idx] = lat - dist * low;
-            dst[idx] = dist;
-            env[idx] = cells[idx].len() as u32;
-        };
-        let mut scratch: Vec<(i64, i64)> = Vec::new();
-        for k in 0..n {
-            // Mirrors the fixed-II usefulness skip: a row whose only line
-            // is the trivial diagonal cannot improve any cell.
-            let useful = (0..n).any(|j| {
-                let c = &cells[k * n + j];
-                !c.is_empty() && (j != k || *c != [(0, 0)])
-            });
-            if !useful {
-                continue;
-            }
-            for i in 0..n {
-                let ik = i * n + k;
-                if i == k || val[ik] == i64::MIN {
-                    continue;
-                }
-                let (va, da, one_a) = (val[ik], dst[ik], env[ik] == 1);
-                for j in 0..n {
-                    if j == k {
-                        continue;
-                    }
-                    let kj = k * n + j;
-                    let vb = val[kj];
-                    if vb == i64::MIN {
-                        continue;
-                    }
-                    let ij = i * n + j;
-                    if one_a && env[kj] == 1 {
-                        // The single candidate line, compared against the
-                        // cell's edge winner — the envelope analogue of
-                        // the fixed-II `via > d[i][j]` test. A line `c`
-                        // is pointwise dominated on [low, ∞) by `e` iff
-                        // `d_e ≤ d_c` (slope) and `e` wins at the edge.
-                        let vc = va + vb;
-                        let dc = da + dst[kj];
-                        if dst[ij] <= dc && val[ij] >= vc {
-                            continue;
-                        }
-                        if env[ij] <= 1 {
-                            // Two-line hull, resolved inline: the edge
-                            // winner does not dominate `c`, so either `c`
-                            // dominates it (replace) or the lines cross
-                            // right of `low` (keep both, steeper — larger
-                            // distance — first, as it wins at the edge).
-                            let a = cells[ik][0];
-                            let b = cells[kj][0];
-                            let c = (a.0 + b.0, a.1 + b.1);
-                            let cell = &mut cells[ij];
-                            match cell.first().copied() {
-                                None => cell.push(c),
-                                Some(e) if c.1 <= e.1 && vc >= val[ij] => cell[0] = c,
-                                Some(e) if c.1 > e.1 => cell.insert(0, c),
-                                Some(_) => cell.push(c),
-                            }
-                            sync(&cells, &mut val, &mut dst, &mut env, ij);
-                            continue;
-                        }
-                    }
-                    // Some cell holds a real envelope: check every line
-                    // combination for one the cell does not dominate —
-                    // when all are dominated the prune below would drop
-                    // them, so skip the merge and the write.
-                    let cell_ij = &cells[ij];
-                    let improves = cells[ik].iter().any(|&(la, da)| {
-                        cells[kj].iter().any(|&(lb, db)| {
-                            let (lc, dc) = (la + lb, da + db);
-                            !cell_ij
-                                .iter()
-                                .any(|&(le, de)| de <= dc && le - de * low >= lc - dc * low)
-                        })
-                    });
-                    if !improves {
-                        continue;
-                    }
-                    // Row k and column k are never written during
-                    // iteration k (i == k and j == k are skipped), so the
-                    // reads below see iteration k−1 values, as
-                    // Floyd–Warshall requires.
-                    scratch.clear();
-                    scratch.extend_from_slice(&cells[ij]);
-                    for &(la, da) in &cells[ik] {
-                        for &(lb, db) in &cells[kj] {
-                            scratch.push((la + lb, da + db));
-                        }
-                    }
-                    prune_envelope(&mut scratch, low);
-                    if scratch.len() > MAX_ENVELOPE {
-                        return None;
-                    }
-                    let cell = &mut cells[ij];
-                    cell.clear();
-                    cell.extend_from_slice(&scratch);
-                    sync(&cells, &mut val, &mut dst, &mut env, ij);
-                }
-            }
-        }
-        // RecMII is analytic: the smallest II at which no diagonal line
-        // is positive, i.e. max over cycle lines of ⌈lat/dist⌉. Pruning
-        // preserved the pointwise maximum on [low, ∞) with low strictly
-        // below RecMII, so every surviving positive line crosses zero in
-        // (low, RecMII] and the maximum crossing is exactly RecMII —
-        // re-deriving, from the hull, what min-ratio circuit analysis
-        // computed for the problem.
-        let mut rec_mii = 1u32;
-        for i in 0..n {
-            for &(lat, dist) in &cells[i * n + i] {
-                if lat <= 0 {
-                    continue;
-                }
-                if dist == 0 {
-                    // A positive zero-ω circuit: no II works. Problem
-                    // construction rejects these; bail defensively.
-                    return None;
-                }
-                // ⌈lat/dist⌉ with both strictly positive.
-                rec_mii = rec_mii.max(u32::try_from((lat + dist - 1) / dist).ok()?);
-            }
-        }
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        let mut pairs = Vec::new();
-        offsets.push(0u32);
-        for cell in &cells {
-            pairs.extend_from_slice(cell);
-            offsets.push(u32::try_from(pairs.len()).ok()?);
-        }
-        Some(Self {
-            n,
-            rec_mii,
-            offsets,
-            pairs,
-        })
-    }
-
-    /// The smallest II at which every recurrence circuit fits — equal to
-    /// [`SchedProblem::rec_mii`], but read off the envelope diagonal.
-    pub fn rec_mii(&self) -> u32 {
-        self.rec_mii
-    }
-
-    /// The envelope for one cell: `(latency, distance)` per surviving
-    /// path family, empty when the graph has no `x → y` path.
-    pub fn envelope(&self, x: usize, y: usize) -> &[(i64, i64)] {
-        debug_assert!(x < self.n && y < self.n);
-        let idx = x * self.n + y;
-        &self.pairs[self.offsets[idx] as usize..self.offsets[idx + 1] as usize]
-    }
-
-    /// The largest per-cell envelope — a diagnostic for how far the
-    /// matrix is from the common 1–2 lines per cell.
-    pub fn max_envelope_len(&self) -> usize {
-        (0..self.n * self.n)
-            .map(|idx| (self.offsets[idx + 1] - self.offsets[idx]) as usize)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// `MinDist(x, y)` at `ii`, evaluated from the envelope. Exact for
-    /// `ii ≥ RecMII`.
-    #[inline]
-    pub fn eval(&self, x: usize, y: usize, ii: u32) -> i64 {
-        let lines = self.envelope(x, y);
-        if lines.is_empty() {
-            return NO_PATH;
-        }
-        let at = i64::from(ii);
-        let mut best = i64::MIN;
-        for &(lat, dist) in lines {
-            best = best.max(lat - dist * at);
-        }
-        best
-    }
-
-    /// Evaluates the whole envelope at `ii` into a dense [`MinDist`],
-    /// recycling `buf` as the matrix storage. O(n²·envelope) instead of
-    /// the Floyd–Warshall's O(n³).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `ii < RecMII` — the envelope is only a valid MinDist
-    /// at feasible IIs.
-    pub fn materialize_into(&self, ii: u32, mut buf: Vec<i64>) -> MinDist {
-        assert!(
-            ii >= self.rec_mii,
-            "parametric MinDist materialized below RecMII"
-        );
-        let n = self.n;
-        buf.clear();
-        buf.resize(n * n, NO_PATH);
-        let x = i64::from(ii);
-        for (idx, slot) in buf.iter_mut().enumerate() {
-            let lo = self.offsets[idx] as usize;
-            let hi = self.offsets[idx + 1] as usize;
-            if lo == hi {
-                continue;
-            }
-            let mut best = i64::MIN;
-            for &(lat, dist) in &self.pairs[lo..hi] {
-                best = best.max(lat - dist * x);
-            }
-            *slot = best;
-        }
-        let reach = Reachability::build(n, &buf);
-        MinDist {
-            n,
-            ii,
-            feasible: true,
-            d: buf,
-            reach,
-        }
-    }
 }
 
 /// Counters describing how a [`MinDistCache`] served its requests.
 ///
-/// `misses == fw_computes + materializations` always: every miss builds
-/// exactly one dense matrix, by Floyd–Warshall or by evaluating the
-/// parametric envelope.
+/// Every miss runs exactly one Floyd–Warshall, so `fw_computes == misses`
+/// always, and `parametric_builds` and `materializations` are always 0.
+/// The last three fields stay because the `benchmark` binary's per-layer
+/// report reads every field.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MinDistCacheStats {
     /// Requests answered from an already-built matrix.
     pub hits: u64,
     /// Requests that had to produce a new matrix.
     pub misses: u64,
-    /// Misses served by a full fixed-II Floyd–Warshall.
+    /// Misses served by a fixed-II Floyd–Warshall: always equal to
+    /// `misses`.
     pub fw_computes: u64,
-    /// Parametric envelope constructions attempted (at most one per
-    /// problem, triggered by the fourth distinct II).
+    /// Parametric envelope constructions: always 0.
     pub parametric_builds: u64,
-    /// Misses served by evaluating the parametric envelope at the II.
+    /// Misses served by evaluating a parametric envelope: always 0.
     pub materializations: u64,
-}
-
-/// Where the cache stands on the per-problem parametric matrix.
-#[derive(Default)]
-enum ParametricState {
-    /// Fewer than four distinct IIs seen — no real sweep under way yet.
-    #[default]
-    NotBuilt,
-    /// Built; misses at `II ≥ RecMII` materialize from it.
-    Ready(Arc<ParametricMinDist>),
-    /// Construction overflowed [`MAX_ENVELOPE`]; always use Floyd–Warshall.
-    Unavailable,
 }
 
 #[derive(Default)]
@@ -629,9 +241,6 @@ struct CacheInner {
     /// Computed matrices for this problem, keyed by II. IIs are probed in a
     /// short monotone sequence per evaluation, so a small vector beats a map.
     entries: Vec<(u32, Arc<MinDist>)>,
-    /// Retired matrix buffers available for reuse by the next compute.
-    pool: Vec<Vec<i64>>,
-    parametric: ParametricState,
     stats: MinDistCacheStats,
 }
 
@@ -639,30 +248,20 @@ struct CacheInner {
 /// it during a scheduling run: the scheduling engine's II search, pressure
 /// measurement, the MinAvg bound, and diagnostic reports.
 ///
-/// The cache is two-tiered. The first three distinct IIs pay plain
-/// Floyd–Warshalls — the single-II fast path (most corpus loops schedule
-/// straight at MII) and short escalations both cost exactly what they
-/// used to, and the envelope build costs a few Floyd–Warshalls so it
-/// must not fire for them. The *fourth* distinct II signals a real
-/// escalation sweep: the cache builds the [`ParametricMinDist`] envelope
-/// once, and from then on every new II materializes in O(n²·envelope)
-/// instead of O(n³). IIs below the parametric RecMII (and problems whose
-/// envelope overflows) fall back to Floyd–Warshall, so every entry is
-/// bit-identical to the direct computation either way.
-///
-/// The cache is keyed by II only, so one cache must serve exactly one
-/// [`SchedProblem`] — create a fresh cache per problem (they are cheap) or
-/// call [`reset`](Self::reset) between problems to recycle the matrix
-/// buffers. Interior mutability makes `get` usable through a shared
-/// reference, and the lock is held across the compute so concurrent callers
-/// asking for the same II still trigger exactly one build.
+/// A plain per-problem memo: every miss runs one [`MinDist::compute`] and
+/// stores the result under its II. The cache is keyed by II only, so one
+/// cache must serve exactly one [`SchedProblem`] — create a fresh cache
+/// per problem (they are cheap). Interior mutability makes `get` usable
+/// through a shared reference, and the lock is held across the compute so
+/// concurrent callers asking for the same II still trigger exactly one
+/// build.
 #[derive(Default)]
 pub struct MinDistCache {
     inner: Mutex<CacheInner>,
 }
 
 impl MinDistCache {
-    /// An empty cache with no retained buffers.
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
     }
@@ -677,75 +276,15 @@ impl MinDistCache {
             return Arc::clone(md);
         }
         inner.stats.misses += 1;
-        if matches!(inner.parametric, ParametricState::NotBuilt) && inner.entries.len() >= 3 {
-            // Fourth distinct II: a real escalation sweep is under way —
-            // build the envelope once and serve the rest of the sweep
-            // from it. The build costs a few Floyd–Warshalls, so the
-            // threshold sits where the corpus's distinct-II distribution
-            // says it pays: short escalations (two or three IIs, the vast
-            // majority) must not fund a build they cannot amortize, while
-            // loops still escalating at the fourth II almost always keep
-            // going, and they are exactly the expensive tail.
-            inner.stats.parametric_builds += 1;
-            inner.parametric = match ParametricMinDist::compute(problem) {
-                Some(p) => ParametricState::Ready(Arc::new(p)),
-                None => ParametricState::Unavailable,
-            };
-        }
-        let buf = inner.pool.pop().unwrap_or_default();
-        let md = match &inner.parametric {
-            ParametricState::Ready(p) if ii >= p.rec_mii() => {
-                inner.stats.materializations += 1;
-                Arc::new(p.materialize_into(ii, buf))
-            }
-            _ => {
-                inner.stats.fw_computes += 1;
-                Arc::new(MinDist::compute_into(problem, ii, buf))
-            }
-        };
+        inner.stats.fw_computes += 1;
+        let md = Arc::new(MinDist::compute(problem, ii));
         inner.entries.push((ii, Arc::clone(&md)));
         md
     }
 
-    /// How many matrices were actually computed (cache misses) so far.
-    /// Survives [`reset`](Self::reset), so a corpus run can assert it equals
-    /// the number of distinct `(problem, II)` pairs encountered.
-    pub fn computed(&self) -> u64 {
-        let inner = self.inner.lock().expect("MinDist cache poisoned");
-        inner.stats.fw_computes + inner.stats.materializations
-    }
-
-    /// A snapshot of the request counters. Like [`computed`](Self::computed)
-    /// the counters survive [`reset`](Self::reset), so they aggregate over
-    /// every problem a recycled cache served.
+    /// A snapshot of the request counters.
     pub fn stats(&self) -> MinDistCacheStats {
         self.inner.lock().expect("MinDist cache poisoned").stats
-    }
-
-    /// True once the parametric envelope is built and serving this problem.
-    pub fn has_parametric(&self) -> bool {
-        matches!(
-            self.inner
-                .lock()
-                .expect("MinDist cache poisoned")
-                .parametric,
-            ParametricState::Ready(_)
-        )
-    }
-
-    /// Drops all entries so the cache can serve a different problem, moving
-    /// each matrix buffer that is no longer shared into the reuse pool.
-    /// The parametric envelope is dropped too (it belongs to the problem);
-    /// the counters survive.
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock().expect("MinDist cache poisoned");
-        inner.parametric = ParametricState::NotBuilt;
-        let entries = std::mem::take(&mut inner.entries);
-        for (_, md) in entries {
-            if let Ok(md) = Arc::try_unwrap(md) {
-                inner.pool.push(md.d);
-            }
-        }
     }
 }
 
@@ -851,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_computes_each_ii_once_and_recycles_buffers() {
+    fn cache_computes_each_ii_once() {
         let body = chain_body();
         let m = huff_machine();
         let p = SchedProblem::new(&body, &m).unwrap();
@@ -861,160 +400,16 @@ mod tests {
         let c = cache.get(&p, 4);
         assert!(Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(cache.computed(), 2);
         assert_eq!(a.get(0, 1), 13);
-        // After dropping the outstanding handles, reset pools the buffers
-        // and the next compute still answers correctly.
-        drop((a, b, c));
-        cache.reset();
-        let d = cache.get(&p, 3);
-        assert_eq!(d.get(0, 1), 13);
-        assert_eq!(cache.computed(), 3);
-    }
-
-    /// Asserts every entry (and the feasibility flag) of a materialized
-    /// matrix against the Floyd–Warshall oracle at the same II.
-    fn assert_matches_oracle(p: &SchedProblem<'_>, md: &MinDist, ii: u32) {
-        let oracle = MinDist::compute(p, ii);
-        assert_eq!(md.is_feasible(), oracle.is_feasible(), "feasible at {ii}");
-        for x in 0..p.num_nodes() {
-            for y in 0..p.num_nodes() {
-                assert_eq!(md.get(x, y), oracle.get(x, y), "({x},{y}) at II {ii}");
-            }
+        // A long escalation sweep still pays exactly one Floyd–Warshall
+        // per distinct II and nothing else.
+        for ii in 5..10 {
+            let _ = cache.get(&p, ii);
         }
-    }
-
-    #[test]
-    fn parametric_matches_floyd_warshall_on_chain() {
-        let body = chain_body();
-        let m = huff_machine();
-        let p = SchedProblem::new(&body, &m).unwrap();
-        let pm = ParametricMinDist::compute(&p).expect("tiny envelope");
-        assert_eq!(pm.rec_mii(), p.rec_mii().max(1));
-        for ii in pm.rec_mii()..pm.rec_mii() + 9 {
-            assert_matches_oracle(&p, &pm.materialize_into(ii, Vec::new()), ii);
-        }
-    }
-
-    #[test]
-    fn parametric_rec_mii_is_analytic() {
-        // The infeasible_ii_is_reported recurrence: RecMII = 4.
-        let mut b = LoopBuilder::new("rec");
-        let x = b.new_value(ValueType::Float);
-        let y = b.new_value(ValueType::Float);
-        let o1 = b.op(OpKind::FMul, &[y, y], Some(x));
-        let o2 = b.op(OpKind::FMul, &[x, x], Some(y));
-        b.flow_dep(o1, o2, 0);
-        b.flow_dep(o2, o1, 1);
-        let body = b.finish();
-        let m = huff_machine();
-        let p = SchedProblem::new(&body, &m).unwrap();
-        let pm = ParametricMinDist::compute(&p).expect("tiny envelope");
-        assert_eq!(pm.rec_mii(), 4);
-        assert_eq!(pm.rec_mii(), p.rec_mii());
-        for ii in 4..10 {
-            assert_matches_oracle(&p, &pm.materialize_into(ii, Vec::new()), ii);
-            for x in 0..p.num_nodes() {
-                for y in 0..p.num_nodes() {
-                    assert_eq!(pm.eval(x, y, ii), MinDist::compute(&p, ii).get(x, y));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn envelope_prune_keeps_the_pointwise_maximum() {
-        // Concurrent lines from repeating a (3, 2) cycle: all meet at
-        // x = 3/2, so only the extremes survive.
-        let mut cand = vec![(0, 0), (3, 2), (6, 4), (9, 6)];
-        prune_envelope(&mut cand, 1);
-        for x in 1..12i64 {
-            let pruned = cand.iter().map(|&(l, d)| l - d * x).max().unwrap();
-            let full = [(0, 0), (3, 2), (6, 4), (9, 6)]
-                .iter()
-                .map(|&(l, d): &(i64, i64)| l - d * x)
-                .max()
-                .unwrap();
-            assert_eq!(pruned, full, "at x = {x}");
-        }
-        assert!(cand.len() <= 2, "concurrent lines must collapse: {cand:?}");
-        // A line dominated everywhere on x >= 1 disappears.
-        let mut dominated = vec![(10, 2), (0, 5)];
-        prune_envelope(&mut dominated, 1);
-        assert_eq!(dominated, vec![(10, 2)]);
-        // A steep line that wins below the domain edge but never on it is
-        // dropped once the edge moves right of the crossover.
-        let mut edge = vec![(12, 1), (20, 5)];
-        prune_envelope(&mut edge, 1);
-        assert_eq!(edge, vec![(20, 5), (12, 1)], "crossover at x = 2 kept");
-        let mut edge = vec![(12, 1), (20, 5)];
-        prune_envelope(&mut edge, 3);
-        assert_eq!(edge, vec![(12, 1)], "steep line loses everywhere at x >= 3");
-    }
-
-    #[test]
-    fn cache_builds_parametric_on_fourth_distinct_ii() {
-        let body = chain_body();
-        let m = huff_machine();
-        let p = SchedProblem::new(&body, &m).unwrap();
-        let cache = MinDistCache::new();
-        let a = cache.get(&p, 3);
-        assert!(!cache.has_parametric(), "one II is not a sweep");
-        let _hit = cache.get(&p, 3);
-        assert!(!cache.has_parametric(), "hits do not trigger the build");
-        let b = cache.get(&p, 5);
-        assert!(!cache.has_parametric(), "two IIs are not a sweep yet");
-        let c = cache.get(&p, 6);
-        assert!(!cache.has_parametric(), "three IIs are not a sweep yet");
-        let d = cache.get(&p, 7);
-        assert!(cache.has_parametric());
         let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 4);
-        assert_eq!(stats.fw_computes, 3);
-        assert_eq!(stats.parametric_builds, 1);
-        assert_eq!(stats.materializations, 1);
-        assert_eq!(stats.misses, stats.fw_computes + stats.materializations);
-        for (md, ii) in [(&a, 3), (&b, 5), (&c, 6), (&d, 7)] {
-            assert_matches_oracle(&p, md, ii);
-        }
-        // Reset forgets the envelope (next problem may differ) but keeps
-        // the counters.
-        cache.reset();
-        assert!(!cache.has_parametric());
-        assert_eq!(cache.stats().misses, 4);
-    }
-
-    #[test]
-    fn cache_falls_back_to_floyd_warshall_below_rec_mii() {
-        // RecMII = 4 recurrence; request 5, 6 and 8, then 3 — the fourth
-        // distinct II builds the envelope, but 3 is infeasible and must
-        // come from the FW fallback with the diagonal pinned and
-        // feasibility reported. A fifth, feasible II materializes.
-        let mut b = LoopBuilder::new("rec");
-        let x = b.new_value(ValueType::Float);
-        let y = b.new_value(ValueType::Float);
-        let o1 = b.op(OpKind::FMul, &[y, y], Some(x));
-        let o2 = b.op(OpKind::FMul, &[x, x], Some(y));
-        b.flow_dep(o1, o2, 0);
-        b.flow_dep(o2, o1, 1);
-        let body = b.finish();
-        let m = huff_machine();
-        let p = SchedProblem::new(&body, &m).unwrap();
-        let cache = MinDistCache::new();
-        let _ = cache.get(&p, 5);
-        let _ = cache.get(&p, 6);
-        let _ = cache.get(&p, 8);
-        assert!(!cache.has_parametric());
-        let low = cache.get(&p, 3);
-        assert!(cache.has_parametric());
-        assert!(!low.is_feasible());
-        assert_matches_oracle(&p, &low, 3);
-        let high = cache.get(&p, 7);
-        assert_matches_oracle(&p, &high, 7);
-        let stats = cache.stats();
-        assert_eq!(stats.fw_computes, 4, "IIs 5, 6, 8 cold + II 3 fallback");
-        assert_eq!(stats.materializations, 1, "II 7 from the envelope");
+        assert_eq!((stats.hits, stats.misses), (1, 7));
+        assert_eq!(stats.fw_computes, stats.misses);
+        assert_eq!((stats.parametric_builds, stats.materializations), (0, 0));
     }
 
     /// The reachability CSR must mirror the dense matrix exactly: every
@@ -1069,10 +464,10 @@ mod tests {
     }
 
     #[test]
-    fn materialized_reachability_matches_floyd_warshall() {
-        // A recurrence keeps some cells NO_PATH and some negative; the
-        // envelope-materialized matrix must index both identically to the
-        // Floyd–Warshall tier.
+    fn reachability_mirrors_a_recurrence_matrix() {
+        // A recurrence keeps some cells NO_PATH and some negative, and
+        // below RecMII the diagonal is pinned; the index must mirror the
+        // matrix at every II either way.
         let mut b = LoopBuilder::new("rec");
         let x = b.new_value(ValueType::Float);
         let y = b.new_value(ValueType::Float);
@@ -1083,28 +478,8 @@ mod tests {
         let body = b.finish();
         let m = huff_machine();
         let p = SchedProblem::new(&body, &m).unwrap();
-        let pm = ParametricMinDist::compute(&p).expect("tiny envelope");
-        for ii in pm.rec_mii()..pm.rec_mii() + 4 {
-            let materialized = pm.materialize_into(ii, Vec::new());
-            assert_reach_mirrors_matrix(&materialized);
+        for ii in p.rec_mii() - 1..p.rec_mii() + 4 {
             assert_reach_mirrors_matrix(&MinDist::compute(&p, ii));
-        }
-    }
-
-    #[test]
-    fn compute_into_matches_compute() {
-        let body = chain_body();
-        let m = huff_machine();
-        let p = SchedProblem::new(&body, &m).unwrap();
-        let fresh = MinDist::compute(&p, 2);
-        // A dirty oversized buffer must not leak stale entries.
-        let dirty = vec![42i64; 1000];
-        let reused = MinDist::compute_into(&p, 2, dirty);
-        assert_eq!(fresh.is_feasible(), reused.is_feasible());
-        for x in 0..p.num_nodes() {
-            for y in 0..p.num_nodes() {
-                assert_eq!(fresh.get(x, y), reused.get(x, y));
-            }
         }
     }
 }

@@ -165,19 +165,34 @@ fn cached_mindist_matches_direct_computation() {
         let rec = problem.rec_mii();
         let cache = MinDistCache::new();
         let n = problem.num_nodes();
-        for ii in rec..rec + 4 {
+        // The sweep starts below RecMII when possible, so infeasible IIs
+        // go through the cache too, and runs long enough to be a real
+        // escalation.
+        let sweep = rec.max(2) - 1..=rec + 8;
+        for ii in sweep.clone() {
             // Ask twice: the second hit must be the same shared matrix.
             let first = cache.get(&problem, ii);
             let second = cache.get(&problem, ii);
             assert!(std::sync::Arc::ptr_eq(&first, &second));
             let direct = MinDist::compute(&problem, ii);
-            assert_eq!(first.is_feasible(), direct.is_feasible());
+            assert_eq!(
+                first.is_feasible(),
+                direct.is_feasible(),
+                "case {case}: feasibility at II {ii}"
+            );
+            assert_eq!(first.is_feasible(), ii >= rec, "case {case} ii {ii}");
             for a in 0..n {
                 for b in 0..n {
                     assert_eq!(first.get(a, b), direct.get(a, b), "case {case} ii {ii}");
                 }
             }
         }
-        assert_eq!(cache.computed(), 4, "one Floyd–Warshall per distinct II");
+        let stats = cache.stats();
+        assert_eq!(
+            stats.misses,
+            sweep.count() as u64,
+            "case {case}: one Floyd–Warshall per distinct II"
+        );
+        assert_eq!(stats.fw_computes, stats.misses, "case {case}");
     }
 }
