@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use lsms_front::compile;
 use lsms_machine::{huff_machine, Mrt};
-use lsms_sched::bounds::{rec_mii_by_enumeration, rec_mii_min_ratio};
+use lsms_sched::bounds::rec_mii;
 use lsms_sched::{CydromeScheduler, MinDist, MinDistCache, SchedProblem, SlackScheduler};
 
 /// Times `f`, printing mean wall-clock per iteration.
@@ -110,11 +110,8 @@ fn bench_analyses(filter: &str) {
             }
         }
     });
-    bench(filter, "recmii/circuits/big", || {
-        let _ = rec_mii_by_enumeration(&problem, 1_000_000);
-    });
-    bench(filter, "recmii/min_ratio/big", || {
-        rec_mii_min_ratio(&problem);
+    bench(filter, "recmii/big", || {
+        rec_mii(&problem);
     });
 }
 

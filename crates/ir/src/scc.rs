@@ -1,10 +1,11 @@
 //! Strongly connected components of the dependence graph.
 //!
-//! Used to classify loops (Tables 3/4: *Has Recurrence*) and by the
-//! recurrence-circuit enumeration in `lsms-sched`: a non-trivial elementary
-//! circuit exists exactly when some SCC contains at least two operations
-//! (self-arcs form *trivial* circuits that impose no scheduling constraint
-//! once `II ≥ RecMII`, §4).
+//! Used to classify loops (Tables 3/4: *Has Recurrence*: some SCC holds at
+//! least two operations; a self-arc alone is a *trivial* circuit) and by
+//! `RecMII` in `lsms-sched`, which runs its min-ratio search once per
+//! recurrence component: an SCC of two or more operations, or a single
+//! operation with a self-arc. Self-arcs do bound RecMII (`⌈L / Ω⌉` of the
+//! arc), even though they do not make a loop *Has Recurrence*.
 
 use crate::{LoopBody, OpId};
 

@@ -22,9 +22,25 @@
 //! for every d with  −LT(w) < d·II + t_w − t_v < LT(v)
 //! ```
 //!
+//! Live-in instances (`i < 0`, seeded before the loop) occupy their
+//! register from cycle 0 through their last read, which adds two more
+//! terms of the same shape: a seed of one value against the regular
+//! instances of the other, and seed against seed.
+//!
 //! Allocation is then circular graph colouring with distance constraints:
-//! order the values, give each the first (or best) non-forbidden offset,
-//! and grow `N` from `MaxLive` until everything fits.
+//! order the values, give each the first (or end-fit) non-forbidden
+//! offset, and grow `N` from `max(MaxLive, self-overlap minimum)` until
+//! everything fits.
+//!
+//! # Listing the forbidden offsets
+//!
+//! Solved for the value being placed, the condition reads
+//! `o_v ≡ o_w − d − s_w + s_v (mod N)` (`s = stage`): each term forbids
+//! `o_w − s_w + s_v + k` for a contiguous range of `k` (`k = −d` over the
+//! overlapping skews, then one range per live-in seed). So for each placed
+//! value the forbidden offsets are marked directly, each range touching at
+//! most `min(#k, N)` slots, instead of testing all `N` candidates against
+//! every placed value.
 
 use std::collections::BTreeMap;
 
@@ -127,13 +143,16 @@ struct Live {
 /// (`RegClass::Rr` for the paper's study; `RegClass::Icr` works the same
 /// way for predicates).
 ///
-/// Searches file sizes from `MaxLive` upward; each size tries the
-/// strategy's ordering and fit.
+/// Searches file sizes from `max(MaxLive, self-overlap minimum, 1)`
+/// upward, where the self-overlap minimum is the smallest `N` with
+/// `N·II` above every lifetime; each size tries the strategy's ordering
+/// and fit.
 ///
 /// # Errors
 ///
 /// Returns [`AllocError::CapExceeded`] if no assignment exists within
-/// `MaxLive + 64` registers (never observed; a defensive bound).
+/// `max(MaxLive, self-overlap minimum, 1) + 64` registers (never
+/// observed; a defensive bound).
 pub fn allocate_rotating(
     problem: &SchedProblem<'_>,
     schedule: &Schedule,
@@ -218,6 +237,7 @@ fn try_size(lives: &[Live], ii: i64, n: u32, fit: Fit) -> Option<BTreeMap<ValueI
     let n_i = i64::from(n);
     let mut offsets: BTreeMap<ValueId, u32> = BTreeMap::new();
     let mut placed: Vec<(Live, i64)> = Vec::new();
+    let mut forbidden = vec![false; n as usize];
     for &live in lives {
         // Self conflict: instances i and i + k*n share a register; they
         // must not overlap in time (strictly, when live-in seeds extend
@@ -225,13 +245,9 @@ fn try_size(lives: &[Live], ii: i64, n: u32, fit: Fit) -> Option<BTreeMap<ValueI
         if n_i * ii < live.len || (live.depth > 0 && n_i * ii <= live.len) || live.depth >= n_i {
             return None;
         }
-        let mut forbidden = vec![false; n as usize];
+        forbidden.fill(false);
         for &(other, o_w) in &placed {
-            for o_v in 0..n_i {
-                if !forbidden[o_v as usize] && pair_conflicts(&live, o_v, &other, o_w, ii, n_i) {
-                    forbidden[o_v as usize] = true;
-                }
-            }
+            forbid_offsets(&live, &other, o_w, ii, n_i, &mut forbidden);
         }
         let choice = match fit {
             Fit::FirstFit => (0..n as usize).find(|&o| !forbidden[o]),
@@ -248,63 +264,55 @@ fn try_size(lives: &[Live], ii: i64, n: u32, fit: Fit) -> Option<BTreeMap<ValueI
     Some(offsets)
 }
 
-/// True when values `v` (at offset `o_v`) and `w` (at `o_w`) have some
-/// pair of instances sharing a physical register while both are live.
+/// Marks in `forbidden` every offset `o_v` at which `v` would collide with
+/// `w` placed at `o_w`, listed straight from the forbidden-distance
+/// condition: `o_v ≡ o_w − s_w + s_v + k (mod N)` for each `k` a term
+/// allows, one contiguous `k` range per term, so a term touches at most
+/// `min(#k, N)` slots.
 ///
 /// Instance `i ≥ 0` of `v` occupies rotation frame `i + stage(v)` during
 /// `[i·II + t_v, + LT_v)`; live-in instances `i < 0` occupy their frame
-/// from cycle 0 instead.
-fn pair_conflicts(v: &Live, o_v: i64, w: &Live, o_w: i64, ii: i64, n: i64) -> bool {
-    let s_v = v.def.div_euclid(ii);
-    let s_w = w.def.div_euclid(ii);
-    // Regular-regular: conflicts depend only on the skew d = j - i.
+/// from cycle 0 through their last read instead.
+fn forbid_offsets(v: &Live, w: &Live, o_w: i64, ii: i64, n: i64, forbidden: &mut [bool]) {
+    let base = o_w - w.def.div_euclid(ii) + v.def.div_euclid(ii);
+    let mut forbid = |k_lo: i64, k_hi: i64| {
+        let first = (base + k_lo).rem_euclid(n);
+        for i in 0..(k_hi - k_lo + 1).min(n) {
+            forbidden[((first + i) % n) as usize] = true;
+        }
+    };
+    // Regular against regular: k = −d for every skew d = j − i whose
+    // lifetimes overlap.
     let diff = w.def - v.def;
     let d_lo = div_floor(-w.len - diff, ii) + 1;
     let d_hi = div_ceil(v.len - diff, ii) - 1;
-    for d in d_lo..=d_hi {
-        if (o_w - o_v - d - s_w + s_v).rem_euclid(n) == 0 {
-            return true;
-        }
+    forbid(-d_hi, -d_lo);
+    // v's seed j against w's regular instances m written before its last
+    // read, m ∈ [0, m_hi]: k = j − m. The seed's closed occupancy `[0,
+    // end]` is conservative by one cycle but keeps the model immune to
+    // read-at-end/write-at-end ordering subtleties.
+    for j in live_seeds(v, ii) {
+        let m_hi = div_floor(j * ii + v.def + v.len - w.def, ii);
+        forbid(j - m_hi, j);
     }
-    // v's live-in seeds against w's regular instances. A seed whose last
-    // read is at cycle `end` occupies its register for `[0, end]` — the
-    // closed end is conservative by one cycle but keeps the model immune
-    // to read-at-end/write-at-end ordering subtleties.
-    let seeds_vs_regular = |a: &Live, o_a: i64, s_a: i64, b: &Live, o_b: i64, s_b: i64| {
-        for j in -a.depth..0 {
-            let end = j * ii + a.def + a.len;
-            if end < 0 {
-                continue; // nothing reads this seed after the loop starts
-            }
-            // Regular instances m >= 0 of b writing within [0, end].
-            let m_hi = div_floor(end - b.def, ii);
-            for m in 0..=m_hi.max(-1) {
-                if (o_a - j - s_a - (o_b - m - s_b)).rem_euclid(n) == 0 {
-                    return true;
-                }
-            }
-        }
-        false
-    };
-    if seeds_vs_regular(v, o_v, s_v, w, o_w, s_w) || seeds_vs_regular(w, o_w, s_w, v, o_v, s_v) {
-        return true;
+    // w's seed j against v's regular instances: k = m − j.
+    for j in live_seeds(w, ii) {
+        let m_hi = div_floor(j * ii + w.def + w.len - v.def, ii);
+        forbid(-j, m_hi - j);
     }
     // Seed against seed: both are written at loop-setup time and read at
-    // or after cycle 0, so sharing a frame is enough.
-    for j_v in -v.depth..0 {
-        if j_v * ii + v.def + v.len < 0 {
-            continue;
-        }
-        for j_w in -w.depth..0 {
-            if j_w * ii + w.def + w.len < 0 {
-                continue;
-            }
-            if (o_v - j_v - s_v - (o_w - j_w - s_w)).rem_euclid(n) == 0 {
-                return true;
-            }
+    // or after cycle 0, so sharing a frame is enough: k = j_v − j_w.
+    for j_v in live_seeds(v, ii) {
+        for j_w in live_seeds(w, ii) {
+            forbid(j_v - j_w, j_v - j_w);
         }
     }
-    false
+}
+
+/// The live-in instances `j ∈ [−depth, 0)` of `l` still read after the
+/// loop starts.
+fn live_seeds(l: &Live, ii: i64) -> impl Iterator<Item = i64> + '_ {
+    (-l.depth..0).filter(move |&j| j * ii + l.def + l.len >= 0)
 }
 
 fn div_floor(a: i64, b: i64) -> i64 {
@@ -386,6 +394,7 @@ mod tests {
     use super::*;
     use lsms_front::compile;
     use lsms_machine::huff_machine;
+    use lsms_prng::SmallRng;
     use lsms_sched::pressure::measure;
     use lsms_sched::SlackScheduler;
 
@@ -499,6 +508,95 @@ mod tests {
         let alloc =
             allocate_rotating(&problem, &schedule, RegClass::Icr, Strategy::default()).unwrap();
         assert_eq!(alloc.num_regs, 0);
+    }
+
+    /// True when values `v` (at offset `o_v`) and `w` (at `o_w`) have some
+    /// pair of instances sharing a physical register while both are live:
+    /// the forbidden-distance condition tested one candidate `o_v` at a
+    /// time, the oracle for [`forbid_offsets`].
+    fn pair_conflicts(v: &Live, o_v: i64, w: &Live, o_w: i64, ii: i64, n: i64) -> bool {
+        let s_v = v.def.div_euclid(ii);
+        let s_w = w.def.div_euclid(ii);
+        // Regular-regular: conflicts depend only on the skew d = j - i.
+        let diff = w.def - v.def;
+        let d_lo = div_floor(-w.len - diff, ii) + 1;
+        let d_hi = div_ceil(v.len - diff, ii) - 1;
+        for d in d_lo..=d_hi {
+            if (o_w - o_v - d - s_w + s_v).rem_euclid(n) == 0 {
+                return true;
+            }
+        }
+        // v's live-in seeds against w's regular instances. A seed whose last
+        // read is at cycle `end` occupies its register for `[0, end]` — the
+        // closed end is conservative by one cycle but keeps the model immune
+        // to read-at-end/write-at-end ordering subtleties.
+        let seeds_vs_regular = |a: &Live, o_a: i64, s_a: i64, b: &Live, o_b: i64, s_b: i64| {
+            for j in -a.depth..0 {
+                let end = j * ii + a.def + a.len;
+                if end < 0 {
+                    continue; // nothing reads this seed after the loop starts
+                }
+                // Regular instances m >= 0 of b writing within [0, end].
+                let m_hi = div_floor(end - b.def, ii);
+                for m in 0..=m_hi.max(-1) {
+                    if (o_a - j - s_a - (o_b - m - s_b)).rem_euclid(n) == 0 {
+                        return true;
+                    }
+                }
+            }
+            false
+        };
+        if seeds_vs_regular(v, o_v, s_v, w, o_w, s_w) || seeds_vs_regular(w, o_w, s_w, v, o_v, s_v)
+        {
+            return true;
+        }
+        // Seed against seed: both are written at loop-setup time and read at
+        // or after cycle 0, so sharing a frame is enough.
+        for j_v in -v.depth..0 {
+            if j_v * ii + v.def + v.len < 0 {
+                continue;
+            }
+            for j_w in -w.depth..0 {
+                if j_w * ii + w.def + w.len < 0 {
+                    continue;
+                }
+                if (o_v - j_v - s_v - (o_w - j_w - s_w)).rem_euclid(n) == 0 {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn direct_forbidden_offsets_match_pair_conflicts() {
+        fn random_live(rng: &mut SmallRng, ii: i64) -> Live {
+            Live {
+                value: ValueId::new(0),
+                def: rng.gen_range(0..4 * ii),
+                len: rng.gen_range(1..=4 * ii),
+                depth: rng.gen_range(0..=3i64),
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(0x0ff5e7);
+        for case in 0..1500 {
+            let ii = rng.gen_range(1..=8i64);
+            let (v, w) = (random_live(&mut rng, ii), random_live(&mut rng, ii));
+            let self_min = v.len.max(w.len).div_euclid(ii) + 1;
+            for n in self_min..=self_min + 8 {
+                for o_w in 0..n {
+                    let mut forbidden = vec![false; n as usize];
+                    forbid_offsets(&v, &w, o_w, ii, n, &mut forbidden);
+                    let oracle: Vec<bool> = (0..n)
+                        .map(|o_v| pair_conflicts(&v, o_v, &w, o_w, ii, n))
+                        .collect();
+                    assert_eq!(
+                        forbidden, oracle,
+                        "case {case}: II {ii}, N {n}, o_w {o_w}, {v:?} vs {w:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

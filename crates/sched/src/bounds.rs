@@ -1,17 +1,20 @@
 //! Absolute lower bounds on II (§3.1): `ResMII`, `RecMII`, and `MII`.
 //!
-//! `RecMII` is computed two independent ways, cross-checked by tests:
+//! `RecMII` is the largest `⌈L / Ω⌉` over the loop's recurrence circuits
+//! (total latency `L`, total iteration distance `Ω`). Rather than scan
+//! every elementary circuit (Tiernan's enumeration, which the paper notes
+//! can be exponential), it is found by the **minimum cost-to-time ratio**
+//! method the paper also cites (Lawler): the smallest `II` at which no
+//! circuit has positive weight under arc weights `latency − ω·II`. Circuit
+//! weights are non-increasing in `II`, so a binary search with a
+//! Bellman–Ford positive-cycle test finds it.
 //!
-//! 1. **Circuit enumeration** — scan every elementary recurrence circuit
-//!    (Johnson's algorithm; the paper cites Tiernan) and take
-//!    `max ⌈L / Ω⌉` over circuits with total latency `L` and total
-//!    iteration distance `Ω`. "Although a graph can contain exponentially
-//!    many elementary circuits, most loop bodies have very few" — so a
-//!    circuit-count cap guards against the exponential case.
-//! 2. **Minimum cost-to-time ratio** (Lawler) — the smallest `II` for which
-//!    no circuit has positive weight under arc weights `latency − ω·II`,
-//!    found by binary search with a Bellman–Ford positive-cycle test; valid
-//!    because circuit weights are non-increasing in `II`.
+//! Every circuit lies inside one strongly connected component, so the
+//! search runs separately on each *recurrence component* — an SCC of two
+//! or more operations, or a single operation with a self-arc — over that
+//! component's own arcs, bounded above by its own latency sum. `RecMII` is
+//! the maximum over components (1 if there are none). Johnson's circuit
+//! enumeration survives as the test oracle in `tests/`.
 
 use lsms_ir::{tarjan_scc, LoopBody};
 use lsms_machine::{critical_classes, Machine};
@@ -27,81 +30,64 @@ pub fn mii(problem: &SchedProblem<'_>) -> u32 {
     problem.mii()
 }
 
-/// The recurrence-circuit bound on II, by elementary-circuit enumeration
-/// with a fallback to the min-ratio method if the circuit count explodes.
+/// The recurrence-circuit bound on II: the maximum, over recurrence
+/// components, of each component's minimum cost-to-time ratio; 1 when the
+/// loop has no recurrence.
 ///
 /// Returns `None` when some circuit has `Ω = 0` but positive latency: no
 /// initiation interval can satisfy it (the loop body is malformed).
 pub fn rec_mii(problem: &SchedProblem<'_>) -> Option<u32> {
-    const CIRCUIT_CAP: usize = 200_000;
-    match rec_mii_by_enumeration(problem, CIRCUIT_CAP) {
-        Ok(result) => result,
-        Err(CircuitCapExceeded) => rec_mii_min_ratio(problem),
-    }
-}
-
-/// Error from [`rec_mii_by_enumeration`]: the graph had more elementary
-/// circuits than the requested cap.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CircuitCapExceeded;
-
-/// `RecMII` by scanning every elementary circuit (§3.1). Inner `None`
-/// signals an unsatisfiable zero-ω circuit.
-///
-/// # Errors
-///
-/// Returns [`CircuitCapExceeded`] if more than `cap` circuits exist.
-pub fn rec_mii_by_enumeration(
-    problem: &SchedProblem<'_>,
-    cap: usize,
-) -> Result<Option<u32>, CircuitCapExceeded> {
-    let mut best: u32 = 1;
-    let mut infeasible = false;
-    let mut count = 0usize;
-    enumerate_circuits(problem, &mut |latency, omega| {
-        count += 1;
-        if omega == 0 {
-            if latency > 0 {
-                infeasible = true;
-            }
-        } else {
-            let bound = (latency.max(0) as u64).div_ceil(u64::from(omega));
-            best = best.max(bound as u32);
-        }
-        count <= cap
-    });
-    if count > cap {
-        return Err(CircuitCapExceeded);
-    }
-    Ok(if infeasible { None } else { Some(best) })
-}
-
-/// `RecMII` by the minimum cost-to-time-ratio method (§3.1, citing
-/// Lawler): binary search for the smallest II at which Bellman–Ford finds
-/// no positive cycle under weights `latency − ω·II`. Returns `None` for a
-/// positive-latency zero-ω circuit, which stays positive at every II.
-pub fn rec_mii_min_ratio(problem: &SchedProblem<'_>) -> Option<u32> {
     let n = problem.num_real_ops();
-    if n == 0 {
-        return Some(1);
+    let sccs = tarjan_scc(problem.body());
+    // Component of each op, and its index inside that component.
+    let mut comp = vec![0usize; n];
+    let mut local = vec![0usize; n];
+    for (c, scc) in sccs.iter().enumerate() {
+        for (i, op) in scc.iter().enumerate() {
+            comp[op.index()] = c;
+            local[op.index()] = i;
+        }
     }
-    // Only real arcs can be on circuits (Start has no in-arcs, Stop no
-    // out-arcs).
-    let arcs: Vec<_> = problem
-        .arcs()
-        .iter()
-        .filter(|a| a.from < n && a.to < n)
-        .collect();
-    let has_positive_cycle = |ii: i64| -> bool {
+    // An arc lies on a circuit exactly when both ends share a component
+    // (Start has no in-arcs and Stop no out-arcs, so neither can).
+    let mut inner: Vec<Vec<(usize, usize, i64, i64)>> = vec![Vec::new(); sccs.len()];
+    for arc in problem.arcs() {
+        if arc.from < n && arc.to < n && comp[arc.from] == comp[arc.to] {
+            inner[comp[arc.from]].push((
+                local[arc.from],
+                local[arc.to],
+                arc.latency,
+                i64::from(arc.omega),
+            ));
+        }
+    }
+    let mut best = 1;
+    for (scc, arcs) in sccs.iter().zip(&inner) {
+        // A lone op without a self-arc has no inner arcs and no circuit.
+        if !arcs.is_empty() {
+            best = best.max(component_rec_mii(scc.len(), arcs)?);
+        }
+    }
+    Some(best)
+}
+
+/// The minimum cost-to-time ratio of one recurrence component with `n`
+/// ops and arcs `(from, to, latency, ω)` in component-local indices:
+/// binary search for the smallest II at which Bellman–Ford finds no
+/// positive cycle under weights `latency − ω·II`. Returns `None` for a
+/// positive-latency zero-ω circuit, which stays positive at every II.
+fn component_rec_mii(n: usize, arcs: &[(usize, usize, i64, i64)]) -> Option<u32> {
+    let mut dist = vec![0i64; n];
+    let mut has_positive_cycle = |ii: i64| -> bool {
         // Longest-path Bellman–Ford from a virtual source connected to all
         // nodes with weight 0: dist starts at 0 everywhere.
-        let mut dist = vec![0i64; n];
+        dist.fill(0);
         for round in 0..=n {
             let mut changed = false;
-            for arc in &arcs {
-                let w = arc.latency - i64::from(arc.omega) * ii;
-                if dist[arc.from] + w > dist[arc.to] {
-                    dist[arc.to] = dist[arc.from] + w;
+            for &(from, to, latency, omega) in arcs {
+                let reach = dist[from] + latency - omega * ii;
+                if reach > dist[to] {
+                    dist[to] = reach;
                     changed = true;
                 }
             }
@@ -114,11 +100,13 @@ pub fn rec_mii_min_ratio(problem: &SchedProblem<'_>) -> Option<u32> {
         }
         false
     };
-    let max_latency: i64 = arcs.iter().map(|a| a.latency.max(0)).sum::<i64>().max(1);
-    if has_positive_cycle(max_latency) {
-        return None; // a zero-ω circuit keeps its positive weight forever
+    // Every circuit with Ω ≥ 1 has L ≤ this sum ≤ Ω·sum, so it is
+    // non-positive here: a positive cycle at `hi` is a zero-ω one.
+    let hi: i64 = arcs.iter().map(|a| a.2.max(0)).sum::<i64>().max(1);
+    if has_positive_cycle(hi) {
+        return None;
     }
-    let (mut lo, mut hi) = (1i64, max_latency); // hi is feasible
+    let (mut lo, mut hi) = (1i64, hi); // hi is feasible
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if has_positive_cycle(mid) {
@@ -150,107 +138,6 @@ pub fn critical_ops(machine: &Machine, body: &LoopBody, ii: u32) -> usize {
         .iter()
         .filter(|op| critical[machine.desc(op.kind).class.index()])
         .count()
-}
-
-/// Enumerates elementary circuits of the real-operation multigraph with
-/// Johnson's algorithm, invoking `emit(total_latency, total_omega)` per
-/// circuit. `emit` returns `false` to abort early. Parallel arcs are kept
-/// distinct, so two arcs between the same pair yield two circuits.
-fn enumerate_circuits(problem: &SchedProblem<'_>, emit: &mut dyn FnMut(i64, u32) -> bool) {
-    let n = problem.num_real_ops();
-    // Self-arcs are elementary circuits of length one; Johnson's main loop
-    // handles only length >= 2.
-    for arc in problem.arcs() {
-        if arc.from == arc.to && arc.from < n && !emit(arc.latency, arc.omega) {
-            return;
-        }
-    }
-    // adj[v] = (w, latency, omega) for each non-self arc v -> w.
-    let adj: Vec<Vec<(usize, i64, u32)>> = (0..n)
-        .map(|v| {
-            problem
-                .arcs_from(v)
-                .filter(|a| a.to < n && a.to != v)
-                .map(|a| (a.to, a.latency, a.omega))
-                .collect()
-        })
-        .collect();
-
-    struct J<'e> {
-        adj: Vec<Vec<(usize, i64, u32)>>,
-        blocked: Vec<bool>,
-        blist: Vec<Vec<usize>>,
-        root: usize,
-        emit: &'e mut dyn FnMut(i64, u32) -> bool,
-        aborted: bool,
-    }
-    impl J<'_> {
-        fn unblock(&mut self, v: usize) {
-            self.blocked[v] = false;
-            let list = std::mem::take(&mut self.blist[v]);
-            for w in list {
-                if self.blocked[w] {
-                    self.unblock(w);
-                }
-            }
-        }
-        /// DFS from `v` with accumulated (latency, omega); returns true if
-        /// any circuit was closed below `v`.
-        fn circuit(&mut self, v: usize, lat: i64, omega: u32) -> bool {
-            if self.aborted {
-                return false;
-            }
-            let mut found = false;
-            self.blocked[v] = true;
-            for i in 0..self.adj[v].len() {
-                let (w, l, o) = self.adj[v][i];
-                if w < self.root {
-                    continue; // Johnson: only nodes >= current root
-                }
-                if w == self.root {
-                    if !(self.emit)(lat + l, omega + o) {
-                        self.aborted = true;
-                        return found;
-                    }
-                    found = true;
-                } else if !self.blocked[w] && self.circuit(w, lat + l, omega + o) {
-                    found = true;
-                }
-                if self.aborted {
-                    return found;
-                }
-            }
-            if found {
-                self.unblock(v);
-            } else {
-                for i in 0..self.adj[v].len() {
-                    let (w, _, _) = self.adj[v][i];
-                    if w >= self.root && !self.blist[w].contains(&v) {
-                        self.blist[w].push(v);
-                    }
-                }
-            }
-            found
-        }
-    }
-
-    let mut j = J {
-        adj,
-        blocked: vec![false; n],
-        blist: vec![Vec::new(); n],
-        root: 0,
-        emit,
-        aborted: false,
-    };
-    for root in 0..n {
-        j.root = root;
-        j.blocked.iter_mut().for_each(|b| *b = false);
-        j.blist.iter_mut().for_each(|l| l.clear());
-        j.circuit(root, 0, 0);
-        if j.aborted {
-            return;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -285,12 +172,12 @@ mod tests {
         let body = ring(5, 2);
         let p = SchedProblem::new(&body, &m).unwrap();
         assert_eq!(p.rec_mii(), 3);
-        assert_eq!(rec_mii_min_ratio(&p), Some(3));
+        assert_eq!(rec_mii(&p), Some(3));
         // omega 1 -> 5.
         let body = ring(5, 1);
         let p = SchedProblem::new(&body, &m).unwrap();
         assert_eq!(p.rec_mii(), 5);
-        assert_eq!(rec_mii_min_ratio(&p), Some(5));
+        assert_eq!(rec_mii(&p), Some(5));
     }
 
     #[test]
@@ -304,7 +191,7 @@ mod tests {
         let body = b.finish();
         let p = SchedProblem::new(&body, &m).unwrap();
         assert_eq!(p.rec_mii(), 2);
-        assert_eq!(rec_mii_min_ratio(&p), Some(2));
+        assert_eq!(rec_mii(&p), Some(2));
     }
 
     #[test]
@@ -320,7 +207,7 @@ mod tests {
         let body = b.finish();
         let p = SchedProblem::new(&body, &m).unwrap();
         assert_eq!(p.rec_mii(), 1);
-        assert_eq!(rec_mii_min_ratio(&p), Some(1));
+        assert_eq!(rec_mii(&p), Some(1));
     }
 
     #[test]
@@ -344,7 +231,7 @@ mod tests {
         // Circuit A: o0->o1 (lat 2, w 0) + o1->o0 (lat 2, w 1): 4/1 = 4.
         // Circuit B: o1->o2 (lat 2, w 0) + o2->o1 (lat 2, w 3): ceil(4/3)=2.
         assert_eq!(p.rec_mii(), 4);
-        assert_eq!(rec_mii_min_ratio(&p), Some(4));
+        assert_eq!(rec_mii(&p), Some(4));
     }
 
     #[test]
@@ -361,16 +248,7 @@ mod tests {
         let body = b.finish();
         let p = SchedProblem::new(&body, &m).unwrap();
         assert_eq!(p.rec_mii(), 4);
-        assert_eq!(rec_mii_min_ratio(&p), Some(4));
-    }
-
-    #[test]
-    fn circuit_cap_falls_back_cleanly() {
-        let m = huff_machine();
-        let body = ring(6, 2);
-        let p = SchedProblem::new(&body, &m).unwrap();
-        assert_eq!(rec_mii_by_enumeration(&p, 0), Err(CircuitCapExceeded));
-        assert_eq!(rec_mii(&p), rec_mii_min_ratio(&p));
+        assert_eq!(rec_mii(&p), Some(4));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! augmented with the `Start`/`Stop` pseudo-operations of §4.1. On top of
 //! the problem sit:
 //!
-//! * the absolute lower bounds of §3: [`res_mii`], [`rec_mii`] (computed
-//!   independently by elementary-circuit enumeration and by the minimum
-//!   cost-to-time-ratio method), and `MII = max(ResMII, RecMII)`;
+//! * the absolute lower bounds of §3: [`res_mii`], [`rec_mii`] (the
+//!   minimum cost-to-time ratio, per recurrence component), and
+//!   `MII = max(ResMII, RecMII)`;
 //! * the [`MinDist`] relation — all-pairs longest paths with arc weight
 //!   `latency − ω·II` — computed once per candidate II and shared through
 //!   the per-problem [`MinDistCache`];
@@ -65,7 +65,7 @@ pub use backend::{
     BackendCaps, BackendInfo, BackendRun, CydromeBackend, ModuloScheduler, SchedContext,
     SlackBackend,
 };
-pub use bounds::{mii, rec_mii, rec_mii_min_ratio, res_mii};
+pub use bounds::{mii, rec_mii, res_mii};
 pub use cydrome::CydromeScheduler;
 pub use engine::{BoundsMode, EngineWorkspace};
 pub use fingerprint::{problem_fingerprint, schedule_key, FINGERPRINT_SALT};

@@ -6,10 +6,12 @@
 //! entirely from its seed, so a failure message's `case` number reproduces
 //! the exact graph.
 
+mod johnson;
+
+use johnson::rec_mii_by_circuits;
 use lsms_ir::{DepKind, DepVia, LoopBody, LoopBuilder, OpKind, ValueType};
 use lsms_machine::huff_machine;
 use lsms_prng::SmallRng;
-use lsms_sched::bounds::{rec_mii_by_enumeration, rec_mii_min_ratio};
 use lsms_sched::pressure::{lifetimes, measure, min_lifetimes};
 use lsms_sched::{
     validate, CydromeScheduler, DirectionPolicy, MinDist, SchedProblem, SlackConfig, SlackScheduler,
@@ -170,8 +172,8 @@ fn rec_mii_methods_agree() {
         let body = build_body(&specs);
         let machine = huff_machine();
         let problem = SchedProblem::new(&body, &machine).expect("buildable");
-        if let Ok(by_circuits) = rec_mii_by_enumeration(&problem, 1_000_000) {
-            assert_eq!(by_circuits, rec_mii_min_ratio(&problem), "case {case}");
+        if let Ok(by_circuits) = rec_mii_by_circuits(&problem, 1_000_000) {
+            assert_eq!(by_circuits, Some(problem.rec_mii()), "case {case}");
         }
     }
 }
