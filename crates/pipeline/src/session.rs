@@ -214,7 +214,9 @@ pub struct LoopEvaluation {
     pub decisions: DecisionStats,
 }
 
-/// The pass manager. See the [module docs](self).
+/// The pass manager: the one place the fixed pipeline (parse → sema →
+/// lower → depgraph → schedule → regalloc → codegen → simulate-verify) is
+/// wired together.
 ///
 /// A session is `Sync`: corpus evaluation calls
 /// [`evaluate_variants`](Self::evaluate_variants) from many worker

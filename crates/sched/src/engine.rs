@@ -11,6 +11,13 @@
 //! 4. place it and update the modulo resource table;
 //! 5. update the Estart/Lstart bounds of the unplaced operations;
 //! 6. if the iteration budget is exhausted, restart at a larger II.
+//!
+//! Steps 3 and 5 read the dense two-way [`MinDist`]. A placement tightens
+//! every node's bounds from the placed node's row and column, without a
+//! branch. After a forcing step the bounds are recomputed from the placed
+//! set, sweeping the placed nodes' lines (push) or the unplaced nodes' own
+//! lines (pull), whichever set is smaller. Either way every Estart and
+//! Lstart is the same max or min over the same placed set.
 
 use lsms_ir::OpId;
 use lsms_machine::{critical_classes, Mrt, UnitAssignment};
@@ -27,28 +34,6 @@ pub enum Direction {
     Early,
     /// Scan from Lstart downward: place as late as possible.
     Late,
-}
-
-/// How the engine maintains the Estart/Lstart bounds and sweeps for
-/// dependence violations after a forced placement.
-///
-/// The two implementations are *bit-identical in outcome* — same bounds,
-/// same ejection sets, same schedules — and differ only in cost: sparse
-/// iterates the [`Reachability`](crate::mindist::Reachability) lists of
-/// non-`NO_PATH` cells, the dense reference probes whole matrix rows.
-/// The dense path is retained as a test oracle and for the dense-vs-sparse
-/// microbenchmark; production runs use the default.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BoundsMode {
-    /// Reachability-indexed propagation (the production path).
-    #[default]
-    Sparse,
-    /// The retained dense reference implementation.
-    DenseReference,
-    /// Run sparse on the live state *and* dense on a shadow copy after
-    /// every bounds routine, panicking on any divergence. Test-only by
-    /// construction (it is the slowest of the three).
-    CrossCheck,
 }
 
 /// A scheduler personality plugged into the framework: how to pick the
@@ -86,14 +71,14 @@ pub(crate) trait Heuristic {
 /// thread it through repeated scheduler runs.
 #[derive(Debug, Default)]
 pub struct EngineWorkspace {
-    time: Vec<Option<i64>>,
+    tpos: Vec<i64>,
+    tneg: Vec<i64>,
     estart: Vec<i64>,
     lstart: Vec<i64>,
     last_place: Vec<Option<i64>>,
     critical: Vec<bool>,
     minlt: Vec<Option<i64>>,
     assignments: Vec<UnitAssignment>,
-    unplaced: Vec<bool>,
     /// The indexed ready set: the unplaced nodes, dense.
     ready: Vec<u32>,
     /// Position of each node in `ready`, or [`PLACED`].
@@ -101,15 +86,11 @@ pub struct EngineWorkspace {
     conflict_buf: Vec<OpId>,
     /// Scratch for the forcing path's dependence-violation sweep.
     eject_buf: Vec<usize>,
-    /// Shadow bound buffers for [`BoundsMode::CrossCheck`].
-    check_estart: Vec<i64>,
-    check_lstart: Vec<i64>,
     /// Scratch for the per-attempt unit-assignment ordering.
     order: Vec<usize>,
     /// Scratch for the per-class round-robin cursors.
     next_instance: Vec<u32>,
     mrt: Option<Mrt>,
-    bounds_mode: BoundsMode,
 }
 
 impl EngineWorkspace {
@@ -117,20 +98,6 @@ impl EngineWorkspace {
     /// by every subsequent run that borrows it.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Selects the bounds-maintenance implementation for every run drawing
-    /// from this workspace. The default ([`BoundsMode::Sparse`]) is the
-    /// production path; the other modes exist for equivalence tests and
-    /// the dense-vs-sparse microbenchmark — all three produce
-    /// byte-identical schedules.
-    pub fn set_bounds_mode(&mut self, mode: BoundsMode) {
-        self.bounds_mode = mode;
-    }
-
-    /// The bounds-maintenance mode runs from this workspace use.
-    pub fn bounds_mode(&self) -> BoundsMode {
-        self.bounds_mode
     }
 }
 
@@ -142,8 +109,13 @@ pub(crate) struct EngineState<'p, 'a> {
     pub problem: &'p SchedProblem<'a>,
     pub ii: u32,
     pub md: Arc<MinDist>,
-    /// Issue time per node (`None` = unplaced). `Start` is fixed at 0.
-    pub time: Vec<Option<i64>>,
+    /// Issue time per node, or [`NO_PATH`] while unplaced (`Start` is
+    /// fixed at 0). The max-plus sweeps read it as is: for an unplaced
+    /// `z`, `tpos[z] + MinDist(z, u)` stays below every real Estart.
+    tpos: Vec<i64>,
+    /// `tpos` for the min-plus sweeps: `−NO_PATH` while unplaced, so
+    /// `tneg[z] − MinDist(u, z)` stays above every real Lstart.
+    tneg: Vec<i64>,
     /// Earliest start bound per node; meaningful only while unplaced.
     pub estart: Vec<i64>,
     /// Latest start bound per node; meaningful only while unplaced.
@@ -167,9 +139,6 @@ pub(crate) struct EngineState<'p, 'a> {
     /// to contend for the same kernel cycle land on different instances.
     assignments: Vec<UnitAssignment>,
     mrt: Mrt,
-    /// O(1) unplaced-membership test, kept in lockstep with the ready set.
-    unplaced: Vec<bool>,
-    unplaced_count: usize,
     /// The indexed ready set: exactly the unplaced nodes, in arbitrary
     /// order (swap-remove on place, push on eject). `choose` iterates this
     /// instead of filtering an `n`-bool scan; heuristic selection keys are
@@ -178,8 +147,6 @@ pub(crate) struct EngineState<'p, 'a> {
     ready: Vec<u32>,
     /// Position of each node in `ready`, or [`PLACED`].
     ready_pos: Vec<u32>,
-    /// Bounds-maintenance implementation (see [`BoundsMode`]).
-    bounds_mode: BoundsMode,
     /// MinDist cells read while maintaining bounds and sweeping for
     /// dependence violations this attempt (flushed into
     /// [`SchedStats::bounds_cells_touched`]).
@@ -189,9 +156,9 @@ pub(crate) struct EngineState<'p, 'a> {
     conflict_buf: Vec<OpId>,
     /// Scratch for the forcing path's dependence-violation sweep.
     eject_buf: Vec<usize>,
-    /// Shadow bound buffers for [`BoundsMode::CrossCheck`].
-    check_estart: Vec<i64>,
-    check_lstart: Vec<i64>,
+    /// Bound refreshes run so far, as `(push, pull)`.
+    #[cfg(test)]
+    refreshes: (u32, u32),
 }
 
 impl<'p, 'a> EngineState<'p, 'a> {
@@ -234,10 +201,14 @@ impl<'p, 'a> EngineState<'p, 'a> {
         let machine = problem.machine();
         let contended = problem.res_mii() > 1;
 
-        let mut time = std::mem::take(&mut ws.time);
-        time.clear();
-        time.resize(n, None);
-        time[start] = Some(0);
+        let mut tpos = std::mem::take(&mut ws.tpos);
+        tpos.clear();
+        tpos.resize(n, NO_PATH);
+        tpos[start] = 0;
+        let mut tneg = std::mem::take(&mut ws.tneg);
+        tneg.clear();
+        tneg.resize(n, -NO_PATH);
+        tneg[start] = 0;
 
         let mut estart = std::mem::take(&mut ws.estart);
         estart.clear();
@@ -311,11 +282,6 @@ impl<'p, 'a> EngineState<'p, 'a> {
         let mut last_place = std::mem::take(&mut ws.last_place);
         last_place.clear();
         last_place.resize(n, None);
-        let mut unplaced = std::mem::take(&mut ws.unplaced);
-        unplaced.clear();
-        unplaced.resize(n, true);
-        unplaced[start] = false;
-        let unplaced_count = n - 1;
         // The ready set starts in ascending node order (matching the old
         // bool-scan); later swap-removes permute it freely.
         let mut ready = std::mem::take(&mut ws.ready);
@@ -337,7 +303,8 @@ impl<'p, 'a> EngineState<'p, 'a> {
             problem,
             ii,
             md,
-            time,
+            tpos,
+            tneg,
             estart,
             lstart,
             lstart_stop,
@@ -348,35 +315,30 @@ impl<'p, 'a> EngineState<'p, 'a> {
             straight_line,
             assignments,
             mrt,
-            unplaced,
-            unplaced_count,
             ready,
             ready_pos,
-            bounds_mode: ws.bounds_mode,
             cells_touched: 0,
             conflict_buf,
             eject_buf,
-            check_estart: std::mem::take(&mut ws.check_estart),
-            check_lstart: std::mem::take(&mut ws.check_lstart),
+            #[cfg(test)]
+            refreshes: (0, 0),
         })
     }
 
     /// Returns every allocation to `ws` for the next attempt to reuse.
     fn recycle(self, ws: &mut EngineWorkspace) {
-        ws.time = self.time;
+        ws.tpos = self.tpos;
+        ws.tneg = self.tneg;
         ws.estart = self.estart;
         ws.lstart = self.lstart;
         ws.last_place = self.last_place;
         ws.critical = self.critical;
         ws.minlt = self.minlt;
         ws.assignments = self.assignments;
-        ws.unplaced = self.unplaced;
         ws.ready = self.ready;
         ws.ready_pos = self.ready_pos;
         ws.conflict_buf = self.conflict_buf;
         ws.eject_buf = self.eject_buf;
-        ws.check_estart = self.check_estart;
-        ws.check_lstart = self.check_lstart;
         ws.mrt = Some(self.mrt);
     }
 
@@ -392,7 +354,12 @@ impl<'p, 'a> EngineState<'p, 'a> {
 
     /// True if the node is currently placed (Start always is).
     pub fn is_placed(&self, node: usize) -> bool {
-        self.time[node].is_some()
+        self.tpos[node] != NO_PATH
+    }
+
+    /// The node's issue time, or `None` while it is unplaced.
+    fn time(&self, node: usize) -> Option<i64> {
+        self.is_placed(node).then_some(self.tpos[node])
     }
 
     /// The current slack of an unplaced node: `Lstart − Estart`, possibly
@@ -421,7 +388,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
 
     /// Effective earliest start: placement time if placed, else the bound.
     pub fn effective_estart(&self, node: usize) -> i64 {
-        self.time[node].unwrap_or(self.estart[node])
+        self.time(node).unwrap_or(self.estart[node])
     }
 
     fn fits(&self, node: usize, t: i64) -> bool {
@@ -437,7 +404,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
     }
 
     fn place(&mut self, node: usize, t: i64) {
-        debug_assert!(self.unplaced[node]);
+        debug_assert!(!self.is_placed(node));
         if !self.problem.is_pseudo(node) {
             self.mrt.place(
                 OpId::new(node),
@@ -446,10 +413,9 @@ impl<'p, 'a> EngineState<'p, 'a> {
                 t,
             );
         }
-        self.time[node] = Some(t);
+        self.tpos[node] = t;
+        self.tneg[node] = t;
         self.last_place[node] = Some(t);
-        self.unplaced[node] = false;
-        self.unplaced_count -= 1;
         // Swap-remove from the ready set, patching the moved node's index.
         let pos = self.ready_pos[node] as usize;
         self.ready.swap_remove(pos);
@@ -460,7 +426,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
     }
 
     fn eject(&mut self, node: usize) {
-        let t = self.time[node].expect("ejecting an unplaced node");
+        let t = self.time(node).expect("ejecting an unplaced node");
         if !self.problem.is_pseudo(node) {
             self.mrt.remove(
                 OpId::new(node),
@@ -469,229 +435,119 @@ impl<'p, 'a> EngineState<'p, 'a> {
                 t,
             );
         }
-        self.time[node] = None;
-        self.unplaced[node] = true;
-        self.unplaced_count += 1;
+        self.tpos[node] = NO_PATH;
+        self.tneg[node] = -NO_PATH;
         self.ready_pos[node] = self.ready.len() as u32;
         self.ready.push(node as u32);
     }
 
-    /// §4.1 incremental update after placing `node` at `t`: tighten the
-    /// bounds of every unplaced node.
+    /// §4.1 incremental update after placing `node` at `t`: for every node
+    /// `u`, `Estart(u) ≥ t + MinDist(node, u)` and
+    /// `Lstart(u) ≤ t − MinDist(u, node)`.
     fn tighten_bounds_after(&mut self, node: usize, t: i64) {
-        match self.bounds_mode {
-            BoundsMode::Sparse => self.sparse_tighten_after(node, t),
-            BoundsMode::DenseReference => {
-                let (mut estart, mut lstart) = self.take_bounds();
-                self.cells_touched += self.dense_tighten_after(node, t, &mut estart, &mut lstart);
-                self.put_bounds(estart, lstart);
-            }
-            BoundsMode::CrossCheck => {
-                let (mut estart, mut lstart) = self.shadow_bounds();
-                self.sparse_tighten_after(node, t);
-                self.dense_tighten_after(node, t, &mut estart, &mut lstart);
-                self.assert_shadow_matches("tighten_bounds_after", estart, lstart);
-            }
-        }
+        self.push_bounds_from(node, t, true);
         self.maybe_grow_lstart_stop();
+        #[cfg(test)]
+        self.assert_bounds_from_scratch();
     }
 
-    /// Sparse §4.1 tightening: only the nodes sharing a path with `node`
-    /// can have their bounds moved by its placement, and the reachability
-    /// lists carry the distances, so the whole update reads exactly the
-    /// reachable cells.
-    fn sparse_tighten_after(&mut self, node: usize, t: i64) {
-        let md = Arc::clone(&self.md);
-        let reach = md.reach();
-        for &(u, fwd) in reach.succs(node) {
-            let u = u as usize;
-            if self.unplaced[u] {
-                self.estart[u] = self.estart[u].max(t + fwd);
+    /// Raises every Estart to `t + MinDist(z, ·)`, when `estarts`, and
+    /// lowers every Lstart to `t − MinDist(·, z)`: the bounds `z` placed
+    /// at `t` imposes.
+    ///
+    /// Both sweeps run over whole matrix lines without a branch: a
+    /// [`NO_PATH`] cell puts `t ± NO_PATH` outside every real bound, and
+    /// the bounds of placed nodes are dead state that
+    /// [`refresh_bounds`](Self::refresh_bounds) resets before a node
+    /// re-enters the ready set.
+    fn push_bounds_from(&mut self, z: usize, t: i64, estarts: bool) {
+        let md = &*self.md;
+        if estarts {
+            for (e, &fwd) in self.estart.iter_mut().zip(md.row(z)) {
+                *e = (*e).max(t + fwd);
             }
         }
-        for &(u, back) in reach.preds(node) {
-            let u = u as usize;
-            if self.unplaced[u] {
-                self.lstart[u] = self.lstart[u].min(t - back);
-            }
+        for (l, &back) in self.lstart.iter_mut().zip(md.col(z)) {
+            *l = (*l).min(t - back);
         }
-        self.cells_touched += (reach.succs(node).len() + reach.preds(node).len()) as u64;
-    }
-
-    /// Dense §4.1 tightening (the reference implementation): probe both
-    /// cells of every unplaced node. Returns cells read.
-    fn dense_tighten_after(
-        &self,
-        node: usize,
-        t: i64,
-        estart: &mut [i64],
-        lstart: &mut [i64],
-    ) -> u64 {
-        let n = self.problem.num_nodes();
-        let mut touched = 0u64;
-        for u in 0..n {
-            if !self.unplaced[u] {
-                continue;
-            }
-            touched += 2;
-            let fwd = self.md.get(node, u);
-            if fwd != NO_PATH {
-                estart[u] = estart[u].max(t + fwd);
-            }
-            let back = self.md.get(u, node);
-            if back != NO_PATH {
-                lstart[u] = lstart[u].min(t - back);
-            }
-        }
-        touched
+        self.cells_touched += (1 + u64::from(estarts)) * md.row(z).len() as u64;
     }
 
     /// Full recomputation of the bounds of all unplaced nodes from the
-    /// placed set, used after ejections (§4.4): the from-scratch Estart
-    /// refresh, the shared Lstart refresh, then the §4.2 deadline check.
+    /// placed set, used after ejections (§4.4), then the §4.2 deadline
+    /// check.
     fn recompute_bounds(&mut self) {
-        match self.bounds_mode {
-            BoundsMode::Sparse => self.sparse_refresh_estarts(),
-            BoundsMode::DenseReference => {
-                let (mut estart, lstart) = self.take_bounds();
-                self.cells_touched += self.dense_refresh_estarts(&mut estart);
-                self.put_bounds(estart, lstart);
-            }
-            BoundsMode::CrossCheck => {
-                let (mut estart, lstart) = self.shadow_bounds();
-                self.sparse_refresh_estarts();
-                self.dense_refresh_estarts(&mut estart);
-                self.assert_shadow_matches("recompute_bounds/estart", estart, lstart);
-            }
-        }
-        self.refresh_lstarts();
+        self.refresh_bounds(true);
         self.maybe_grow_lstart_stop();
+        #[cfg(test)]
+        self.assert_bounds_from_scratch();
     }
 
-    /// From-scratch Estart for every unplaced node: `MinDist(Start, u)`
-    /// floored at 0, raised by every placed node that reaches `u`.
-    fn sparse_refresh_estarts(&mut self) {
-        let md = Arc::clone(&self.md);
-        let start = self.problem.start();
-        for i in 0..self.ready.len() {
-            let u = self.ready[i] as usize;
-            self.estart[u] = md.get(start, u).max(0);
-        }
-        self.cells_touched += self.ready.len() as u64;
-        let reach = md.reach();
-        let n = self.problem.num_nodes();
-        for z in 0..n {
-            let Some(t) = self.time[z] else { continue };
-            for &(u, fwd) in reach.succs(z) {
-                let u = u as usize;
-                if self.unplaced[u] {
-                    self.estart[u] = self.estart[u].max(t + fwd);
-                }
-            }
-            self.cells_touched += reach.succs(z).len() as u64;
-        }
-    }
-
-    /// Dense from-scratch Estart refresh (reference). Returns cells read.
-    fn dense_refresh_estarts(&self, estart: &mut [i64]) -> u64 {
-        let n = self.problem.num_nodes();
-        let start = self.problem.start();
-        let mut touched = 0u64;
-        for (u, slot) in estart.iter_mut().enumerate() {
-            if !self.unplaced[u] {
-                continue;
-            }
-            let mut e = self.md.get(start, u).max(0);
-            touched += 1;
-            for z in 0..n {
-                let Some(t) = self.time[z] else { continue };
-                touched += 1;
-                let fwd = self.md.get(z, u);
-                if fwd != NO_PATH {
-                    e = e.max(t + fwd);
-                }
-            }
-            *slot = e;
-        }
-        touched
-    }
-
-    /// From-scratch Lstart refresh for every unplaced node — the single
-    /// definition shared by [`recompute_bounds`](Self::recompute_bounds)
-    /// and [`maybe_grow_lstart_stop`](Self::maybe_grow_lstart_stop)
-    /// (which used to carry duplicate copies of this loop):
+    /// From-scratch bounds for every unplaced node `u`:
     /// `Lstart(u) = min(Lstart(Stop) − MinDist(u, Stop),
-    /// min over placed z of t_z − MinDist(u, z))`.
-    fn refresh_lstarts(&mut self) {
-        match self.bounds_mode {
-            BoundsMode::Sparse => self.sparse_refresh_lstarts(),
-            BoundsMode::DenseReference => {
-                let (estart, mut lstart) = self.take_bounds();
-                self.cells_touched += self.dense_refresh_lstarts(&mut lstart);
-                self.put_bounds(estart, lstart);
-            }
-            BoundsMode::CrossCheck => {
-                let (estart, mut lstart) = self.shadow_bounds();
-                self.sparse_refresh_lstarts();
-                self.dense_refresh_lstarts(&mut lstart);
-                self.assert_shadow_matches("refresh_lstarts", estart, lstart);
-            }
-        }
-    }
-
-    fn sparse_refresh_lstarts(&mut self) {
-        let md = Arc::clone(&self.md);
+    /// min over placed z of t_z − MinDist(u, z))`, and, when `estarts`,
+    /// `Estart(u) = max(0, max over placed z of t_z + MinDist(z, u))`
+    /// (`Start`, placed at 0, contributes `MinDist(Start, u)`).
+    ///
+    /// The same cells can be read from either end, and the refresh reads
+    /// them from the smaller one. While the placed nodes are no more
+    /// numerous than the unplaced ones it *pushes* each placed node's
+    /// lines, as [`tighten_bounds_after`](Self::tighten_bounds_after)
+    /// does; otherwise each unplaced node *pulls* its own column and row
+    /// against `tpos`/`tneg`, whose unplaced entries drop out of the max
+    /// and the min. Pull alone made the slack pass slower everywhere,
+    /// push alone on `calibrated` (EXPERIMENTS.md "Dense two-way
+    /// MinDist").
+    fn refresh_bounds(&mut self, estarts: bool) {
+        let n = self.problem.num_nodes();
         let stop = self.problem.stop();
-        for i in 0..self.ready.len() {
-            let u = self.ready[i] as usize;
-            self.lstart[u] = self.lstart_stop - md.get(u, stop);
+        if n - self.ready.len() <= self.ready.len() {
+            for &u in &self.ready {
+                let u = u as usize;
+                if estarts {
+                    self.estart[u] = 0;
+                }
+                self.lstart[u] = self.lstart_stop - self.md.get(u, stop);
+            }
+            for z in 0..n {
+                let t = self.tpos[z];
+                if t != NO_PATH {
+                    self.push_bounds_from(z, t, estarts);
+                }
+            }
+            #[cfg(test)]
+            {
+                self.refreshes.0 += 1;
+            }
+        } else {
+            let md = &*self.md;
+            for &u in &self.ready {
+                let u = u as usize;
+                if estarts {
+                    let into = md.col(u).iter().zip(&self.tpos);
+                    self.estart[u] = into.fold(0, |e, (&fwd, &t)| e.max(t + fwd));
+                }
+                let out = md.row(u).iter().zip(&self.tneg);
+                let deadline = self.lstart_stop - md.get(u, stop);
+                self.lstart[u] = out.fold(deadline, |l, (&back, &t)| l.min(t - back));
+            }
+            let lines = 1 + u64::from(estarts);
+            self.cells_touched += lines * (self.ready.len() * n) as u64;
+            #[cfg(test)]
+            {
+                self.refreshes.1 += 1;
+            }
         }
         self.cells_touched += self.ready.len() as u64;
-        let reach = md.reach();
-        let n = self.problem.num_nodes();
-        for z in 0..n {
-            let Some(t) = self.time[z] else { continue };
-            for &(u, back) in reach.preds(z) {
-                let u = u as usize;
-                if self.unplaced[u] {
-                    self.lstart[u] = self.lstart[u].min(t - back);
-                }
-            }
-            self.cells_touched += reach.preds(z).len() as u64;
-        }
-    }
-
-    /// Dense from-scratch Lstart refresh (reference). Returns cells read.
-    fn dense_refresh_lstarts(&self, lstart: &mut [i64]) -> u64 {
-        let n = self.problem.num_nodes();
-        let stop = self.problem.stop();
-        let mut touched = 0u64;
-        for (u, slot) in lstart.iter_mut().enumerate() {
-            if !self.unplaced[u] {
-                continue;
-            }
-            let mut l = self.lstart_stop - self.md.get(u, stop);
-            touched += 1;
-            for z in 0..n {
-                let Some(t) = self.time[z] else { continue };
-                touched += 1;
-                let back = self.md.get(u, z);
-                if back != NO_PATH {
-                    l = l.min(t - back);
-                }
-            }
-            *slot = l;
-        }
-        touched
     }
 
     /// §4.2: `Lstart(Stop)` is reset only when `Estart(Stop)` is pushed out
     /// beyond it (being pushed beyond Stop's *placement* is handled by
     /// ejecting Stop during forcing). Loosening `Lstart(Stop)` can only
-    /// loosen other Lstarts; refresh them all through the shared helper.
+    /// loosen other Lstarts; refresh them all.
     fn maybe_grow_lstart_stop(&mut self) {
         let stop = self.problem.stop();
-        if self.unplaced[stop] && self.estart[stop] > self.lstart_stop {
+        if !self.is_placed(stop) && self.estart[stop] > self.lstart_stop {
             self.lstart_stop = if self.straight_line {
                 // Keep the same proportional slack the attempt started
                 // with; a bare critical-path deadline leaves zero slack
@@ -703,132 +559,53 @@ impl<'p, 'a> EngineState<'p, 'a> {
             } else {
                 round_up(self.estart[stop], i64::from(self.ii))
             };
-            self.refresh_lstarts();
+            self.refresh_bounds(false);
         }
     }
 
-    /// Moves the live bound vectors out for a dense-reference update (the
-    /// dense routines take `&self` plus explicit buffers, sidestepping the
-    /// aliasing between `self.md` and `self.estart`).
-    fn take_bounds(&mut self) -> (Vec<i64>, Vec<i64>) {
-        (
-            std::mem::take(&mut self.estart),
-            std::mem::take(&mut self.lstart),
-        )
-    }
-
-    fn put_bounds(&mut self, estart: Vec<i64>, lstart: Vec<i64>) {
-        self.estart = estart;
-        self.lstart = lstart;
-    }
-
-    /// Copies the pre-update bounds into the recycled shadow buffers, for
-    /// the dense reference to update in parallel with the sparse path.
-    fn shadow_bounds(&mut self) -> (Vec<i64>, Vec<i64>) {
-        let mut estart = std::mem::take(&mut self.check_estart);
-        estart.clear();
-        estart.extend_from_slice(&self.estart);
-        let mut lstart = std::mem::take(&mut self.check_lstart);
-        lstart.clear();
-        lstart.extend_from_slice(&self.lstart);
-        (estart, lstart)
-    }
-
-    /// Cross-check assertion: after a bounds routine, the sparse result on
-    /// the live state must equal the dense result on the shadow copy,
-    /// entry for entry.
-    fn assert_shadow_matches(&mut self, routine: &str, estart: Vec<i64>, lstart: Vec<i64>) {
-        assert_eq!(self.estart, estart, "{routine}: Estart diverged");
-        assert_eq!(self.lstart, lstart, "{routine}: Lstart diverged");
-        self.check_estart = estart;
-        self.check_lstart = lstart;
-    }
-
-    /// Collects (into `self.eject_buf`, ascending and deduplicated) every
+    /// Collects into `self.eject_buf`, in ascending node order, every
     /// placed node whose dependence constraints a forced placement of `x`
-    /// at `t` violates. `MinDist` reflects the transitive closure, so this
-    /// reaches beyond immediate successors (§4.4). Sparse mode walks `x`'s
-    /// reachability lists; the dense reference scans every node; both
-    /// produce the same ascending victim order, so ejection traces are
-    /// identical across modes.
+    /// at `t` violates: `t + MinDist(x, z) > t_z` or
+    /// `t_z + MinDist(z, x) > t`. `MinDist` reflects the transitive
+    /// closure, so this reaches beyond immediate successors (§4.4).
+    /// Testing against `tneg` and `tpos` keeps unplaced nodes and
+    /// [`NO_PATH`] cells out of both comparisons without a branch.
     fn collect_dependence_victims(&mut self, x: usize, t: i64) {
+        let md = &*self.md;
         let start = self.problem.start();
-        let mut victims = std::mem::take(&mut self.eject_buf);
-        victims.clear();
-        let md = Arc::clone(&self.md);
-        match self.bounds_mode {
-            BoundsMode::Sparse => {
-                self.sparse_victims(&md, x, t, &mut victims);
-            }
-            BoundsMode::DenseReference => {
-                self.cells_touched += self.dense_victims(&md, x, t, start, &mut victims);
-            }
-            BoundsMode::CrossCheck => {
-                self.sparse_victims(&md, x, t, &mut victims);
-                let mut dense = Vec::new();
-                self.dense_victims(&md, x, t, start, &mut dense);
-                assert_eq!(victims, dense, "dependence-violation sweep diverged");
+        self.eject_buf.clear();
+        let cells = md.row(x).iter().zip(md.col(x));
+        let times = self.tpos.iter().zip(&self.tneg);
+        for (z, ((&fwd, &back), (&tpos, &tneg))) in cells.zip(times).enumerate() {
+            if z != start && (t + fwd > tneg || tpos + back > t) {
+                self.eject_buf.push(z);
             }
         }
-        self.eject_buf = victims;
+        self.cells_touched += 2 * md.row(x).len() as u64;
     }
 
-    fn sparse_victims(&mut self, md: &MinDist, x: usize, t: i64, victims: &mut Vec<usize>) {
-        let start = self.problem.start();
-        let reach = md.reach();
-        for &(z, fwd) in reach.succs(x) {
-            let z = z as usize;
-            if z == start {
-                continue;
-            }
-            if let Some(tz) = self.time[z] {
-                if t + fwd > tz {
-                    victims.push(z);
-                }
-            }
-        }
-        for &(z, back) in reach.preds(x) {
-            let z = z as usize;
-            if z == start {
-                continue;
-            }
-            if let Some(tz) = self.time[z] {
-                if tz + back > t {
-                    victims.push(z);
-                }
-            }
-        }
-        self.cells_touched += (reach.succs(x).len() + reach.preds(x).len()) as u64;
-        // A node violated in both directions appears in both lists; the
-        // dense scan visits each node once in ascending order — match it.
-        victims.sort_unstable();
-        victims.dedup();
-    }
-
-    /// Dense violation sweep (reference). Returns cells read.
-    fn dense_victims(
-        &self,
-        md: &MinDist,
-        x: usize,
-        t: i64,
-        start: usize,
-        victims: &mut Vec<usize>,
-    ) -> u64 {
+    /// The test oracle behind every bounds update: each unplaced node's
+    /// bounds equal the max and min over the placed set, read cell by
+    /// cell through [`MinDist::get`].
+    #[cfg(test)]
+    fn assert_bounds_from_scratch(&self) {
         let n = self.problem.num_nodes();
-        let mut touched = 0u64;
-        for z in 0..n {
-            if z == x || z == start {
-                continue;
+        let stop = self.problem.stop();
+        for u in self.unplaced() {
+            let mut e = 0;
+            let mut l = self.lstart_stop - self.md.get(u, stop);
+            for z in 0..n {
+                let Some(t) = self.time(z) else { continue };
+                let (fwd, back) = (self.md.get(z, u), self.md.get(u, z));
+                if fwd != NO_PATH {
+                    e = e.max(t + fwd);
+                }
+                if back != NO_PATH {
+                    l = l.min(t - back);
+                }
             }
-            let Some(tz) = self.time[z] else { continue };
-            touched += 2;
-            let fwd = md.get(x, z);
-            let back = md.get(z, x);
-            if (fwd != NO_PATH && t + fwd > tz) || (back != NO_PATH && tz + back > t) {
-                victims.push(z);
-            }
+            assert_eq!((self.estart[u], self.lstart[u]), (e, l), "node {u}");
         }
-        touched
     }
 }
 
@@ -865,7 +642,7 @@ fn attempt(
     let brtop = problem.brtop();
     let mut iterations = 0u64;
 
-    while st.unplaced_count > 0 {
+    while !st.ready.is_empty() {
         iterations += 1;
         stats.central_iterations += 1;
         if iterations > budget {
@@ -877,7 +654,7 @@ fn attempt(
         // unplaced nodes, so this is what the heuristic will scan.
         stats.choose_scan_len += st.ready.len() as u64;
         let x = heuristic.choose(&st, decisions);
-        debug_assert!(st.unplaced[x]);
+        debug_assert!(!st.is_placed(x));
         // Step 2: search for an issue cycle within the bounds.
         let direction = heuristic.direction(&st, x, decisions);
         lsms_trace::add(
@@ -1005,7 +782,7 @@ fn attempt(
     }
     stats.bounds_cells_touched += st.cells_touched;
     let times: Vec<i64> = (0..problem.num_real_ops())
-        .map(|op| st.time[op].expect("all real ops placed"))
+        .map(|op| st.time(op).expect("all real ops placed"))
         .collect();
     Attempt::Success(times, st.assignments)
 }
@@ -1255,16 +1032,17 @@ mod tests {
         let mut st = EngineState::new(&problem, problem.mii(), false, &cache).unwrap();
         let check = |st: &EngineState<'_, '_>| {
             let n = st.problem.num_nodes();
-            assert_eq!(st.ready.len(), st.unplaced_count);
             for (pos, &node) in st.ready.iter().enumerate() {
-                assert!(st.unplaced[node as usize]);
+                assert!(!st.is_placed(node as usize));
                 assert_eq!(st.ready_pos[node as usize], pos as u32);
             }
             for node in 0..n {
-                if !st.unplaced[node] {
+                if st.is_placed(node) {
                     assert_eq!(st.ready_pos[node], PLACED);
                 }
             }
+            let placed = (0..n).filter(|&node| st.is_placed(node)).count();
+            assert_eq!(st.ready.len(), n - placed);
         };
         check(&st);
         // Start is pre-placed and never in the ready set.
@@ -1282,49 +1060,76 @@ mod tests {
         assert!(st.unplaced().any(|x| x == 0));
     }
 
-    /// Drives the same placement/ejection sequence through a CrossCheck
-    /// state (every bounds routine self-asserts sparse == dense) and a
-    /// DenseReference state, then compares all three bound vectors.
+    /// Places `x` at its first conflict-free cycle from Estart, then
+    /// tightens (and so checks) the bounds.
+    fn place_early(st: &mut EngineState<'_, '_>, x: usize) {
+        let t = (st.estart[x]..).find(|&t| st.fits(x, t)).unwrap();
+        st.place(x, t);
+        st.tighten_bounds_after(x, t);
+    }
+
+    /// Every tighten and refresh checks itself against the from-scratch
+    /// oracle; this drives both refresh directions through it.
     #[test]
-    fn sparse_bounds_match_the_dense_reference() {
+    fn push_and_pull_refreshes_both_match_the_oracle() {
         let body = chain_body();
         let machine = huff_machine();
         let problem = SchedProblem::new(&body, &machine).unwrap();
         let cache = MinDistCache::new();
-        let mut states: Vec<EngineState<'_, '_>> = [
-            BoundsMode::Sparse,
-            BoundsMode::DenseReference,
-            BoundsMode::CrossCheck,
-        ]
-        .into_iter()
-        .map(|mode| {
-            let mut ws = EngineWorkspace::new();
-            ws.set_bounds_mode(mode);
-            assert_eq!(ws.bounds_mode(), mode);
-            let ws = Box::leak(Box::new(ws));
-            EngineState::new_in(&problem, problem.mii(), false, &cache, ws).unwrap()
-        })
-        .collect();
-        for st in &mut states {
-            st.place(0, 0);
-            st.tighten_bounds_after(0, 0);
-            st.place(3, 1);
-            st.tighten_bounds_after(3, 1);
-            st.eject(0);
-            st.recompute_bounds();
-            st.collect_dependence_victims(1, 20);
+        let mut st = EngineState::new(&problem, problem.mii(), false, &cache).unwrap();
+        // Start and the load placed, four nodes unplaced: push.
+        place_early(&mut st, 0);
+        st.recompute_bounds();
+        assert_eq!(st.refreshes, (1, 0));
+        // Five placed, Stop unplaced; ejecting the store leaves two
+        // unplaced against four placed: pull.
+        for x in [1, 3, 2] {
+            place_early(&mut st, x);
         }
-        let (sparse, rest) = states.split_first().unwrap();
-        for other in rest {
-            assert_eq!(sparse.estart, other.estart);
-            assert_eq!(sparse.lstart, other.lstart);
-            assert_eq!(sparse.lstart_stop, other.lstart_stop);
-            assert_eq!(sparse.eject_buf, other.eject_buf);
+        st.eject(2);
+        st.recompute_bounds();
+        assert_eq!(st.refreshes, (1, 1));
+        // The victim sweep reports placed nodes only, in ascending order:
+        // forcing the load far past its Estart violates the fadd after it.
+        st.eject(0);
+        st.recompute_bounds();
+        st.place(0, 20);
+        st.collect_dependence_victims(0, 20);
+        assert_eq!(st.eject_buf, [1]);
+        assert!(st.cells_touched > 0);
+    }
+
+    /// Random dependence graphs through both schedulers: every bounds
+    /// update along the way, ejections included, checks itself against
+    /// the from-scratch oracle.
+    #[test]
+    fn random_problems_keep_every_bound_exact() {
+        use lsms_prng::SmallRng;
+        let machine = huff_machine();
+        let mut ejecting = 0u32;
+        for case in 0u64..48 {
+            let mut rng = SmallRng::seed_from_u64(0xb0d5 + case);
+            let mut b = LoopBuilder::new("g");
+            let fin = b.invariant(ValueType::Float, "fin");
+            let ops: Vec<_> = (0..12)
+                .map(|_| {
+                    let v = b.new_value(ValueType::Float);
+                    b.op(OpKind::FMul, &[fin, fin], Some(v))
+                })
+                .collect();
+            for _ in 0..rng.gen_range(1..24usize) {
+                let (f, t) = (rng.gen_range(0..12usize), rng.gen_range(0..12usize));
+                // Back arcs carry a distance, so no zero-omega cycle forms.
+                let omega = rng.gen_range(0..3u32) + u32::from(t <= f);
+                b.flow_dep(ops[f], ops[t], omega);
+            }
+            let body = b.finish();
+            let problem = SchedProblem::new(&body, &machine).unwrap();
+            let slack = crate::SlackScheduler::new().run(&problem).unwrap();
+            crate::CydromeScheduler::new().run(&problem).unwrap();
+            ejecting += u32::from(slack.stats.ejected_ops > 0);
         }
-        // Dense probing inspects strictly more cells than the sparse walk
-        // on this sparse chain problem.
-        assert!(states[1].cells_touched > states[0].cells_touched);
-        assert!(states[0].cells_touched > 0);
+        assert!(ejecting >= 4, "only {ejecting} cases ejected");
     }
 
     #[test]

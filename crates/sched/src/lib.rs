@@ -67,7 +67,7 @@ pub use backend::{
 };
 pub use bounds::{mii, rec_mii, res_mii};
 pub use cydrome::CydromeScheduler;
-pub use engine::{BoundsMode, EngineWorkspace};
+pub use engine::EngineWorkspace;
 pub use fingerprint::{problem_fingerprint, schedule_key, FINGERPRINT_SALT};
 pub use mindist::{MinDist, MinDistCache, MinDistCacheStats};
 pub use pressure::PressureReport;

@@ -1,7 +1,10 @@
 //! The `MinDist` relation (§4.1): all-pairs longest paths at a given II.
 //!
-//! [`MinDist::compute`] runs Floyd–Warshall at one fixed II;
-//! [`MinDistCache`] memoizes its result per II for one problem.
+//! [`MinDist::compute`] runs Floyd–Warshall at one fixed II and keeps the
+//! matrix in both orientations, so the scheduling engine reads the paths
+//! out of a node ([`MinDist::row`]) and into it ([`MinDist::col`]) as
+//! contiguous slices; [`MinDistCache`] memoizes the result per II for one
+//! problem.
 
 use crate::SchedProblem;
 use std::sync::{Arc, Mutex};
@@ -21,95 +24,24 @@ pub const NO_PATH: i64 = i64::MIN / 4;
 /// non-positive, the computation is well defined (§4.1). The matrix depends
 /// only on `(problem, II)`, so within one scheduling run it is computed at
 /// most once per candidate II — see [`MinDistCache`].
+///
+/// The relation is stored twice, as the row-major matrix and its
+/// transpose: 16n² bytes per II. The engine sweeps whole rows and
+/// columns without branching on [`NO_PATH`], so the dependence graph's
+/// sparsity buys nothing there, and the transitive closures of the loops
+/// that backtrack most are dense anyway. Reading columns with a stride
+/// from the matrix alone halves the footprint but made the slack pass
+/// slower (EXPERIMENTS.md "Dense two-way MinDist").
 #[derive(Clone, Debug)]
 pub struct MinDist {
     n: usize,
     ii: u32,
     feasible: bool,
+    /// Row-major: `d[x * n + y]` = `MinDist(x, y)`.
     d: Vec<i64>,
-    reach: Reachability,
-}
-
-/// Compact reachability index over a [`MinDist`] matrix: per node, the
-/// CSR lists of `(other, distance)` pairs whose cell is not [`NO_PATH`],
-/// diagonal excluded — the transitive closure of the dependence graph,
-/// annotated with the longest-path distances at the matrix's II.
-///
-/// Dependence graphs are sparse, so most matrix cells are `NO_PATH`; the
-/// scheduling engine's bound maintenance iterates these lists instead of
-/// probing whole matrix rows. Distances ride along in the pairs so the
-/// hot loops never re-probe the dense matrix. Built once per matrix
-/// (O(n²), trivial next to the Floyd–Warshall that produced it) and
-/// shared through the matrix's `Arc`.
-#[derive(Clone, Debug, Default)]
-pub struct Reachability {
-    /// `succs[succ_offsets[x]..succ_offsets[x+1]]` = the `(y, MinDist(x, y))`
-    /// pairs with a path `x → y`.
-    succ_offsets: Vec<u32>,
-    succs: Vec<(u32, i64)>,
-    /// `preds[pred_offsets[y]..pred_offsets[y+1]]` = the `(x, MinDist(x, y))`
-    /// pairs with a path `x → y`.
-    pred_offsets: Vec<u32>,
-    preds: Vec<(u32, i64)>,
-}
-
-impl Reachability {
-    /// Builds both CSR sides from a dense `n × n` matrix.
-    fn build(n: usize, d: &[i64]) -> Self {
-        debug_assert_eq!(d.len(), n * n);
-        let mut succ_offsets = vec![0u32; n + 1];
-        let mut pred_offsets = vec![0u32; n + 1];
-        for x in 0..n {
-            for y in 0..n {
-                if x != y && d[x * n + y] != NO_PATH {
-                    succ_offsets[x + 1] += 1;
-                    pred_offsets[y + 1] += 1;
-                }
-            }
-        }
-        for i in 0..n {
-            succ_offsets[i + 1] += succ_offsets[i];
-            pred_offsets[i + 1] += pred_offsets[i];
-        }
-        let mut succs = vec![(0u32, 0i64); succ_offsets[n] as usize];
-        let mut preds = vec![(0u32, 0i64); pred_offsets[n] as usize];
-        let mut succ_cursor: Vec<u32> = succ_offsets[..n].to_vec();
-        let mut pred_cursor: Vec<u32> = pred_offsets[..n].to_vec();
-        for x in 0..n {
-            for y in 0..n {
-                let w = d[x * n + y];
-                if x != y && w != NO_PATH {
-                    succs[succ_cursor[x] as usize] = (y as u32, w);
-                    succ_cursor[x] += 1;
-                    preds[pred_cursor[y] as usize] = (x as u32, w);
-                    pred_cursor[y] += 1;
-                }
-            }
-        }
-        Self {
-            succ_offsets,
-            succs,
-            pred_offsets,
-            preds,
-        }
-    }
-
-    /// The `(y, MinDist(x, y))` pairs reachable *from* `x` (`x` excluded).
-    #[inline]
-    pub fn succs(&self, x: usize) -> &[(u32, i64)] {
-        &self.succs[self.succ_offsets[x] as usize..self.succ_offsets[x + 1] as usize]
-    }
-
-    /// The `(y, MinDist(y, x))` pairs that reach `x` (`x` excluded).
-    #[inline]
-    pub fn preds(&self, x: usize) -> &[(u32, i64)] {
-        &self.preds[self.pred_offsets[x] as usize..self.pred_offsets[x + 1] as usize]
-    }
-
-    /// Total reachable (off-diagonal, non-`NO_PATH`) cells in the matrix.
-    pub fn cells(&self) -> usize {
-        self.succs.len()
-    }
+    /// The transpose: `dt[y * n + x]` = `MinDist(x, y)`, so both the
+    /// paths out of a node and the paths into it are contiguous.
+    dt: Vec<i64>,
 }
 
 impl MinDist {
@@ -179,13 +111,18 @@ impl MinDist {
                 d[i * n + i] = 0;
             }
         }
-        let reach = Reachability::build(n, &d);
+        let mut dt = vec![NO_PATH; n * n];
+        for x in 0..n {
+            for y in 0..n {
+                dt[y * n + x] = d[x * n + y];
+            }
+        }
         Self {
             n,
             ii,
             feasible,
             d,
-            reach,
+            dt,
         }
     }
 
@@ -207,11 +144,18 @@ impl MinDist {
         self.d[x * self.n + y]
     }
 
-    /// The matrix's reachability index: per node, the compact successor
-    /// and predecessor lists of non-[`NO_PATH`] cells.
+    /// `MinDist(x, ·)`: the distances from `x` to every node, indexed by
+    /// node ([`NO_PATH`] where `x` reaches no path).
     #[inline]
-    pub fn reach(&self) -> &Reachability {
-        &self.reach
+    pub fn row(&self, x: usize) -> &[i64] {
+        &self.d[x * self.n..(x + 1) * self.n]
+    }
+
+    /// `MinDist(·, x)`: the distances from every node to `x`, indexed by
+    /// node ([`NO_PATH`] where no path reaches `x`).
+    #[inline]
+    pub fn col(&self, x: usize) -> &[i64] {
+        &self.dt[x * self.n..(x + 1) * self.n]
     }
 }
 
@@ -410,76 +354,5 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (1, 7));
         assert_eq!(stats.fw_computes, stats.misses);
         assert_eq!((stats.parametric_builds, stats.materializations), (0, 0));
-    }
-
-    /// The reachability CSR must mirror the dense matrix exactly: every
-    /// off-diagonal non-`NO_PATH` cell appears in both the successor and
-    /// the predecessor list with the matrix's distance, and nothing else.
-    fn assert_reach_mirrors_matrix(md: &MinDist) {
-        let n = md.n;
-        let r = md.reach();
-        let mut cells = 0usize;
-        for x in 0..n {
-            for y in 0..n {
-                let w = md.get(x, y);
-                let in_succs = r.succs(x).contains(&(y as u32, w));
-                let in_preds = r.preds(y).contains(&(x as u32, w));
-                if x != y && w != NO_PATH {
-                    cells += 1;
-                    assert!(in_succs, "({x},{y}) missing from succs");
-                    assert!(in_preds, "({x},{y}) missing from preds");
-                } else {
-                    assert!(!r.succs(x).iter().any(|&(z, _)| z as usize == y));
-                    assert!(!r.preds(y).iter().any(|&(z, _)| z as usize == x));
-                }
-            }
-        }
-        assert_eq!(r.cells(), cells);
-        assert_eq!(r.cells(), r.preds.len());
-    }
-
-    #[test]
-    fn reachability_mirrors_the_matrix() {
-        let body = chain_body();
-        let m = huff_machine();
-        let p = SchedProblem::new(&body, &m).unwrap();
-        let md = MinDist::compute(&p, 3);
-        assert_reach_mirrors_matrix(&md);
-        // The chain's closure: load reaches fadd, store and Stop.
-        let succs_of_load: Vec<usize> = md
-            .reach()
-            .succs(0)
-            .iter()
-            .map(|&(y, _)| y as usize)
-            .collect();
-        assert!(succs_of_load.contains(&1));
-        assert!(succs_of_load.contains(&2));
-        assert!(succs_of_load.contains(&p.stop()));
-        // Distances ride along so the engine never re-probes the matrix.
-        assert!(md.reach().succs(0).contains(&(1, 13)));
-        assert!(md.reach().preds(1).contains(&(0, 13)));
-        // Nothing reaches the load except Start.
-        assert_eq!(md.reach().preds(0).len(), 1);
-        assert_eq!(md.reach().preds(0)[0].0 as usize, p.start());
-    }
-
-    #[test]
-    fn reachability_mirrors_a_recurrence_matrix() {
-        // A recurrence keeps some cells NO_PATH and some negative, and
-        // below RecMII the diagonal is pinned; the index must mirror the
-        // matrix at every II either way.
-        let mut b = LoopBuilder::new("rec");
-        let x = b.new_value(ValueType::Float);
-        let y = b.new_value(ValueType::Float);
-        let o1 = b.op(OpKind::FMul, &[y, y], Some(x));
-        let o2 = b.op(OpKind::FMul, &[x, x], Some(y));
-        b.flow_dep(o1, o2, 0);
-        b.flow_dep(o2, o1, 1);
-        let body = b.finish();
-        let m = huff_machine();
-        let p = SchedProblem::new(&body, &m).unwrap();
-        for ii in p.rec_mii() - 1..p.rec_mii() + 4 {
-            assert_reach_mirrors_matrix(&MinDist::compute(&p, ii));
-        }
     }
 }

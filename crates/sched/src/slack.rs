@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use lsms_ir::ValueId;
-
 use crate::engine::{run_framework, Direction, EngineState, EngineWorkspace, Heuristic};
 use crate::{DecisionStats, MinDistCache, SchedProblem, SchedStats, Schedule};
 
@@ -409,18 +407,23 @@ fn bidirectional_direction(
     }
     let op_id = lsms_ir::OpId::new(node);
 
-    // Stretchable inputs, deduplicated by value.
-    let mut seen: Vec<ValueId> = Vec::new();
+    // Stretchable inputs, deduplicated by value. The central loop must not
+    // allocate, so a duplicate is found by rescanning the earlier in-deps
+    // (a handful per operation) rather than by collecting a seen-set.
+    let stretchable = |dep: &lsms_ir::Dep| dep.is_register_flow() && !dep.is_self_arc();
     let mut inputs = 0usize;
-    for dep in body.deps_to(op_id) {
-        if !dep.is_register_flow() || dep.is_self_arc() {
+    for (i, dep) in body.deps_to(op_id).enumerate() {
+        if !stretchable(dep) {
             continue;
         }
-        let v = dep.value.expect("register flow arcs carry a value");
-        if seen.contains(&v) {
+        if body
+            .deps_to(op_id)
+            .take(i)
+            .any(|earlier| stretchable(earlier) && earlier.value == dep.value)
+        {
             continue; // duplicate input: do not count a lifetime twice
         }
-        seen.push(v);
+        let v = dep.value.expect("register flow arcs carry a value");
         let d = dep.from.index();
         // If Estart(d) + MinLT(v) >= omega*II + Lstart(node), this use can
         // never be the one stretching v's lifetime.
@@ -432,10 +435,7 @@ fn bidirectional_direction(
     }
     // Stretchable outputs: in SSA form, placing the operation early always
     // stretches its result's lifetime, provided someone else consumes it.
-    let outputs = usize::from(
-        body.deps_from(op_id)
-            .any(|dep| dep.is_register_flow() && !dep.is_self_arc()),
-    );
+    let outputs = usize::from(body.deps_from(op_id).any(stretchable));
 
     if inputs == 0 && outputs == 0 {
         // E.g. an accumulator not referenced until the loop exits: place
@@ -458,26 +458,8 @@ fn bidirectional_direction(
     // Tie: the placement cannot affect final pressure, so minimise
     // backtracking by placing near whichever neighbour group is less
     // likely to be ejected — the one with the larger placed fraction.
-    let placed_fraction = |nodes: &[usize]| -> (usize, usize) {
-        let placed = nodes.iter().filter(|&&z| st.is_placed(z)).count();
-        (placed, nodes.len())
-    };
-    let mut preds: Vec<usize> = body
-        .deps_to(op_id)
-        .map(|d| d.from.index())
-        .filter(|&z| z != node)
-        .collect();
-    preds.sort_unstable();
-    preds.dedup();
-    let mut succs: Vec<usize> = body
-        .deps_from(op_id)
-        .map(|d| d.to.index())
-        .filter(|&z| z != node)
-        .collect();
-    succs.sort_unstable();
-    succs.dedup();
-    let (pp, pn) = placed_fraction(&preds);
-    let (sp, sn) = placed_fraction(&succs);
+    let (pp, pn) = placed_fraction(st, node, || body.deps_to(op_id).map(|d| d.from.index()));
+    let (sp, sn) = placed_fraction(st, node, || body.deps_from(op_id).map(|d| d.to.index()));
     // Compare pp/pn vs sp/sn without floating point; empty groups count 0.
     let lhs = pp * sn.max(1);
     let rhs = sp * pn.max(1);
@@ -496,6 +478,25 @@ fn bidirectional_direction(
         decisions.tie_late += 1;
         Direction::Late
     }
+}
+
+/// `(placed, total)` over the distinct neighbours other than `node` that
+/// `ends` yields. A repeat is found by rescanning the earlier items, so
+/// nothing is collected: the central loop stays allocation-free.
+fn placed_fraction<I: Iterator<Item = usize>>(
+    st: &EngineState<'_, '_>,
+    node: usize,
+    ends: impl Fn() -> I,
+) -> (usize, usize) {
+    let (mut placed, mut total) = (0, 0);
+    for (i, z) in ends().enumerate() {
+        if z == node || ends().take(i).any(|earlier| earlier == z) {
+            continue;
+        }
+        total += 1;
+        placed += usize::from(st.is_placed(z));
+    }
+    (placed, total)
 }
 
 #[cfg(test)]

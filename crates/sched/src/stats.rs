@@ -21,10 +21,12 @@ pub struct SchedStats {
     pub step6_restarts: u64,
     /// Number of II values attempted (at least 1).
     pub attempts: u32,
-    /// `MinDist` cells read by bounds propagation (tightening, post-eject
-    /// recomputation, forcing sweeps). Sparse mode counts reachability-list
-    /// entries; the dense reference counts matrix probes — the dense/sparse
-    /// ratio is the work the reachability index avoids.
+    /// `MinDist` cells read by bounds propagation. Tightening after a
+    /// placement and the forcing step's violation sweep each read one row
+    /// and one column, 2n cells; a bound refresh reads one `Stop` cell per
+    /// unplaced node plus, per node swept (the placed ones when it pushes,
+    /// the unplaced ones when it pulls), a row and a column, or only one
+    /// of them when it refreshes Lstart alone.
     pub bounds_cells_touched: u64,
     /// Sum over central-loop iterations of the ready-set length scanned by
     /// `choose` — the selection cost the indexed ready set bounds.

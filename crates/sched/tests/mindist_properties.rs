@@ -196,3 +196,42 @@ fn cached_mindist_matches_direct_computation() {
         assert_eq!(stats.fw_computes, stats.misses, "case {case}");
     }
 }
+
+/// `col(x)[y] == row(y)[x] == get(y, x)` for every pair, at every II
+/// from just below RecMII, where the diagonal is pinned, to RecMII + 2.
+fn assert_rows_and_columns_mirror(problem: &SchedProblem<'_>, label: &str) {
+    let rec = problem.rec_mii();
+    let n = problem.num_nodes();
+    for ii in rec.max(2) - 1..=rec + 2 {
+        let md = MinDist::compute(problem, ii);
+        for x in 0..n {
+            assert_eq!((md.row(x).len(), md.col(x).len()), (n, n));
+            for (y, &into) in md.col(x).iter().enumerate() {
+                let w = md.get(y, x);
+                assert_eq!(md.row(y)[x], w, "{label} ii {ii}: row({y})[{x}]");
+                assert_eq!(into, w, "{label} ii {ii}: col({x})[{y}]");
+            }
+        }
+    }
+}
+
+#[test]
+fn rows_and_columns_mirror_the_matrix() {
+    let machine = huff_machine();
+    for case in 0u64..64 {
+        let mut rng = SmallRng::seed_from_u64(0xc01 + case);
+        let arcs = random_arcs(&mut rng, 12, 23);
+        let body = body_from(&arcs, 12);
+        let problem = SchedProblem::new(&body, &machine).expect("buildable");
+        assert_rows_and_columns_mirror(&problem, &format!("case {case}"));
+    }
+    // Two multiplies feeding each other one iteration apart: RecMII 4,
+    // negative back distances, and NO_PATH cells into and out of Start
+    // and Stop.
+    let body = body_from(&[(0, 1, 0), (1, 0, 0)], 2);
+    let problem = SchedProblem::new(&body, &machine).expect("buildable");
+    assert_eq!(problem.rec_mii(), 4);
+    let md = MinDist::compute(&problem, 4);
+    assert!(md.get(0, 1) != NO_PATH && md.get(1, 0) < 0);
+    assert_rows_and_columns_mirror(&problem, "recurrence");
+}
