@@ -207,12 +207,16 @@ impl From<ProblemError> for LsmsError {
         match e {
             ProblemError::Body(b) => b.into(),
             ProblemError::ZeroOmegaCycle => Self::new(Stage::DepGraph, "E0402", e.to_string()),
+            ProblemError::PathRange { .. } => Self::new(Stage::DepGraph, "E0403", e.to_string()),
         }
     }
 }
 
 impl From<SchedFailure> for LsmsError {
     fn from(e: SchedFailure) -> Self {
+        if e.out_of_range {
+            return Self::new(Stage::DepGraph, "E0403", e.to_string());
+        }
         Self::new(
             Stage::Schedule,
             "E0501",
@@ -306,13 +310,24 @@ mod tests {
             last_ii: 40,
             stats: Default::default(),
             deadline_capped: false,
+            out_of_range: false,
         }
         .into();
         assert_eq!((f.stage, f.code), (Stage::Schedule, "E0501"));
+        let r: LsmsError = SchedFailure {
+            last_ii: 40,
+            stats: Default::default(),
+            deadline_capped: false,
+            out_of_range: true,
+        }
+        .into();
+        assert_eq!((r.stage, r.code), (Stage::DepGraph, "E0403"));
         let a: LsmsError = AllocError::CapExceeded { cap: 512 }.into();
         assert_eq!((a.stage, a.code), (Stage::Regalloc, "E0601"));
         let p: LsmsError = ProblemError::ZeroOmegaCycle.into();
         assert_eq!((p.stage, p.code), (Stage::DepGraph, "E0402"));
+        let p: LsmsError = ProblemError::PathRange { mii: 9, ceiling: 8 }.into();
+        assert_eq!((p.stage, p.code), (Stage::DepGraph, "E0403"));
         let s: LsmsError = SimError::MemoryOutOfBounds { addr: -8 }.into();
         assert_eq!((s.stage, s.code), (Stage::Simulate, "E0801"));
     }

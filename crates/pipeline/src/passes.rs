@@ -75,7 +75,9 @@ pub const PASSES: &[PassInfo] = &[
         summary: "build the scheduling problem and the §3.1 lower bounds",
         details: "Validates the body, builds the ω-labelled dependence \
                   graph with START/STOP pseudo nodes, assigns functional \
-                  units, and computes RecMII/ResMII (codes E0401, E0402).",
+                  units, and computes RecMII/ResMII and the II ceiling \
+                  that keeps path sums in 32 bits (codes E0401, E0402, \
+                  E0403).",
         counters: &[
             ("nodes", "dependence-graph nodes (including pseudo ops)"),
             ("arcs", "dependence arcs"),

@@ -81,6 +81,7 @@ mod tests {
                     last_ii: 9,
                     stats: SchedStats::default(),
                     deadline_capped: false,
+                    out_of_range: false,
                 }),
                 decisions: DecisionStats::default(),
             },

@@ -154,7 +154,7 @@ impl Heuristic for CydromeHeuristic {
         let n = st.problem.num_nodes();
         let stop = st.problem.stop();
         for node in 0..n {
-            let slack = (st.lstart[node] - st.estart[node]).max(0) as u64;
+            let slack = st.slack(node).max(0) as u64;
             let group: u64 = if node == stop {
                 2
             } else if self.on_recurrence[node] {

@@ -12,12 +12,27 @@
 //! 5. update the Estart/Lstart bounds of the unplaced operations;
 //! 6. if the iteration budget is exhausted, restart at a larger II.
 //!
-//! Steps 3 and 5 read the dense two-way [`MinDist`]. A placement tightens
+//! Steps 3 and 5 read the dense [`MinDist`] matrix and a transpose of it
+//! that each II attempt builds once, so the paths out of a node (a row)
+//! and into it (a transpose row) are both contiguous. A placement tightens
 //! every node's bounds from the placed node's row and column, without a
 //! branch. After a forcing step the bounds are recomputed from the placed
 //! set, sweeping the placed nodes' lines (push) or the unplaced nodes' own
 //! lines (pull), whichever set is smaller. Either way every Estart and
 //! Lstart is the same max or min over the same placed set.
+//!
+//! The bounds, stored times and both matrices are `i32`, so the sweeps run
+//! four lanes to a baseline x86-64 vector. Every II tried is at most
+//! [`SchedProblem::ii_ceiling`], which keeps each MinDist entry within
+//! ±2²⁷; a time or `Lstart(Stop)` is checked against ±2²⁸ as it is stored,
+//! and the attempt fails with [`SchedFailure::out_of_range`] instead of
+//! storing one beyond. Sentinel sums (±2²⁹ plus an entry or a time) then
+//! stay inside `i32`. Issue times, slacks and priorities are widened to
+//! `i64` where they are read one at a time.
+//!
+//! [`SchedFailure::out_of_range`]: crate::SchedFailure::out_of_range
+
+#![deny(clippy::cast_possible_truncation)]
 
 use lsms_ir::OpId;
 use lsms_machine::{critical_classes, Mrt, UnitAssignment};
@@ -71,18 +86,20 @@ pub(crate) trait Heuristic {
 /// thread it through repeated scheduler runs.
 #[derive(Debug, Default)]
 pub struct EngineWorkspace {
-    tpos: Vec<i64>,
-    tneg: Vec<i64>,
-    estart: Vec<i64>,
-    lstart: Vec<i64>,
+    /// The attempt's MinDist transpose ([`MinDist::transpose_into`]).
+    dt: Vec<i32>,
+    tpos: Vec<i32>,
+    tneg: Vec<i32>,
+    estart: Vec<i32>,
+    lstart: Vec<i32>,
     last_place: Vec<Option<i64>>,
     critical: Vec<bool>,
     minlt: Vec<Option<i64>>,
     assignments: Vec<UnitAssignment>,
     /// The indexed ready set: the unplaced nodes, dense.
-    ready: Vec<u32>,
+    ready: Vec<usize>,
     /// Position of each node in `ready`, or [`PLACED`].
-    ready_pos: Vec<u32>,
+    ready_pos: Vec<usize>,
     conflict_buf: Vec<OpId>,
     /// Scratch for the forcing path's dependence-violation sweep.
     eject_buf: Vec<usize>,
@@ -102,26 +119,42 @@ impl EngineWorkspace {
 }
 
 /// `ready_pos` sentinel for a node not in the ready set.
-const PLACED: u32 = u32::MAX;
+const PLACED: usize = usize::MAX;
+
+/// The largest magnitude a stored time or `Lstart(Stop)` may have.
+const TIME_RANGE: i32 = 1 << 28;
+
+/// `t` as a stored time, or `None` beyond ±[`TIME_RANGE`].
+fn stored_time(t: i64) -> Option<i32> {
+    i32::try_from(t)
+        .ok()
+        .filter(|t| (-TIME_RANGE..=TIME_RANGE).contains(t))
+}
+
+/// A time or `Lstart(Stop)` left ±[`TIME_RANGE`]: the attempt stops.
+#[derive(Debug)]
+struct OutOfRange;
 
 /// Mutable scheduling state for one II attempt, visible to heuristics.
 pub(crate) struct EngineState<'p, 'a> {
     pub problem: &'p SchedProblem<'a>,
     pub ii: u32,
     pub md: Arc<MinDist>,
+    /// `md`'s transpose: `dt[y * n + x]` = `MinDist(x, y)`.
+    dt: Vec<i32>,
     /// Issue time per node, or [`NO_PATH`] while unplaced (`Start` is
     /// fixed at 0). The max-plus sweeps read it as is: for an unplaced
     /// `z`, `tpos[z] + MinDist(z, u)` stays below every real Estart.
-    tpos: Vec<i64>,
+    tpos: Vec<i32>,
     /// `tpos` for the min-plus sweeps: `−NO_PATH` while unplaced, so
     /// `tneg[z] − MinDist(u, z)` stays above every real Lstart.
-    tneg: Vec<i64>,
+    tneg: Vec<i32>,
     /// Earliest start bound per node; meaningful only while unplaced.
-    pub estart: Vec<i64>,
+    pub estart: Vec<i32>,
     /// Latest start bound per node; meaningful only while unplaced.
-    pub lstart: Vec<i64>,
+    pub lstart: Vec<i32>,
     /// The controlled `Lstart(Stop)` (§4.2).
-    pub lstart_stop: i64,
+    pub lstart_stop: i32,
     /// Last cycle each node was placed at, for the §4.4 forcing rule.
     pub last_place: Vec<Option<i64>>,
     /// Per-node: assigned to a critical resource class at this II (§4.3)?
@@ -144,9 +177,9 @@ pub(crate) struct EngineState<'p, 'a> {
     /// instead of filtering an `n`-bool scan; heuristic selection keys are
     /// total (node index as the final component), so the permuted order
     /// cannot change which node wins.
-    ready: Vec<u32>,
+    ready: Vec<usize>,
     /// Position of each node in `ready`, or [`PLACED`].
-    ready_pos: Vec<u32>,
+    ready_pos: Vec<usize>,
     /// MinDist cells read while maintaining bounds and sweeping for
     /// dependence violations this attempt (flushed into
     /// [`SchedStats::bounds_cells_touched`]).
@@ -178,21 +211,24 @@ impl<'p, 'a> EngineState<'p, 'a> {
             cache,
             &mut EngineWorkspace::default(),
         )
+        .ok()
     }
 
     /// Builds the state for one II attempt, drawing every allocation from
     /// `ws` (see [`EngineWorkspace`]: contents are recomputed, only the
-    /// capacity is reused).
+    /// capacity is reused). An infeasible II, or a deadline beyond the
+    /// time range, ends the attempt before it starts: `Err` carries the
+    /// outcome.
     fn new_in(
         problem: &'p SchedProblem<'a>,
         ii: u32,
         straight_line: bool,
         cache: &MinDistCache,
         ws: &mut EngineWorkspace,
-    ) -> Option<Self> {
+    ) -> Result<Self, Attempt> {
         let md = cache.get(problem, ii);
         if !md.is_feasible() {
-            return None;
+            return Err(Attempt::InfeasibleIi);
         }
         let n = problem.num_nodes();
         let start = problem.start();
@@ -201,6 +237,8 @@ impl<'p, 'a> EngineState<'p, 'a> {
         let machine = problem.machine();
         let contended = problem.res_mii() > 1;
 
+        let mut dt = std::mem::take(&mut ws.dt);
+        md.transpose_into(&mut dt);
         let mut tpos = std::mem::take(&mut ws.tpos);
         tpos.clear();
         tpos.resize(n, NO_PATH);
@@ -213,19 +251,11 @@ impl<'p, 'a> EngineState<'p, 'a> {
         let mut estart = std::mem::take(&mut ws.estart);
         estart.clear();
         estart.extend((0..n).map(|x| md.get(start, x).max(0)));
-        // §4.2: with no resource contention the loop can always meet its
-        // critical path; otherwise provide extra slack by rounding
-        // Lstart(Stop) up to a multiple of II. In straight-line mode the
-        // "II" is a never-wrapping horizon, so the deadline is instead the
-        // larger of the critical path and the resource bound on makespan,
-        // plus a little slack.
-        let lstart_stop = if straight_line {
-            let floor = estart[stop].max(i64::from(problem.res_mii()));
-            floor + floor / 8 + 2
-        } else if contended {
-            round_up(estart[stop], i64::from(ii))
-        } else {
-            estart[stop]
+        // The run ends here, so the buffers taken so far need not return
+        // to `ws`.
+        let deadline = stop_deadline(estart[stop], problem, ii, straight_line, contended);
+        let Some(lstart_stop) = stored_time(deadline) else {
+            return Err(Attempt::OutOfRange);
         };
         let mut lstart = std::mem::take(&mut ws.lstart);
         lstart.clear();
@@ -252,7 +282,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
         let mut order = std::mem::take(&mut ws.order);
         order.clear();
         order.extend(0..n_real);
-        order.sort_by_key(|&x| (estart[x].rem_euclid(i64::from(ii)), estart[x], x));
+        order.sort_by_key(|&x| (i64::from(estart[x]).rem_euclid(i64::from(ii)), estart[x], x));
         let mut next = std::mem::take(&mut ws.next_instance);
         next.clear();
         next.resize(machine.classes().len(), 0);
@@ -291,18 +321,19 @@ impl<'p, 'a> EngineState<'p, 'a> {
         ready_pos.resize(n, PLACED);
         for (x, pos) in ready_pos.iter_mut().enumerate() {
             if x != start {
-                *pos = ready.len() as u32;
-                ready.push(x as u32);
+                *pos = ready.len();
+                ready.push(x);
             }
         }
         let mut conflict_buf = std::mem::take(&mut ws.conflict_buf);
         conflict_buf.clear();
         let mut eject_buf = std::mem::take(&mut ws.eject_buf);
         eject_buf.clear();
-        Some(Self {
+        Ok(Self {
             problem,
             ii,
             md,
+            dt,
             tpos,
             tneg,
             estart,
@@ -325,8 +356,17 @@ impl<'p, 'a> EngineState<'p, 'a> {
         })
     }
 
+    /// Ends a failed attempt: books its cells and returns its allocations
+    /// to `ws`.
+    fn end(self, outcome: Attempt, ws: &mut EngineWorkspace, stats: &mut SchedStats) -> Attempt {
+        stats.bounds_cells_touched += self.cells_touched;
+        self.recycle(ws);
+        outcome
+    }
+
     /// Returns every allocation to `ws` for the next attempt to reuse.
     fn recycle(self, ws: &mut EngineWorkspace) {
+        ws.dt = self.dt;
         ws.tpos = self.tpos;
         ws.tneg = self.tneg;
         ws.estart = self.estart;
@@ -349,7 +389,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// safe because every heuristic selection key is total: the node index
     /// is its final tie-break component, so the minimum is order-invariant.
     pub fn unplaced(&self) -> impl Iterator<Item = usize> + '_ {
-        self.ready.iter().map(|&x| x as usize)
+        self.ready.iter().copied()
     }
 
     /// True if the node is currently placed (Start always is).
@@ -359,13 +399,13 @@ impl<'p, 'a> EngineState<'p, 'a> {
 
     /// The node's issue time, or `None` while it is unplaced.
     fn time(&self, node: usize) -> Option<i64> {
-        self.is_placed(node).then_some(self.tpos[node])
+        self.is_placed(node).then_some(i64::from(self.tpos[node]))
     }
 
     /// The current slack of an unplaced node: `Lstart − Estart`, possibly
     /// negative when constraints have crossed.
     pub fn slack(&self, node: usize) -> i64 {
-        self.lstart[node] - self.estart[node]
+        i64::from(self.lstart[node]) - i64::from(self.estart[node])
     }
 
     /// The §4.3 dynamic priority: slack, halved for critical operations
@@ -388,7 +428,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
 
     /// Effective earliest start: placement time if placed, else the bound.
     pub fn effective_estart(&self, node: usize) -> i64 {
-        self.time(node).unwrap_or(self.estart[node])
+        self.time(node).unwrap_or(i64::from(self.estart[node]))
     }
 
     fn fits(&self, node: usize, t: i64) -> bool {
@@ -403,24 +443,24 @@ impl<'p, 'a> EngineState<'p, 'a> {
         )
     }
 
-    fn place(&mut self, node: usize, t: i64) {
+    fn place(&mut self, node: usize, t: i32) {
         debug_assert!(!self.is_placed(node));
         if !self.problem.is_pseudo(node) {
             self.mrt.place(
                 OpId::new(node),
                 self.problem.desc(node),
                 self.assignments[node].instance,
-                t,
+                i64::from(t),
             );
         }
         self.tpos[node] = t;
         self.tneg[node] = t;
-        self.last_place[node] = Some(t);
+        self.last_place[node] = Some(i64::from(t));
         // Swap-remove from the ready set, patching the moved node's index.
-        let pos = self.ready_pos[node] as usize;
+        let pos = self.ready_pos[node];
         self.ready.swap_remove(pos);
         if let Some(&moved) = self.ready.get(pos) {
-            self.ready_pos[moved as usize] = pos as u32;
+            self.ready_pos[moved] = pos;
         }
         self.ready_pos[node] = PLACED;
     }
@@ -437,18 +477,19 @@ impl<'p, 'a> EngineState<'p, 'a> {
         }
         self.tpos[node] = NO_PATH;
         self.tneg[node] = -NO_PATH;
-        self.ready_pos[node] = self.ready.len() as u32;
-        self.ready.push(node as u32);
+        self.ready_pos[node] = self.ready.len();
+        self.ready.push(node);
     }
 
     /// §4.1 incremental update after placing `node` at `t`: for every node
     /// `u`, `Estart(u) ≥ t + MinDist(node, u)` and
     /// `Lstart(u) ≤ t − MinDist(u, node)`.
-    fn tighten_bounds_after(&mut self, node: usize, t: i64) {
+    fn tighten_bounds_after(&mut self, node: usize, t: i32) -> Result<(), OutOfRange> {
         self.push_bounds_from(node, t, true);
-        self.maybe_grow_lstart_stop();
+        self.maybe_grow_lstart_stop()?;
         #[cfg(test)]
         self.assert_bounds_from_scratch();
+        Ok(())
     }
 
     /// Raises every Estart to `t + MinDist(z, ·)`, when `estarts`, and
@@ -460,27 +501,28 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// the bounds of placed nodes are dead state that
     /// [`refresh_bounds`](Self::refresh_bounds) resets before a node
     /// re-enters the ready set.
-    fn push_bounds_from(&mut self, z: usize, t: i64, estarts: bool) {
-        let md = &*self.md;
+    fn push_bounds_from(&mut self, z: usize, t: i32, estarts: bool) {
+        let n = self.problem.num_nodes();
         if estarts {
-            for (e, &fwd) in self.estart.iter_mut().zip(md.row(z)) {
+            for (e, &fwd) in self.estart.iter_mut().zip(self.md.row(z)) {
                 *e = (*e).max(t + fwd);
             }
         }
-        for (l, &back) in self.lstart.iter_mut().zip(md.col(z)) {
+        for (l, &back) in self.lstart.iter_mut().zip(&self.dt[z * n..(z + 1) * n]) {
             *l = (*l).min(t - back);
         }
-        self.cells_touched += (1 + u64::from(estarts)) * md.row(z).len() as u64;
+        self.cells_touched += (1 + u64::from(estarts)) * n as u64;
     }
 
     /// Full recomputation of the bounds of all unplaced nodes from the
     /// placed set, used after ejections (§4.4), then the §4.2 deadline
     /// check.
-    fn recompute_bounds(&mut self) {
+    fn recompute_bounds(&mut self) -> Result<(), OutOfRange> {
         self.refresh_bounds(true);
-        self.maybe_grow_lstart_stop();
+        self.maybe_grow_lstart_stop()?;
         #[cfg(test)]
         self.assert_bounds_from_scratch();
+        Ok(())
     }
 
     /// From-scratch bounds for every unplaced node `u`:
@@ -503,7 +545,6 @@ impl<'p, 'a> EngineState<'p, 'a> {
         let stop = self.problem.stop();
         if n - self.ready.len() <= self.ready.len() {
             for &u in &self.ready {
-                let u = u as usize;
                 if estarts {
                     self.estart[u] = 0;
                 }
@@ -522,9 +563,8 @@ impl<'p, 'a> EngineState<'p, 'a> {
         } else {
             let md = &*self.md;
             for &u in &self.ready {
-                let u = u as usize;
                 if estarts {
-                    let into = md.col(u).iter().zip(&self.tpos);
+                    let into = self.dt[u * n..(u + 1) * n].iter().zip(&self.tpos);
                     self.estart[u] = into.fold(0, |e, (&fwd, &t)| e.max(t + fwd));
                 }
                 let out = md.row(u).iter().zip(&self.tneg);
@@ -545,22 +585,20 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// beyond it (being pushed beyond Stop's *placement* is handled by
     /// ejecting Stop during forcing). Loosening `Lstart(Stop)` can only
     /// loosen other Lstarts; refresh them all.
-    fn maybe_grow_lstart_stop(&mut self) {
+    fn maybe_grow_lstart_stop(&mut self) -> Result<(), OutOfRange> {
         let stop = self.problem.stop();
         if !self.is_placed(stop) && self.estart[stop] > self.lstart_stop {
-            self.lstart_stop = if self.straight_line {
-                // Keep the same proportional slack the attempt started
-                // with; a bare critical-path deadline leaves zero slack
-                // after every ejection and the attempt thrashes.
-                let floor = self.estart[stop].max(i64::from(self.problem.res_mii()));
-                floor + floor / 8 + 2
-            } else if !self.contended {
-                self.estart[stop]
-            } else {
-                round_up(self.estart[stop], i64::from(self.ii))
-            };
+            let deadline = stop_deadline(
+                self.estart[stop],
+                self.problem,
+                self.ii,
+                self.straight_line,
+                self.contended,
+            );
+            self.lstart_stop = stored_time(deadline).ok_or(OutOfRange)?;
             self.refresh_bounds(false);
         }
+        Ok(())
     }
 
     /// Collects into `self.eject_buf`, in ascending node order, every
@@ -570,18 +608,18 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// closure, so this reaches beyond immediate successors (§4.4).
     /// Testing against `tneg` and `tpos` keeps unplaced nodes and
     /// [`NO_PATH`] cells out of both comparisons without a branch.
-    fn collect_dependence_victims(&mut self, x: usize, t: i64) {
-        let md = &*self.md;
+    fn collect_dependence_victims(&mut self, x: usize, t: i32) {
+        let n = self.problem.num_nodes();
         let start = self.problem.start();
         self.eject_buf.clear();
-        let cells = md.row(x).iter().zip(md.col(x));
+        let cells = self.md.row(x).iter().zip(&self.dt[x * n..(x + 1) * n]);
         let times = self.tpos.iter().zip(&self.tneg);
         for (z, ((&fwd, &back), (&tpos, &tneg))) in cells.zip(times).enumerate() {
             if z != start && (t + fwd > tneg || tpos + back > t) {
                 self.eject_buf.push(z);
             }
         }
-        self.cells_touched += 2 * md.row(x).len() as u64;
+        self.cells_touched += 2 * n as u64;
     }
 
     /// The test oracle behind every bounds update: each unplaced node's
@@ -593,18 +631,19 @@ impl<'p, 'a> EngineState<'p, 'a> {
         let stop = self.problem.stop();
         for u in self.unplaced() {
             let mut e = 0;
-            let mut l = self.lstart_stop - self.md.get(u, stop);
+            let mut l = i64::from(self.lstart_stop) - i64::from(self.md.get(u, stop));
             for z in 0..n {
                 let Some(t) = self.time(z) else { continue };
                 let (fwd, back) = (self.md.get(z, u), self.md.get(u, z));
                 if fwd != NO_PATH {
-                    e = e.max(t + fwd);
+                    e = e.max(t + i64::from(fwd));
                 }
                 if back != NO_PATH {
-                    l = l.min(t - back);
+                    l = l.min(t - i64::from(back));
                 }
             }
-            assert_eq!((self.estart[u], self.lstart[u]), (e, l), "node {u}");
+            let bounds = (i64::from(self.estart[u]), i64::from(self.lstart[u]));
+            assert_eq!(bounds, (e, l), "node {u}");
         }
     }
 }
@@ -613,11 +652,41 @@ fn round_up(x: i64, m: i64) -> i64 {
     x.div_euclid(m) * m + if x.rem_euclid(m) == 0 { 0 } else { m }
 }
 
+/// The §4.2 `Lstart(Stop)` for a given `Estart(Stop)`. With no resource
+/// contention the loop can always meet its critical path; otherwise
+/// provide extra slack by rounding up to a multiple of II. In
+/// straight-line mode the "II" is a never-wrapping horizon, so the
+/// deadline is instead the larger of the critical path and the resource
+/// bound on makespan, plus a proportional slack: a bare critical-path
+/// deadline leaves zero slack after every ejection and the attempt
+/// thrashes.
+fn stop_deadline(
+    estart_stop: i32,
+    problem: &SchedProblem<'_>,
+    ii: u32,
+    straight_line: bool,
+    contended: bool,
+) -> i64 {
+    let estart_stop = i64::from(estart_stop);
+    if straight_line {
+        let floor = estart_stop.max(i64::from(problem.res_mii()));
+        floor + floor / 8 + 2
+    } else if contended {
+        round_up(estart_stop, i64::from(ii))
+    } else {
+        estart_stop
+    }
+}
+
 /// Outcome of one II attempt.
 enum Attempt {
     Success(Vec<i64>, Vec<UnitAssignment>),
     BudgetExhausted,
     InfeasibleIi,
+    /// A time or `Lstart(Stop)` left the 32-bit range. The run stops
+    /// here rather than escalate: a larger II only raises the rounded
+    /// deadline.
+    OutOfRange,
 }
 
 /// Runs one II attempt: the §4.2 central loop under an iteration budget.
@@ -634,8 +703,9 @@ fn attempt(
     stats: &mut SchedStats,
     decisions: &mut DecisionStats,
 ) -> Attempt {
-    let Some(mut st) = EngineState::new_in(problem, ii, straight_line, cache, ws) else {
-        return Attempt::InfeasibleIi;
+    let mut st = match EngineState::new_in(problem, ii, straight_line, cache, ws) {
+        Ok(st) => st,
+        Err(outcome) => return outcome,
     };
     let _attempt_span = lsms_trace::span_with("sched.attempt", &[("ii", i64::from(ii))]);
     heuristic.begin_attempt(&st);
@@ -646,9 +716,7 @@ fn attempt(
         iterations += 1;
         stats.central_iterations += 1;
         if iterations > budget {
-            stats.bounds_cells_touched += st.cells_touched;
-            st.recycle(ws);
-            return Attempt::BudgetExhausted;
+            return st.end(Attempt::BudgetExhausted, ws, stats);
         }
         // Step 1: choose an operation. The ready set holds exactly the
         // unplaced nodes, so this is what the heuristic will scan.
@@ -665,8 +733,8 @@ fn attempt(
             },
             1,
         );
-        let e = st.estart[x];
-        let l = st.lstart[x];
+        let e = i64::from(st.estart[x]);
+        let l = i64::from(st.lstart[x]);
         let mut found = None;
         if l >= e {
             // At most II consecutive cycles need scanning (§5.2).
@@ -705,8 +773,13 @@ fn attempt(
                     ],
                 );
                 lsms_trace::add("sched", "placements", 1);
+                let Some(t) = stored_time(t) else {
+                    return st.end(Attempt::OutOfRange, ws, stats);
+                };
                 st.place(x, t);
-                st.tighten_bounds_after(x, t);
+                if st.tighten_bounds_after(x, t).is_err() {
+                    return st.end(Attempt::OutOfRange, ws, stats);
+                }
             }
             None => {
                 // Step 3: force the operation in, ejecting conflicts.
@@ -728,6 +801,11 @@ fn attempt(
                             t += 1;
                         }
                     }
+                }
+                let Some(t32) = stored_time(t) else {
+                    return st.end(Attempt::OutOfRange, ws, stats);
+                };
+                if !st.problem.is_pseudo(x) {
                     // Eject the resource conflicts (into the reused scratch
                     // list — no allocation per forcing step).
                     let mut conflicts = std::mem::take(&mut st.conflict_buf);
@@ -754,13 +832,13 @@ fn attempt(
                     &[("op", x as i64), ("cycle", t), ("forced", 1)],
                 );
                 lsms_trace::add_all("sched", &[("placements", 1), ("forced_placements", 1)]);
-                st.place(x, t);
+                st.place(x, t32);
                 // Eject every placed operation whose dependence constraints
                 // the forced placement violates. `MinDist` reflects the
                 // transitive closure, so this reaches beyond immediate
                 // successors, which "tends to reduce the overall amount of
                 // backtracking and improve the final schedule" (§4.4).
-                st.collect_dependence_victims(x, t);
+                st.collect_dependence_victims(x, t32);
                 let victims = std::mem::take(&mut st.eject_buf);
                 for &z in &victims {
                     debug_assert!(
@@ -776,7 +854,9 @@ fn attempt(
                     stats.ejected_ops += 1;
                 }
                 st.eject_buf = victims;
-                st.recompute_bounds();
+                if st.recompute_bounds().is_err() {
+                    return st.end(Attempt::OutOfRange, ws, stats);
+                }
             }
         }
     }
@@ -789,8 +869,9 @@ fn attempt(
 
 /// The II escalation loop shared by both schedulers: start at `MII` and on
 /// failure increment per the policy (§4.2 and its footnote 6) up to
-/// `max_ii`. An optional wall-clock `deadline` caps escalation: once it
-/// has passed, a failed attempt fails the run with
+/// `max_ii`, never past [`SchedProblem::ii_ceiling`]. An optional
+/// wall-clock `deadline` caps escalation: once it has passed, a failed
+/// attempt fails the run with
 /// [`deadline_capped`](crate::SchedFailure::deadline_capped) set instead
 /// of trying larger IIs.
 #[allow(clippy::too_many_arguments)]
@@ -822,7 +903,10 @@ pub(crate) fn run_framework(
 
 /// As [`run_framework`], but starting the II search at `start_ii` — used
 /// by the straight-line mode, whose "II" is just a horizon too large to
-/// wrap.
+/// wrap. A `start_ii` above the ceiling fails the run with
+/// [`out_of_range`](crate::SchedFailure::out_of_range) set, as do an
+/// attempt that would store a time beyond the 32-bit range and a failed
+/// attempt at a ceiling below `max_ii`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_framework_from(
     problem: &SchedProblem<'_>,
@@ -841,8 +925,25 @@ pub(crate) fn run_framework_from(
 ) -> Result<Schedule, crate::SchedFailure> {
     let started = std::time::Instant::now();
     let mut stats = SchedStats::default();
+    let fail = |last_ii, mut stats: SchedStats, deadline_capped, out_of_range| {
+        stats.elapsed = started.elapsed();
+        Err(crate::SchedFailure {
+            last_ii,
+            stats,
+            deadline_capped,
+            out_of_range,
+        })
+    };
     let budget = budget_factor * (problem.num_real_ops() as u64 + 1);
+    // A search the ceiling cut short fails as out of range, not as
+    // unschedulable: the cap it hit is the arithmetic's, not the caller's.
+    let range_capped = max_ii > problem.ii_ceiling();
+    let max_ii = max_ii.min(problem.ii_ceiling());
     let mut ii = start_ii.max(1);
+    if ii > problem.ii_ceiling() {
+        lsms_trace::instant("sched.fail", &[("last_ii", i64::from(ii))]);
+        return fail(ii, stats, false, true);
+    }
     loop {
         stats.attempts += 1;
         match attempt(
@@ -867,28 +968,22 @@ pub(crate) fn run_framework_from(
                 debug_assert_eq!(crate::validate(problem, &schedule), Ok(()));
                 return Ok(schedule);
             }
+            Attempt::OutOfRange => {
+                lsms_trace::instant("sched.fail", &[("last_ii", i64::from(ii))]);
+                return fail(ii, stats, false, true);
+            }
             Attempt::BudgetExhausted | Attempt::InfeasibleIi => {
                 stats.step6_restarts += 1;
                 if ii >= max_ii {
-                    stats.elapsed = started.elapsed();
                     lsms_trace::instant("sched.fail", &[("last_ii", i64::from(ii))]);
                     lsms_trace::add("sched", "pipeline_failures", 1);
-                    return Err(crate::SchedFailure {
-                        last_ii: ii,
-                        stats,
-                        deadline_capped: false,
-                    });
+                    return fail(ii, stats, false, range_capped);
                 }
                 if let Some(d) = deadline {
                     if std::time::Instant::now() >= d {
-                        stats.elapsed = started.elapsed();
                         lsms_trace::instant("sched.budget_capped", &[("last_ii", i64::from(ii))]);
                         lsms_trace::add("sched", "budget_capped", 1);
-                        return Err(crate::SchedFailure {
-                            last_ii: ii,
-                            stats,
-                            deadline_capped: true,
-                        });
+                        return fail(ii, stats, true, false);
                     }
                 }
                 let step = match increment {
@@ -957,7 +1052,10 @@ mod tests {
         assert_eq!(st.estart[2], 14);
         assert_eq!(st.estart[problem.stop()], 15);
         // ResMII = 2 > 1: Lstart(Stop) rounds 15 up to a multiple of II.
-        assert_eq!(st.lstart_stop, round_up(15, i64::from(problem.mii())));
+        assert_eq!(
+            i64::from(st.lstart_stop),
+            round_up(15, i64::from(problem.mii()))
+        );
         // The chain ops have slack equal to the rounding provision; the
         // spare fadd has nearly the whole window.
         assert!(st.slack(0) >= 0 && st.slack(0) <= i64::from(problem.mii()));
@@ -1033,8 +1131,8 @@ mod tests {
         let check = |st: &EngineState<'_, '_>| {
             let n = st.problem.num_nodes();
             for (pos, &node) in st.ready.iter().enumerate() {
-                assert!(!st.is_placed(node as usize));
-                assert_eq!(st.ready_pos[node as usize], pos as u32);
+                assert!(!st.is_placed(node));
+                assert_eq!(st.ready_pos[node], pos);
             }
             for node in 0..n {
                 if st.is_placed(node) {
@@ -1046,15 +1144,15 @@ mod tests {
         };
         check(&st);
         // Start is pre-placed and never in the ready set.
-        assert!(!st.ready.contains(&(problem.start() as u32)));
+        assert!(!st.ready.contains(&problem.start()));
         st.place(0, 0);
-        st.tighten_bounds_after(0, 0);
+        st.tighten_bounds_after(0, 0).unwrap();
         check(&st);
         assert!(!st.ready.contains(&0));
         st.place(1, 13);
         check(&st);
         st.eject(0);
-        st.recompute_bounds();
+        st.recompute_bounds().unwrap();
         check(&st);
         assert!(st.ready.contains(&0));
         assert!(st.unplaced().any(|x| x == 0));
@@ -1063,9 +1161,10 @@ mod tests {
     /// Places `x` at its first conflict-free cycle from Estart, then
     /// tightens (and so checks) the bounds.
     fn place_early(st: &mut EngineState<'_, '_>, x: usize) {
-        let t = (st.estart[x]..).find(|&t| st.fits(x, t)).unwrap();
+        let t = (i64::from(st.estart[x])..).find(|&t| st.fits(x, t));
+        let t = stored_time(t.unwrap()).unwrap();
         st.place(x, t);
-        st.tighten_bounds_after(x, t);
+        st.tighten_bounds_after(x, t).unwrap();
     }
 
     /// Every tighten and refresh checks itself against the from-scratch
@@ -1079,7 +1178,7 @@ mod tests {
         let mut st = EngineState::new(&problem, problem.mii(), false, &cache).unwrap();
         // Start and the load placed, four nodes unplaced: push.
         place_early(&mut st, 0);
-        st.recompute_bounds();
+        st.recompute_bounds().unwrap();
         assert_eq!(st.refreshes, (1, 0));
         // Five placed, Stop unplaced; ejecting the store leaves two
         // unplaced against four placed: pull.
@@ -1087,12 +1186,12 @@ mod tests {
             place_early(&mut st, x);
         }
         st.eject(2);
-        st.recompute_bounds();
+        st.recompute_bounds().unwrap();
         assert_eq!(st.refreshes, (1, 1));
         // The victim sweep reports placed nodes only, in ascending order:
         // forcing the load far past its Estart violates the fadd after it.
         st.eject(0);
-        st.recompute_bounds();
+        st.recompute_bounds().unwrap();
         st.place(0, 20);
         st.collect_dependence_victims(0, 20);
         assert_eq!(st.eject_buf, [1]);
@@ -1138,7 +1237,7 @@ mod tests {
         let machine = huff_machine();
         let problem = SchedProblem::new(&body, &machine).unwrap();
         let st = EngineState::new(&problem, 1000, true, &MinDistCache::new()).unwrap();
-        let floor = st.estart[problem.stop()].max(i64::from(problem.res_mii()));
+        let floor = st.estart[problem.stop()].max(problem.res_mii().try_into().unwrap());
         assert_eq!(st.lstart_stop, floor + floor / 8 + 2);
         // Far below the huge horizon: late placements cannot drift to the
         // end of the window.

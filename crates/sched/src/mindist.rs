@@ -1,18 +1,34 @@
 //! The `MinDist` relation (§4.1): all-pairs longest paths at a given II.
 //!
-//! [`MinDist::compute`] runs Floyd–Warshall at one fixed II and keeps the
-//! matrix in both orientations, so the scheduling engine reads the paths
-//! out of a node ([`MinDist::row`]) and into it ([`MinDist::col`]) as
-//! contiguous slices; [`MinDistCache`] memoizes the result per II for one
-//! problem.
+//! [`MinDist::compute`] runs Floyd–Warshall at one fixed II in 32-bit
+//! arithmetic and keeps one row-major matrix; [`MinDistCache`] memoizes
+//! the result per II for one problem.
+//!
+//! # Why 32 bits are enough
+//!
+//! [`SchedProblem::new`] refuses a problem whose MII lies above
+//! [`SchedProblem::ii_ceiling`], and every II search stops at that
+//! ceiling, so at every II computed here `S = Σ_arcs(|latency| + ω·II) ≤
+//! 2²⁷`. No arc weight `latency − ω·II` exceeds `S` in magnitude, and
+//! neither does the weight of any simple path. While no positive circuit
+//! has been closed, every entry is such a path weight, [`NO_PATH`]
+//! (`−2²⁹`), or `NO_PATH` plus such a weight (still below `NO_PATH / 2`),
+//! so every sum the relaxation forms lies in `(−2³⁰, 2²⁸]`. The first pass
+//! that closes a positive circuit leaves a positive diagonal; the
+//! computation stops there, since nothing reads an infeasible II's
+//! matrix, and its sums are still at most `2S`.
+
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::SchedProblem;
 use std::sync::{Arc, Mutex};
 
 /// Sentinel for "no path in the dependence graph" (the paper's −∞).
 ///
-/// Chosen far from `i64::MIN` so sums of path weights cannot overflow.
-pub const NO_PATH: i64 = i64::MIN / 4;
+/// `−2²⁹`: two sentinels plus any path weight (at most `2²⁷` in
+/// magnitude) or any stored time (at most `2²⁸`) still fit in `i32`, so
+/// the scheduling engine's sweeps add it without a branch.
+pub const NO_PATH: i32 = -(1 << 29);
 
 /// For each pair of operations `x` and `y`, `MinDist(x, y)` is the minimum
 /// number of cycles (possibly negative) by which `x` must precede `y` in
@@ -25,23 +41,19 @@ pub const NO_PATH: i64 = i64::MIN / 4;
 /// only on `(problem, II)`, so within one scheduling run it is computed at
 /// most once per candidate II — see [`MinDistCache`].
 ///
-/// The relation is stored twice, as the row-major matrix and its
-/// transpose: 16n² bytes per II. The engine sweeps whole rows and
-/// columns without branching on [`NO_PATH`], so the dependence graph's
-/// sparsity buys nothing there, and the transitive closures of the loops
-/// that backtrack most are dense anyway. Reading columns with a stride
-/// from the matrix alone halves the footprint but made the slack pass
-/// slower (EXPERIMENTS.md "Dense two-way MinDist").
+/// The relation is one dense row-major `i32` matrix: 4n² bytes per II.
+/// The engine sweeps whole rows, and whole columns of a transpose it
+/// builds once per II attempt with [`transpose_into`](Self::transpose_into),
+/// without branching on [`NO_PATH`]; 32-bit lanes let those max/min
+/// sweeps vectorize on baseline x86-64 (EXPERIMENTS.md "32-bit scheduling
+/// arithmetic").
 #[derive(Clone, Debug)]
 pub struct MinDist {
     n: usize,
     ii: u32,
     feasible: bool,
     /// Row-major: `d[x * n + y]` = `MinDist(x, y)`.
-    d: Vec<i64>,
-    /// The transpose: `dt[y * n + x]` = `MinDist(x, y)`, so both the
-    /// paths out of a node and the paths into it are contiguous.
-    dt: Vec<i64>,
+    d: Vec<i32>,
 }
 
 impl MinDist {
@@ -50,34 +62,53 @@ impl MinDist {
     ///
     /// `MinDist(x, x)` is fixed at 0 for every operation, as in the paper;
     /// if `ii < RecMII` some diagonal entry would want to be positive, which
-    /// [`is_feasible`](Self::is_feasible) reports.
+    /// [`is_feasible`](Self::is_feasible) reports. The entries of an
+    /// infeasible matrix are unspecified.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ii` is 0 or above [`SchedProblem::ii_ceiling`], where
+    /// path sums could leave the 32-bit range.
     pub fn compute(problem: &SchedProblem<'_>, ii: u32) -> Self {
         assert!(ii > 0, "II must be positive");
+        assert!(
+            ii <= problem.ii_ceiling(),
+            "II {ii} is above the 32-bit path-range ceiling {}",
+            problem.ii_ceiling()
+        );
         let n = problem.num_nodes();
         let mut d = vec![NO_PATH; n * n];
         for arc in problem.arcs() {
             let idx = arc.from * n + arc.to;
-            d[idx] = d[idx].max(arc.weight(ii));
+            let w = i32::try_from(arc.weight(ii)).expect("the II ceiling bounds arc weights");
+            d[idx] = d[idx].max(w);
         }
-        let mut feasible = true;
+        let mut md = Self {
+            n,
+            ii,
+            feasible: true,
+            d,
+        };
+        // A positive self-arc weight means even II is too small for a
+        // trivial circuit.
         for i in 0..n {
-            // A positive self-arc weight means even II is too small for a
-            // trivial circuit; record infeasibility but pin the diagonal.
-            if d[i * n + i] > 0 {
-                feasible = false;
+            if md.d[i * n + i] > 0 {
+                md.feasible = false;
+                return md;
             }
-            d[i * n + i] = d[i * n + i].max(0);
+            md.d[i * n + i] = 0;
         }
+        let d = &mut md.d;
         for k in 0..n {
             // Row k contributes through via = d[i][k] + d[k][j]; if its only
-            // finite entry is the zero diagonal, every candidate collapses to
+            // path is the zero diagonal, every candidate collapses to
             // d[i][k] + 0 <= d[i][k] and the whole pass is a no-op. Dependence
             // graphs are sparse, so many rows (e.g. Stop, stores) skip here.
             let row = &d[k * n..k * n + n];
             let useful = row
                 .iter()
                 .enumerate()
-                .any(|(j, &w)| w != NO_PATH && (j != k || w != 0));
+                .any(|(j, &w)| w > NO_PATH / 2 && (j != k || w != 0));
             if !useful {
                 continue;
             }
@@ -95,35 +126,23 @@ impl MinDist {
                 } else {
                     continue; // i == k: d[i][k] + d[k][j] = d[i][j] already
                 };
-                for j in 0..n {
-                    if row_k[j] != NO_PATH {
-                        let via = dik + row_k[j];
-                        if via > row_i[j] {
-                            row_i[j] = via;
-                        }
-                    }
+                // No branch on NO_PATH: a missing leg leaves the sum below
+                // NO_PATH / 2, where the final pass resets it.
+                for (w, &kj) in row_i.iter_mut().zip(row_k) {
+                    *w = (*w).max(dik + kj);
                 }
             }
-        }
-        for i in 0..n {
-            if d[i * n + i] > 0 {
-                feasible = false;
-                d[i * n + i] = 0;
+            if (0..n).any(|i| d[i * n + i] > 0) {
+                md.feasible = false;
+                return md;
             }
         }
-        let mut dt = vec![NO_PATH; n * n];
-        for x in 0..n {
-            for y in 0..n {
-                dt[y * n + x] = d[x * n + y];
+        for w in d.iter_mut() {
+            if *w < NO_PATH / 2 {
+                *w = NO_PATH;
             }
         }
-        Self {
-            n,
-            ii,
-            feasible,
-            d,
-            dt,
-        }
+        md
     }
 
     /// The II this matrix was computed for.
@@ -139,7 +158,7 @@ impl MinDist {
 
     /// `MinDist(x, y)`, or [`NO_PATH`] when the graph has no `x → y` path.
     #[inline]
-    pub fn get(&self, x: usize, y: usize) -> i64 {
+    pub fn get(&self, x: usize, y: usize) -> i32 {
         debug_assert!(x < self.n && y < self.n);
         self.d[x * self.n + y]
     }
@@ -147,15 +166,22 @@ impl MinDist {
     /// `MinDist(x, ·)`: the distances from `x` to every node, indexed by
     /// node ([`NO_PATH`] where `x` reaches no path).
     #[inline]
-    pub fn row(&self, x: usize) -> &[i64] {
+    pub fn row(&self, x: usize) -> &[i32] {
         &self.d[x * self.n..(x + 1) * self.n]
     }
 
-    /// `MinDist(·, x)`: the distances from every node to `x`, indexed by
-    /// node ([`NO_PATH`] where no path reaches `x`).
-    #[inline]
-    pub fn col(&self, x: usize) -> &[i64] {
-        &self.dt[x * self.n..(x + 1) * self.n]
+    /// Writes the transpose into `out`, reusing its allocation:
+    /// `out[y * n + x]` = `MinDist(x, y)`, so row `y` of `out` lists the
+    /// distances from every node *into* `y` contiguously.
+    pub fn transpose_into(&self, out: &mut Vec<i32>) {
+        let n = self.n;
+        out.clear();
+        out.resize(n * n, NO_PATH);
+        for (x, row) in self.d.chunks_exact(n).enumerate() {
+            for (y, &w) in row.iter().enumerate() {
+                out[y * n + x] = w;
+            }
+        }
     }
 }
 

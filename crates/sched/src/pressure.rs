@@ -87,7 +87,7 @@ pub fn min_lifetimes_into(problem: &SchedProblem<'_>, md: &MinDist, out: &mut Ve
         if dist == NO_PATH {
             continue;
         }
-        let lt = i64::from(dep.omega) * ii + dist;
+        let lt = i64::from(dep.omega) * ii + i64::from(dist);
         let slot = &mut out[v.index()];
         *slot = Some(slot.map_or(lt, |old: i64| old.max(lt)));
     }

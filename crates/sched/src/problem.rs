@@ -37,6 +37,14 @@ pub enum ProblemError {
     /// The dependence graph has a circuit whose total ω is zero — no
     /// initiation interval can satisfy it.
     ZeroOmegaCycle,
+    /// Path sums at MII would leave the range the scheduler's 32-bit
+    /// arithmetic covers: MII is above [`SchedProblem::ii_ceiling`].
+    PathRange {
+        /// The problem's MII.
+        mii: u32,
+        /// The largest II whose path sums stay in range.
+        ceiling: u32,
+    },
 }
 
 impl fmt::Display for ProblemError {
@@ -46,6 +54,10 @@ impl fmt::Display for ProblemError {
             ProblemError::ZeroOmegaCycle => {
                 f.write_str("dependence circuit with zero total omega (unschedulable)")
             }
+            ProblemError::PathRange { mii, ceiling } => write!(
+                f,
+                "dependence path sums out of range: MII {mii} is above the II ceiling {ceiling}"
+            ),
         }
     }
 }
@@ -54,7 +66,7 @@ impl std::error::Error for ProblemError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ProblemError::Body(e) => Some(e),
-            ProblemError::ZeroOmegaCycle => None,
+            ProblemError::ZeroOmegaCycle | ProblemError::PathRange { .. } => None,
         }
     }
 }
@@ -72,7 +84,13 @@ pub struct SchedProblem<'a> {
     inn: Vec<Vec<usize>>,
     res_mii: u32,
     rec_mii: u32,
+    ii_ceiling: u32,
 }
+
+/// The bound on `Σ_arcs(|latency| + ω·II)` that keeps every path sum,
+/// stored time and sentinel sum of the scheduler inside `i32` (see the
+/// [`mindist`](crate::mindist) module docs).
+const PATH_RANGE: u64 = 1 << 27;
 
 impl<'a> SchedProblem<'a> {
     /// Builds the problem: validates the body, resolves arc latencies,
@@ -81,9 +99,10 @@ impl<'a> SchedProblem<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`ProblemError::Body`] if the body is structurally invalid
-    /// and [`ProblemError::ZeroOmegaCycle`] if a dependence circuit has
-    /// zero total ω.
+    /// Returns [`ProblemError::Body`] if the body is structurally invalid,
+    /// [`ProblemError::ZeroOmegaCycle`] if a dependence circuit has zero
+    /// total ω, and [`ProblemError::PathRange`] if MII is above
+    /// [`ii_ceiling`](Self::ii_ceiling).
     pub fn new(body: &'a LoopBody, machine: &'a Machine) -> Result<Self, ProblemError> {
         body.validate().map_err(ProblemError::Body)?;
         let n = body.num_ops();
@@ -139,8 +158,16 @@ impl<'a> SchedProblem<'a> {
             inn,
             res_mii: lsms_machine::res_mii(machine, body),
             rec_mii: 0,
+            ii_ceiling: 0,
         };
         problem.rec_mii = crate::bounds::rec_mii(&problem).ok_or(ProblemError::ZeroOmegaCycle)?;
+        problem.ii_ceiling = ii_ceiling(&problem.arcs);
+        if problem.mii() > problem.ii_ceiling {
+            return Err(ProblemError::PathRange {
+                mii: problem.mii(),
+                ceiling: problem.ii_ceiling,
+            });
+        }
         Ok(problem)
     }
 
@@ -231,11 +258,33 @@ impl<'a> SchedProblem<'a> {
         self.res_mii.max(self.rec_mii)
     }
 
+    /// The largest II the scheduler may try: the largest with
+    /// `Σ_arcs(|latency| + ω·II) ≤ 2²⁷`, and at most `2²⁷` itself. Up to
+    /// it, every MinDist entry, Estart, Lstart and sentinel sum fits in
+    /// `i32`; every II search stops here.
+    pub fn ii_ceiling(&self) -> u32 {
+        self.ii_ceiling
+    }
+
     /// The problem index of the loop's `brtop`, if the body has one. The
     /// slack framework never ejects it (§4.4).
     pub fn brtop(&self) -> Option<usize> {
         self.body.brtop().map(OpId::index)
     }
+}
+
+/// See [`SchedProblem::ii_ceiling`].
+fn ii_ceiling(arcs: &[Arc]) -> u32 {
+    let latency = arcs.iter().fold(0u64, |sum, arc| {
+        sum.saturating_add(arc.latency.unsigned_abs())
+    });
+    let omega: u64 = arcs.iter().map(|arc| u64::from(arc.omega)).sum();
+    let ceiling = match PATH_RANGE.checked_sub(latency) {
+        None => 0,
+        Some(room) if omega > 0 => (room / omega).min(PATH_RANGE),
+        Some(_) => PATH_RANGE,
+    };
+    u32::try_from(ceiling).expect("the ceiling is at most 2^27")
 }
 
 #[cfg(test)]

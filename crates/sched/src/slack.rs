@@ -77,15 +77,29 @@ pub struct SchedFailure {
     /// Larger IIs were still available; callers may degrade to a cheaper
     /// backend instead of reporting the loop unschedulable.
     pub deadline_capped: bool,
+    /// True when the II search stopped because the scheduler's 32-bit
+    /// arithmetic would no longer cover it: the search failed at
+    /// [`SchedProblem::ii_ceiling`](crate::SchedProblem::ii_ceiling) below
+    /// its own cap, the straight-line horizon was above the ceiling, or an
+    /// issue time or `Lstart(Stop)` left ±2²⁸.
+    pub out_of_range: bool,
 }
 
 impl fmt::Display for SchedFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "failed to pipeline; last attempted II = {}",
-            self.last_ii
-        )
+        if self.out_of_range {
+            write!(
+                f,
+                "no schedule inside the 32-bit path range; last attempted II = {}",
+                self.last_ii
+            )
+        } else {
+            write!(
+                f,
+                "failed to pipeline; last attempted II = {}",
+                self.last_ii
+            )
+        }
     }
 }
 
@@ -336,7 +350,7 @@ impl Heuristic for SlackHeuristic {
 
     fn choose(&mut self, st: &EngineState<'_, '_>, decisions: &mut DecisionStats) -> usize {
         let mut best = usize::MAX;
-        let mut best_key = (i64::MAX, i64::MAX, usize::MAX);
+        let mut best_key = (i64::MAX, i32::MAX, usize::MAX);
         let mut ties = 0u32;
         for node in st.unplaced() {
             let priority = st.dynamic_priority(node);
@@ -428,7 +442,8 @@ fn bidirectional_direction(
         // If Estart(d) + MinLT(v) >= omega*II + Lstart(node), this use can
         // never be the one stretching v's lifetime.
         let minlt = st.minlt[v.index()].expect("flow-used value has a MinLT");
-        let pinned = st.effective_estart(d) + minlt >= i64::from(dep.omega) * ii + st.lstart[node];
+        let pinned = st.effective_estart(d) + minlt
+            >= i64::from(dep.omega) * ii + i64::from(st.lstart[node]);
         if !pinned {
             inputs += 1;
         }

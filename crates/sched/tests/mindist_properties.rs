@@ -1,10 +1,14 @@
 //! Algebraic properties of the MinDist relation and the II bounds, over
-//! seeded random dependence graphs.
+//! seeded random dependence graphs, and the 32-bit matrix against the
+//! 64-bit Floyd–Warshall oracle in `fw64`.
 //!
 //! Formerly a `proptest` suite; rewritten over the vendored deterministic
 //! PRNG so the workspace builds without external crates. Every case is a
 //! pure function of its seed, so failures reproduce exactly.
 
+mod fw64;
+
+use fw64::assert_matches_oracle;
 use lsms_ir::{LoopBody, LoopBuilder, OpKind, ValueType};
 use lsms_machine::huff_machine;
 use lsms_prng::SmallRng;
@@ -144,7 +148,7 @@ fn estart_bounds_hold_in_actual_schedules() {
         // Every op starts no earlier than MinDist(Start, op): the initial
         // Estart of §4.1 is a true lower bound.
         for op in 0..problem.num_real_ops() {
-            let e0 = md.get(problem.start(), op);
+            let e0 = i64::from(md.get(problem.start(), op));
             assert!(
                 schedule.times[op] >= e0,
                 "case {case}: op {op} at {} before its Estart {e0}",
@@ -186,6 +190,9 @@ fn cached_mindist_matches_direct_computation() {
                     assert_eq!(first.get(a, b), direct.get(a, b), "case {case} ii {ii}");
                 }
             }
+            // And the 32-bit matrix matches the 64-bit oracle: its
+            // feasibility at every II, every entry where feasible.
+            assert_matches_oracle(&problem, ii, &format!("case {case}"));
         }
         let stats = cache.stats();
         assert_eq!(
@@ -197,16 +204,37 @@ fn cached_mindist_matches_direct_computation() {
     }
 }
 
-/// `col(x)[y] == row(y)[x] == get(y, x)` for every pair, at every II
-/// from just below RecMII, where the diagonal is pinned, to RecMII + 2.
+#[test]
+fn every_kernel_matches_the_oracle() {
+    let machine = huff_machine();
+    for named in lsms_loops::kernels() {
+        let unit = lsms_front::compile(&named.source).expect("kernels compile");
+        for l in unit.loops {
+            let problem = SchedProblem::new(&l.body, &machine).expect("buildable");
+            for ii in problem.mii()..=problem.mii() + 2 {
+                assert_matches_oracle(&problem, ii, &named.name);
+            }
+        }
+    }
+}
+
+/// `col(x)[y] == row(y)[x] == get(y, x)` for every pair, where `col(x)`
+/// is row `x` of the transpose the scheduling engine builds per attempt
+/// ([`MinDist::transpose_into`]), at every II from just below RecMII,
+/// where Floyd–Warshall stops early, to RecMII + 2. The transpose buffer
+/// is reused across IIs, as the engine's workspace reuses it.
 fn assert_rows_and_columns_mirror(problem: &SchedProblem<'_>, label: &str) {
     let rec = problem.rec_mii();
     let n = problem.num_nodes();
+    let mut dt = vec![0; 3];
     for ii in rec.max(2) - 1..=rec + 2 {
         let md = MinDist::compute(problem, ii);
+        md.transpose_into(&mut dt);
+        assert_eq!(dt.len(), n * n);
         for x in 0..n {
-            assert_eq!((md.row(x).len(), md.col(x).len()), (n, n));
-            for (y, &into) in md.col(x).iter().enumerate() {
+            let col = &dt[x * n..(x + 1) * n];
+            assert_eq!(md.row(x).len(), n);
+            for (y, &into) in col.iter().enumerate() {
                 let w = md.get(y, x);
                 assert_eq!(md.row(y)[x], w, "{label} ii {ii}: row({y})[{x}]");
                 assert_eq!(into, w, "{label} ii {ii}: col({x})[{y}]");

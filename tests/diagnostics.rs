@@ -168,6 +168,43 @@ fn depgraph_diagnostic_from_a_real_zero_omega_circuit() {
 }
 
 #[test]
+fn depgraph_diagnostics_for_path_sums_out_of_range() {
+    // A recurrence carried 2^27 iterations: ω·II alone passes 2^27 at
+    // II 1, so no II is inside the scheduler's 32-bit range.
+    let mut b = LoopBuilder::new("far");
+    let x = b.new_value(ValueType::Float);
+    let o = b.op(OpKind::FAdd, &[x, x], Some(x));
+    b.flow_dep(o, o, 1 << 27);
+    let body = b.finish();
+    let machine = huff_machine();
+    let err: LsmsError = SchedProblem::new(&body, &machine).unwrap_err().into();
+    check(
+        &err,
+        Stage::DepGraph,
+        "E0403",
+        7,
+        "error[E0403]: t.loop: dependence path sums out of range: MII 1 is \
+         above the II ceiling 0 [depgraph]",
+    );
+    // An II search the range stopped reports the same code.
+    let err: LsmsError = SchedFailure {
+        last_ii: 17,
+        stats: SchedStats::default(),
+        deadline_capped: false,
+        out_of_range: true,
+    }
+    .into();
+    check(
+        &err,
+        Stage::DepGraph,
+        "E0403",
+        7,
+        "error[E0403]: t.loop: no schedule inside the 32-bit path range; \
+         last attempted II = 17 [depgraph]",
+    );
+}
+
+#[test]
 fn schedule_diagnostics() {
     let err: LsmsError = SchedFailure {
         last_ii: 17,
@@ -176,6 +213,7 @@ fn schedule_diagnostics() {
             ..SchedStats::default()
         },
         deadline_capped: false,
+        out_of_range: false,
     }
     .into();
     check(
