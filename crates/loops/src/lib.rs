@@ -33,6 +33,9 @@ use lsms_front::{compile, CompiledLoop};
 /// The paper's corpus size.
 pub const PAPER_CORPUS_SIZE: usize = 1525;
 
+/// The seed of the corpus every results file describes.
+pub const CORPUS_SEED: u64 = 1993;
+
 /// A named DSL loop, not yet compiled.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NamedLoop {
@@ -113,6 +116,27 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.def.name, y.def.name);
             assert_eq!(x.body.num_ops(), y.body.num_ops());
+        }
+    }
+
+    /// A smaller corpus is a prefix of a larger one, so an evaluation of
+    /// the paper's 1,525 loops also answers every 400- and 600-loop slice.
+    #[test]
+    fn smaller_corpora_are_prefixes_of_the_paper_corpus() {
+        use lsms_ir::structural_fingerprint;
+        let full = corpus(PAPER_CORPUS_SIZE, CORPUS_SEED);
+        for count in [400, 600] {
+            let slice = corpus(count, CORPUS_SEED);
+            assert_eq!(slice.len(), count);
+            for (x, y) in slice.iter().zip(&full) {
+                assert_eq!(x.def.name, y.def.name);
+                assert_eq!(
+                    structural_fingerprint(&x.body),
+                    structural_fingerprint(&y.body),
+                    "{}",
+                    x.def.name
+                );
+            }
         }
     }
 

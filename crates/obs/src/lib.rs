@@ -6,7 +6,7 @@
 //! achieved II versus MII and register requirements (MaxLive, lifetime
 //! sums).
 //!
-//! Three artifacts, all dependency-free plain data:
+//! Two artifacts, both dependency-free plain data:
 //!
 //! * [`ScheduleQuality`] — one record per (loop, backend): the bounds
 //!   (RecMII/ResMII/MII), the achieved II and its gap over MII, MaxLive,
@@ -17,10 +17,11 @@
 //!   Serializes to the `BENCH_quality.json` shape ([`QualityRollup::to_json`])
 //!   and to one timestamped ledger line
 //!   ([`QualityRollup::history_line`]) for `results/quality_history.jsonl`.
-//! * [`diff_quality`] — the regression gate `xtask quality-diff` runs:
-//!   exact-count comparison of corpus-wide II and MaxLive sums over two
-//!   quality reports, with per-loop attribution of which loops moved and
-//!   which backend pass produced them.
+//!
+//! The regression gate is not here: the `paper` binary of `lsms-bench`
+//! writes one deterministic row per (loop, backend) to
+//! `results/quality.tsv`, and CI fails when regenerating `results/`
+//! changes any committed byte.
 //!
 //! Everything here is deterministic: records keep their input order,
 //! aggregation is order-independent arithmetic, and no timestamp enters
@@ -39,8 +40,8 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Version stamp of the `BENCH_quality.json` shape and the history
-/// ledger lines; bump on any breaking change so `quality-diff` never
-/// silently misreads an old artifact.
+/// ledger lines; bump on any breaking change so a reader of an old
+/// report or ledger line can tell it apart.
 pub const QUALITY_SCHEMA_VERSION: u32 = 1;
 
 /// One (loop, backend) quality record — the paper's per-loop evaluation
@@ -205,8 +206,8 @@ pub struct BackendRollup {
 }
 
 /// The corpus-level aggregation of every [`ScheduleQuality`] record one
-/// run produced, plus the records themselves (the diff gate needs
-/// per-loop attribution, so they serialize too).
+/// run produced, plus the records themselves (they serialize too, so a
+/// report names every loop).
 #[derive(Clone, Debug, PartialEq)]
 pub struct QualityRollup {
     /// Target machine name, for the report header.
@@ -289,7 +290,7 @@ impl QualityRollup {
         }
     }
 
-    /// Corpus-wide ΣII over every record (the diff gate's first axis).
+    /// Corpus-wide ΣII over every record.
     pub fn ii_sum(&self) -> u64 {
         self.records.iter().map(ScheduleQuality::counted_ii).sum()
     }
@@ -299,7 +300,7 @@ impl QualityRollup {
         self.records.iter().map(|r| u64::from(r.mii)).sum()
     }
 
-    /// Corpus-wide ΣMaxLive over every record (the second gate axis).
+    /// Corpus-wide ΣMaxLive over every record.
     pub fn max_live_sum(&self) -> u64 {
         self.records.iter().map(|r| u64::from(r.max_live)).sum()
     }
@@ -514,140 +515,6 @@ pub fn iso8601_utc(unix_secs: u64) -> String {
     )
 }
 
-/// One per-loop record parsed back out of a quality report (the subset
-/// the diff gate needs).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParsedRecord {
-    /// Loop name.
-    pub name: String,
-    /// Backend registry name.
-    pub backend: String,
-    /// The `schedule:<name>` pass label (trace/timings join key).
-    pub pass: String,
-    /// Counted II (achieved or last-attempted).
-    pub counted_ii: u64,
-    /// RR MaxLive.
-    pub max_live: u64,
-}
-
-/// Extracts the per-loop records from a `BENCH_quality.json` report.
-/// The format is this crate's own fixed emission (one record per line),
-/// so a targeted scan suffices; surrounding rollup lines are ignored.
-pub fn parse_quality(json: &str) -> Vec<ParsedRecord> {
-    json.lines()
-        .filter_map(|line| {
-            let line = line.trim();
-            if !line.starts_with("{\"name\": \"") {
-                return None;
-            }
-            Some(ParsedRecord {
-                name: scan_str(line, "\"name\": \"")?,
-                backend: scan_str(line, "\"backend\": \"")?,
-                pass: scan_str(line, "\"pass\": \"")?,
-                counted_ii: scan_u64(line, "\"counted_ii\": ")?,
-                max_live: scan_u64(line, "\"max_live\": ")?,
-            })
-        })
-        .collect()
-}
-
-/// One loop whose quality moved between two runs.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MovedLoop {
-    /// Loop name.
-    pub name: String,
-    /// Backend registry name.
-    pub backend: String,
-    /// Pass label that produced the new schedule.
-    pub pass: String,
-    /// Counted II before.
-    pub ii_old: u64,
-    /// Counted II after.
-    pub ii_new: u64,
-    /// MaxLive before.
-    pub max_live_old: u64,
-    /// MaxLive after.
-    pub max_live_new: u64,
-}
-
-impl MovedLoop {
-    /// True when either axis got worse for this loop.
-    pub fn worsened(&self) -> bool {
-        self.ii_new > self.ii_old || self.max_live_new > self.max_live_old
-    }
-}
-
-/// The verdict of comparing two quality reports over their common
-/// (loop, backend) records.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct QualityDiff {
-    /// Records present in both reports (the comparison universe).
-    pub compared: usize,
-    /// Records only the old report has (corpus shrank or was renamed).
-    pub only_old: usize,
-    /// Records only the new report has.
-    pub only_new: usize,
-    /// ΣII over compared records, old run.
-    pub ii_sum_old: u64,
-    /// ΣII over compared records, new run.
-    pub ii_sum_new: u64,
-    /// ΣMaxLive over compared records, old run.
-    pub max_live_sum_old: u64,
-    /// ΣMaxLive over compared records, new run.
-    pub max_live_sum_new: u64,
-    /// Every compared record whose II or MaxLive changed, in new-report
-    /// order (regressions and improvements both — the attribution list).
-    pub moved: Vec<MovedLoop>,
-}
-
-impl QualityDiff {
-    /// The exact-count gate: any corpus-wide increase in ΣII or ΣMaxLive
-    /// over the common records is a regression. Schedule quality is
-    /// deterministic, so there is no noise floor to allow for.
-    pub fn regressed(&self) -> bool {
-        self.ii_sum_new > self.ii_sum_old || self.max_live_sum_new > self.max_live_sum_old
-    }
-}
-
-/// Compares two parsed quality reports by (loop, backend) key. Records
-/// missing from either side are counted but never gate — a resized
-/// corpus must not masquerade as a regression or an improvement.
-pub fn diff_quality(old: &[ParsedRecord], new: &[ParsedRecord]) -> QualityDiff {
-    let key = |r: &ParsedRecord| (r.name.clone(), r.backend.clone());
-    let old_keys: BTreeSet<_> = old.iter().map(key).collect();
-    let new_keys: BTreeSet<_> = new.iter().map(key).collect();
-    let mut diff = QualityDiff {
-        only_old: old_keys.difference(&new_keys).count(),
-        only_new: new_keys.difference(&old_keys).count(),
-        ..QualityDiff::default()
-    };
-    for n in new {
-        let Some(o) = old
-            .iter()
-            .find(|o| o.name == n.name && o.backend == n.backend)
-        else {
-            continue;
-        };
-        diff.compared += 1;
-        diff.ii_sum_old += o.counted_ii;
-        diff.ii_sum_new += n.counted_ii;
-        diff.max_live_sum_old += o.max_live;
-        diff.max_live_sum_new += n.max_live;
-        if n.counted_ii != o.counted_ii || n.max_live != o.max_live {
-            diff.moved.push(MovedLoop {
-                name: n.name.clone(),
-                backend: n.backend.clone(),
-                pass: n.pass.clone(),
-                ii_old: o.counted_ii,
-                ii_new: n.counted_ii,
-                max_live_old: o.max_live,
-                max_live_new: n.max_live,
-            });
-        }
-    }
-    diff
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,7 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_through_parse_quality() {
+    fn json_is_balanced_and_marks_failures() {
         let rollup = QualityRollup::new(
             "huff",
             vec![
@@ -734,13 +601,10 @@ mod tests {
         assert!(json.contains("\"schema_version\": 1"));
         assert!(json.contains("\"ii\": null"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let parsed = parse_quality(&json);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].name, "a");
-        assert_eq!(parsed[0].counted_ii, 2);
-        assert_eq!(parsed[0].max_live, 5);
-        assert_eq!(parsed[1].counted_ii, 9, "failures count last_ii");
-        assert_eq!(parsed[1].pass, "schedule:slack");
+        assert!(
+            json.contains("\"ii\": null, \"counted_ii\": 9,"),
+            "failures count last_ii"
+        );
     }
 
     #[test]
@@ -760,68 +624,5 @@ mod tests {
         assert_eq!(iso8601_utc(951_782_400), "2000-02-29T00:00:00Z");
         assert_eq!(iso8601_utc(1_786_147_200), "2026-08-08T00:00:00Z");
         assert_eq!(iso8601_utc(1_786_190_706), "2026-08-08T12:05:06Z");
-    }
-
-    #[test]
-    fn diff_gates_on_exact_sums_and_attributes_loops() {
-        let base = QualityRollup::new(
-            "huff",
-            vec![record("a", "slack", 2, 2, 5), record("b", "slack", 3, 3, 9)],
-        );
-        let old = parse_quality(&base.to_json());
-
-        // Unchanged rerun: clean.
-        let same = diff_quality(&old, &old);
-        assert!(!same.regressed());
-        assert!(same.moved.is_empty());
-        assert_eq!(same.compared, 2);
-
-        // One loop's II slips by one: the gate trips and names the loop.
-        let worse = QualityRollup::new(
-            "huff",
-            vec![record("a", "slack", 2, 3, 5), record("b", "slack", 3, 3, 9)],
-        );
-        let diff = diff_quality(&old, &parse_quality(&worse.to_json()));
-        assert!(diff.regressed());
-        assert_eq!(diff.moved.len(), 1);
-        assert_eq!(diff.moved[0].name, "a");
-        assert_eq!((diff.moved[0].ii_old, diff.moved[0].ii_new), (2, 3));
-        assert!(diff.moved[0].worsened());
-
-        // MaxLive regression alone also trips.
-        let pressure = QualityRollup::new(
-            "huff",
-            vec![record("a", "slack", 2, 2, 6), record("b", "slack", 3, 3, 9)],
-        );
-        assert!(diff_quality(&old, &parse_quality(&pressure.to_json())).regressed());
-
-        // Improvement never trips.
-        let better = QualityRollup::new(
-            "huff",
-            vec![record("a", "slack", 2, 2, 4), record("b", "slack", 3, 3, 9)],
-        );
-        let diff = diff_quality(&old, &parse_quality(&better.to_json()));
-        assert!(!diff.regressed());
-        assert_eq!(diff.moved.len(), 1);
-        assert!(!diff.moved[0].worsened());
-    }
-
-    #[test]
-    fn diff_ignores_corpus_resizes() {
-        let old = parse_quality(
-            &QualityRollup::new(
-                "huff",
-                vec![record("a", "slack", 2, 2, 5), record("b", "slack", 3, 3, 9)],
-            )
-            .to_json(),
-        );
-        // The corpus shrank to one loop: sums are computed over the
-        // intersection, so nothing regresses.
-        let new = parse_quality(
-            &QualityRollup::new("huff", vec![record("a", "slack", 2, 2, 5)]).to_json(),
-        );
-        let diff = diff_quality(&old, &new);
-        assert!(!diff.regressed());
-        assert_eq!((diff.compared, diff.only_old, diff.only_new), (1, 1, 0));
     }
 }

@@ -1,7 +1,6 @@
 //! `cargo xtask` — repo maintenance tasks.
 //!
 //! ```text
-//! cargo run -p xtask -- quality-diff OLD.json NEW.json
 //! cargo run -p xtask -- backend-audit
 //! ```
 //!
@@ -12,98 +11,13 @@
 //! names all agree. It compiles one loop per backend with tracing on, so
 //! a backend whose span never opens fails the audit too.
 //!
-//! `quality-diff` gates schedule *quality* out of two `lsmsc --quality`
-//! reports (`BENCH_quality.json` shape). It is exact-count: scheduling
-//! is deterministic, so any increase in the corpus-wide II sum or
-//! MaxLive sum over the records both reports share
-//! (matched by loop name + backend, so corpus resizes never false-fail)
-//! is a regression — no ratio, no noise floor. Every loop that moved is
-//! attributed by name with the `schedule:<backend>` pass that produced
-//! it. A missing OLD file is a clean first-run skip.
+//! Schedule quality is gated by regenerating `results/` with the `paper`
+//! binary and diffing it against the committed files, not here.
 //!
 //! Wall-clock performance is gated by the `benchmark` binary's noise-aware
 //! `compare` mode, not here.
 
 use std::process::ExitCode;
-
-fn quality_diff(args: &[String]) -> ExitCode {
-    let [old_path, new_path] = args else {
-        return usage("quality-diff wants exactly OLD.json and NEW.json");
-    };
-
-    let Ok(old_json) = std::fs::read_to_string(old_path) else {
-        println!("quality-diff: no previous report at {old_path}; skipping (first run)");
-        return ExitCode::SUCCESS;
-    };
-    let new_json = match std::fs::read_to_string(new_path) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("quality-diff: cannot read {new_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let old = lsms_obs::parse_quality(&old_json);
-    let new = lsms_obs::parse_quality(&new_json);
-    if new.is_empty() {
-        eprintln!("quality-diff: {new_path} contains no loop records");
-        return ExitCode::FAILURE;
-    }
-    if old.is_empty() {
-        eprintln!("quality-diff: {old_path} contains no loop records");
-        return ExitCode::FAILURE;
-    }
-    let diff = lsms_obs::diff_quality(&old, &new);
-    if diff.compared == 0 {
-        eprintln!("quality-diff: the reports share no (loop, backend) records");
-        return ExitCode::FAILURE;
-    }
-
-    // Per-loop attribution: every mover, worsened or improved, with the
-    // pass that produced the new schedule.
-    for m in &diff.moved {
-        eprintln!(
-            "quality-diff: loop {} [{}]: II {} -> {}, MaxLive {} -> {}{}",
-            m.name,
-            m.pass,
-            m.ii_old,
-            m.ii_new,
-            m.max_live_old,
-            m.max_live_new,
-            if m.worsened() { "  <- regressed" } else { "" }
-        );
-    }
-    if diff.only_old + diff.only_new > 0 {
-        println!(
-            "quality-diff: corpus changed shape ({} records only in OLD, {} only in NEW) — \
-             sums cover the {} shared records",
-            diff.only_old, diff.only_new, diff.compared
-        );
-    }
-    if diff.regressed() {
-        eprintln!(
-            "quality-diff: schedule quality regressed over {} shared records: \
-             II sum {} -> {}, MaxLive sum {} -> {} (exact-count gate: any increase fails)",
-            diff.compared,
-            diff.ii_sum_old,
-            diff.ii_sum_new,
-            diff.max_live_sum_old,
-            diff.max_live_sum_new
-        );
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "quality-diff: {} shared records, II sum {} -> {}, MaxLive sum {} -> {} ({} moved, none worse in sum)",
-            diff.compared,
-            diff.ii_sum_old,
-            diff.ii_sum_new,
-            diff.max_live_sum_old,
-            diff.max_live_sum_new,
-            diff.moved.len()
-        );
-        ExitCode::SUCCESS
-    }
-}
 
 /// One loop every built-in backend can schedule, for the live span check.
 const AUDIT_LOOP: &str = "loop daxpy(i = 1..n) { real x[], y[]; param real a;
@@ -214,80 +128,14 @@ fn backend_audit() -> ExitCode {
 
 fn usage(message: &str) -> ExitCode {
     eprintln!("xtask: {message}");
-    eprintln!("usage: cargo run -p xtask -- quality-diff OLD.json NEW.json");
-    eprintln!("       cargo run -p xtask -- backend-audit");
+    eprintln!("usage: cargo run -p xtask -- backend-audit");
     ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("quality-diff") => quality_diff(&args[1..]),
         Some("backend-audit") => backend_audit(),
-        _ => usage("known tasks: quality-diff, backend-audit"),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    const QUALITY: &str = r#"{
-  "schema_version": 1,
-  "kind": "lsms-quality",
-  "machine": "huff-cydra",
-  "loops": [
-    {"name": "gen_7", "backend": "slack", "pass": "schedule:slack", "rec_mii": 2, "res_mii": 3, "mii": 3, "ii": 3, "counted_ii": 3, "ii_gap": 0, "max_live": 9, "lifetime_sum": 21, "lifetime_mean": 3.00, "lifetime_max": 8, "ejected_ops": 0, "backtracks": 0, "degraded": false, "wall_us": 150},
-    {"name": "gen_7", "backend": "cydrome", "pass": "schedule:cydrome", "rec_mii": 2, "res_mii": 3, "mii": 3, "ii": 4, "counted_ii": 4, "ii_gap": 1, "max_live": 11, "lifetime_sum": 25, "lifetime_mean": 3.57, "lifetime_max": 9, "ejected_ops": 2, "backtracks": 1, "degraded": false, "wall_us": 90}
-  ],
-  "rollup": {"loops": 1, "records": 2, "ii_sum": 7, "mii_sum": 6, "max_live_sum": 20}
-}
-"#;
-
-    #[test]
-    fn parses_the_driver_quality_format() {
-        let records = lsms_obs::parse_quality(QUALITY);
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].name, "gen_7");
-        assert_eq!(records[0].backend, "slack");
-        assert_eq!(records[0].pass, "schedule:slack");
-        assert_eq!(records[0].counted_ii, 3);
-        assert_eq!(records[1].max_live, 11);
-    }
-
-    #[test]
-    fn quality_gate_is_exact_count_with_attribution() {
-        let old = lsms_obs::parse_quality(QUALITY);
-
-        // Unchanged rerun: clean.
-        let same = lsms_obs::diff_quality(&old, &old);
-        assert!(!same.regressed());
-        assert!(same.moved.is_empty());
-
-        // A synthetically injected II regression of exactly one cycle on
-        // one loop trips the gate and names the loop and its pass.
-        let worse = QUALITY.replace(
-            "\"ii\": 3, \"counted_ii\": 3",
-            "\"ii\": 4, \"counted_ii\": 4",
-        );
-        let diff = lsms_obs::diff_quality(&old, &lsms_obs::parse_quality(&worse));
-        assert!(diff.regressed());
-        assert_eq!((diff.ii_sum_old, diff.ii_sum_new), (7, 8));
-        assert_eq!(diff.moved.len(), 1);
-        assert_eq!(diff.moved[0].name, "gen_7");
-        assert_eq!(diff.moved[0].pass, "schedule:slack");
-        assert!(diff.moved[0].worsened());
-
-        // MaxLive is the second gated axis.
-        let pressure = QUALITY.replace("\"max_live\": 9,", "\"max_live\": 10,");
-        assert!(lsms_obs::diff_quality(&old, &lsms_obs::parse_quality(&pressure)).regressed());
-
-        // A shrunk corpus gates over the shared records only.
-        let shrunk: Vec<_> = old
-            .iter()
-            .filter(|r| r.backend == "slack")
-            .cloned()
-            .collect();
-        let diff = lsms_obs::diff_quality(&old, &shrunk);
-        assert!(!diff.regressed());
-        assert_eq!((diff.compared, diff.only_old), (1, 1));
+        _ => usage("known tasks: backend-audit"),
     }
 }

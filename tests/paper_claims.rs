@@ -101,8 +101,8 @@ fn paper_claims_hold_in_aggregate() {
     }
 
     // §6: the old scheduler backtracks at least comparably much; its
-    // full-corpus excess (the paper's 3.7x, our 1.3x) is measured by the
-    // `compile_time` binary, where slice noise washes out.
+    // full-corpus excess (the paper's 3.7x, our 1.19x) is in
+    // `results/compile_time.txt`, where slice noise washes out.
     let bt_new: u64 = samples.iter().map(|s| s.backtrack_new).sum();
     let bt_old: u64 = samples.iter().map(|s| s.backtrack_old).sum();
     assert!(
