@@ -2,10 +2,10 @@
 //! parsing rules, the lowered `live` predicate chain, and end-to-end
 //! equivalence of the speculative pipeline against the reference.
 
-use lsms_front::compile;
+use lsms_front::{compile, CompiledLoop};
 use lsms_ir::OpKind;
 use lsms_machine::huff_machine;
-use lsms_sim::{check_equivalence, check_equivalence_mve, RunConfig};
+use lsms_pipeline::{CompileSession, LsmsError, SessionConfig, VerifySpec};
 
 const SEARCH: &str = "loop search(i = 1..n) {
     real x[], out[];
@@ -13,6 +13,16 @@ const SEARCH: &str = "loop search(i = 1..n) {
     out[i] = x[i] * 2.0;
     break if (x[i] >= needle);
 }";
+
+/// Compiles, schedules with the bidirectional slack backend, allocates,
+/// emits both the rotating-file and the MVE kernel, and simulate-verifies
+/// each against the reference interpreter: one session with verify on.
+fn verify(compiled: &CompiledLoop, trip: u64, seed: u64) -> Result<(), LsmsError> {
+    let mut config = SessionConfig::new(huff_machine());
+    config.mve = true;
+    config.verify = Some(VerifySpec { trip, seed });
+    CompileSession::new(config).run_loop(compiled).map(drop)
+}
 
 #[test]
 fn break_lowers_to_a_carried_live_chain() {
@@ -59,7 +69,6 @@ fn break_must_be_last_and_unique() {
 
 #[test]
 fn exit_pipeline_matches_the_reference_bitwise() {
-    let machine = huff_machine();
     let sources = [
         SEARCH,
         // Exit on a running sum crossing a threshold: the exit condition
@@ -89,22 +98,8 @@ fn exit_pipeline_matches_the_reference_bitwise() {
         let unit = compile(src).unwrap();
         for trip in [1, 2, 5, 19, 60] {
             for seed in [1u64, 9, 42] {
-                let config = RunConfig {
-                    trip,
-                    seed,
-                    ..RunConfig::default()
-                };
-                check_equivalence(&unit.loops[0], &machine, &config).unwrap_or_else(|e| {
-                    panic!(
-                        "rotating {} trip {trip} seed {seed}: {e}",
-                        unit.loops[0].def.name
-                    )
-                });
-                check_equivalence_mve(&unit.loops[0], &machine, &config).unwrap_or_else(|e| {
-                    panic!(
-                        "mve {} trip {trip} seed {seed}: {e}",
-                        unit.loops[0].def.name
-                    )
+                verify(&unit.loops[0], trip, seed).unwrap_or_else(|e| {
+                    panic!("{} trip {trip} seed {seed}: {e}", unit.loops[0].def.name)
                 });
             }
         }

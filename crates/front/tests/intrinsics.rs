@@ -1,10 +1,20 @@
 //! The min/max/abs intrinsics: parsing, lowering shape, and bitwise
 //! execution equivalence.
 
-use lsms_front::compile;
+use lsms_front::{compile, CompiledLoop};
 use lsms_ir::OpKind;
 use lsms_machine::huff_machine;
-use lsms_sim::{check_equivalence, check_equivalence_mve, RunConfig};
+use lsms_pipeline::{CompileSession, LsmsError, SessionConfig, VerifySpec};
+
+/// Compiles, schedules with the bidirectional slack backend, allocates,
+/// emits both the rotating-file and the MVE kernel, and simulate-verifies
+/// each against the reference interpreter: one session with verify on.
+fn verify(compiled: &CompiledLoop, trip: u64, seed: u64) -> Result<(), LsmsError> {
+    let mut config = SessionConfig::new(huff_machine());
+    config.mve = true;
+    config.verify = Some(VerifySpec { trip, seed });
+    CompileSession::new(config).run_loop(compiled).map(drop)
+}
 
 #[test]
 fn minmax_lowers_to_compare_plus_select() {
@@ -88,19 +98,11 @@ fn intrinsics_compute_correctly_in_both_engines() {
              out[i] = lowest;
          }",
     ];
-    let machine = huff_machine();
     for src in sources {
         let unit = compile(src).unwrap();
         for trip in [1, 3, 24] {
-            let config = RunConfig {
-                trip,
-                seed: trip * 3 + 1,
-                ..RunConfig::default()
-            };
-            check_equivalence(&unit.loops[0], &machine, &config)
-                .unwrap_or_else(|e| panic!("rotating {}: {e}", unit.loops[0].def.name));
-            check_equivalence_mve(&unit.loops[0], &machine, &config)
-                .unwrap_or_else(|e| panic!("mve {}: {e}", unit.loops[0].def.name));
+            verify(&unit.loops[0], trip, trip * 3 + 1)
+                .unwrap_or_else(|e| panic!("{} trip {trip}: {e}", unit.loops[0].def.name));
         }
     }
 }

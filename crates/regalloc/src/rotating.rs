@@ -287,32 +287,38 @@ fn forbid_offsets(v: &Live, w: &Live, o_w: i64, ii: i64, n: i64, forbidden: &mut
     let d_lo = div_floor(-w.len - diff, ii) + 1;
     let d_hi = div_ceil(v.len - diff, ii) - 1;
     forbid(-d_hi, -d_lo);
+    // The live-in seeds of each value form one range `[lo, −1]`: see
+    // `lowest_seed`. Each term below is the union, over that range, of
+    // nested or adjacent `k` ranges, so it is one range itself and one
+    // `forbid` call, whatever the recurrence distance.
+    let (seed_v, seed_w) = (lowest_seed(v, ii), lowest_seed(w, ii));
     // v's seed j against w's regular instances m written before its last
-    // read, m ∈ [0, m_hi]: k = j − m. The seed's closed occupancy `[0,
-    // end]` is conservative by one cycle but keeps the model immune to
-    // read-at-end/write-at-end ordering subtleties.
-    for j in live_seeds(v, ii) {
-        let m_hi = div_floor(j * ii + v.def + v.len - w.def, ii);
-        forbid(j - m_hi, j);
+    // read, m ∈ [0, j + C] with C = ⌊(t_v + LT_v − t_w)/II⌋: k = j − m ∈
+    // [−C, j]. The seed's closed occupancy `[0, end]` is conservative by
+    // one cycle but keeps the model immune to read-at-end/write-at-end
+    // ordering subtleties. The ranges nest; the seed j = −1 covers them.
+    if seed_v < 0 {
+        forbid(-div_floor(v.def + v.len - w.def, ii), -1);
     }
-    // w's seed j against v's regular instances: k = m − j.
-    for j in live_seeds(w, ii) {
-        let m_hi = div_floor(j * ii + w.def + w.len - v.def, ii);
-        forbid(-j, m_hi - j);
+    // w's seed j against v's regular instances m ∈ [0, j + C′]: k = m − j
+    // ∈ [−j, C′], again covered by j = −1.
+    if seed_w < 0 {
+        forbid(1, div_floor(w.def + w.len - v.def, ii));
     }
     // Seed against seed: both are written at loop-setup time and read at
-    // or after cycle 0, so sharing a frame is enough: k = j_v − j_w.
-    for j_v in live_seeds(v, ii) {
-        for j_w in live_seeds(w, ii) {
-            forbid(j_v - j_w, j_v - j_w);
-        }
+    // or after cycle 0, so sharing a frame is enough: k = j_v − j_w, and
+    // the differences of two ranges form one range.
+    if seed_v < 0 && seed_w < 0 {
+        forbid(seed_v + 1, -1 - seed_w);
     }
 }
 
-/// The live-in instances `j ∈ [−depth, 0)` of `l` still read after the
-/// loop starts.
-fn live_seeds(l: &Live, ii: i64) -> impl Iterator<Item = i64> + '_ {
-    (-l.depth..0).filter(move |&j| j * ii + l.def + l.len >= 0)
+/// The lowest live-in instance of `l` still read after the loop starts.
+/// Those instances are exactly `j ∈ [lowest, −1]`: `j ≥ −depth`, and `j`
+/// is read at or after cycle 0 iff `j·II + t + LT ≥ 0`. A result of 0
+/// means none.
+fn lowest_seed(l: &Live, ii: i64) -> i64 {
+    (-l.depth).max(-div_floor(l.def + l.len, ii)).min(0)
 }
 
 fn div_floor(a: i64, b: i64) -> i64 {

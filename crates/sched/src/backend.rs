@@ -312,7 +312,7 @@ impl ModuloScheduler for SlackBackend {
         if ctx.straight_line {
             return BackendRun {
                 result: SlackScheduler::with_config(self.config.clone())
-                    .run_straight_line_in(problem, ws),
+                    .straight_line_in(problem, ws),
                 decisions: DecisionStats::default(),
             };
         }
@@ -394,7 +394,7 @@ impl ModuloScheduler for CydromeBackend {
         _ctx: &SchedContext,
     ) -> BackendRun {
         BackendRun {
-            result: self.scheduler.run_cached_in(problem, cache, ws),
+            result: self.scheduler.run_in(problem, cache, ws),
             decisions: DecisionStats::default(),
         }
     }
@@ -426,7 +426,10 @@ mod tests {
         let problem = SchedProblem::new(&body, &machine).unwrap();
         let cache = MinDistCache::new();
 
-        let direct = SlackScheduler::new().run_cached(&problem, &cache).unwrap();
+        let direct = SlackScheduler::new()
+            .run_in(&problem, &cache, None, &mut EngineWorkspace::new())
+            .0
+            .unwrap();
         let via_trait = SlackBackend::bidirectional()
             .run(
                 &problem,
@@ -441,7 +444,7 @@ mod tests {
         assert_eq!(direct.assignments, via_trait.assignments);
 
         let direct = crate::CydromeScheduler::new()
-            .run_cached(&problem, &cache)
+            .run_in(&problem, &cache, &mut EngineWorkspace::new())
             .unwrap();
         let via_trait = CydromeBackend::new()
             .run(

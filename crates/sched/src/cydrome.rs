@@ -67,34 +67,20 @@ impl CydromeScheduler {
     /// Returns [`SchedFailure`] if no feasible schedule is found up to the
     /// II cap — the fate of 14 loops in Table 4.
     pub fn run(&self, problem: &SchedProblem<'_>) -> Result<Schedule, SchedFailure> {
-        self.run_cached(problem, &MinDistCache::new())
+        self.run_in(problem, &MinDistCache::new(), &mut EngineWorkspace::new())
     }
 
-    /// As [`run`](Self::run), but sharing `cache` so MinDist matrices
-    /// already computed for this problem (e.g. by the slack scheduler) are
-    /// reused instead of recomputed.
+    /// As [`run`](Self::run), sharing `cache` so MinDist matrices already
+    /// computed for this problem (e.g. by the slack scheduler) are reused
+    /// instead of recomputed, and drawing every per-attempt allocation
+    /// from a caller-owned [`EngineWorkspace`] (reuse is allocation-only:
+    /// results are byte-identical). This is the entry point
+    /// [`ModuloScheduler`](crate::ModuloScheduler) adapters use.
     ///
     /// # Errors
     ///
-    /// Returns [`SchedFailure`] if no feasible schedule is found up to the
-    /// II cap — the fate of 14 loops in Table 4.
-    pub fn run_cached(
-        &self,
-        problem: &SchedProblem<'_>,
-        cache: &MinDistCache,
-    ) -> Result<Schedule, SchedFailure> {
-        self.run_cached_in(problem, cache, &mut EngineWorkspace::new())
-    }
-
-    /// As [`run_cached`](Self::run_cached), drawing every per-attempt
-    /// allocation from a caller-owned [`EngineWorkspace`] (reuse is
-    /// allocation-only: results are byte-identical). This is the entry
-    /// point [`ModuloScheduler`](crate::ModuloScheduler) adapters use.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_cached`](Self::run_cached).
-    pub fn run_cached_in(
+    /// As [`run`](Self::run).
+    pub fn run_in(
         &self,
         problem: &SchedProblem<'_>,
         cache: &MinDistCache,

@@ -41,13 +41,10 @@ pub fn kernel_timeline(problem: &SchedProblem<'_>, schedule: &Schedule) -> Strin
 
 /// Renders the per-value lifetime table (the data behind Figure 3): each
 /// live value's definition cycle, length, MinLT lower bound, and how many
-/// rotating registers its wrap implies.
-pub fn lifetime_table(problem: &SchedProblem<'_>, schedule: &Schedule) -> String {
-    lifetime_table_cached(problem, schedule, &MinDistCache::new())
-}
-
-/// As [`lifetime_table`] with a shared MinDist cache.
-pub fn lifetime_table_cached(
+/// rotating registers its wrap implies. MinLT reads the MinDist matrix
+/// at the schedule's II from `cache`, so a caller that also measures
+/// pressure computes it once.
+pub fn lifetime_table(
     problem: &SchedProblem<'_>,
     schedule: &Schedule,
     cache: &MinDistCache,
@@ -137,7 +134,7 @@ pub fn report(problem: &SchedProblem<'_>, schedule: &Schedule) -> String {
     );
     out.push_str(&kernel_timeline(problem, schedule));
     out.push('\n');
-    out.push_str(&lifetime_table_cached(problem, schedule, &cache));
+    out.push_str(&lifetime_table(problem, schedule, &cache));
     out.push('\n');
     out.push_str(&live_vector_chart(problem, schedule));
     let _ = writeln!(
@@ -205,7 +202,7 @@ mod tests {
         let m = huff_machine();
         let p = SchedProblem::new(&body, &m).unwrap();
         let s = SlackScheduler::new().run(&p).unwrap();
-        let t = lifetime_table(&p, &s);
+        let t = lifetime_table(&p, &s, &MinDistCache::new());
         assert!(t.contains('x'));
         assert!(t.contains('y'));
         assert!(t.contains("RR"));

@@ -72,8 +72,7 @@ pub struct SchedFailure {
     /// Work counters accumulated across all attempts.
     pub stats: SchedStats,
     /// True when a wall-clock deadline (not the II cap) stopped the
-    /// escalation — see
-    /// [`run_cached_with_deadline`](SlackScheduler::run_cached_with_deadline).
+    /// escalation — see [`SlackScheduler::run_in`].
     /// Larger IIs were still available; callers may degrade to a cheaper
     /// backend instead of reporting the loop unschedulable.
     pub deadline_capped: bool,
@@ -157,52 +156,67 @@ impl SlackScheduler {
     /// Returns [`SchedFailure`] if no feasible schedule is found up to the
     /// configured II cap.
     pub fn run(&self, problem: &SchedProblem<'_>) -> Result<Schedule, SchedFailure> {
-        self.run_with_decisions(problem).0
+        self.run_in(
+            problem,
+            &MinDistCache::new(),
+            None,
+            &mut EngineWorkspace::new(),
+        )
+        .0
     }
 
-    /// As [`run`](Self::run), but sharing `cache` so the MinDist matrices
-    /// computed during the II search are reused by other schedulers and by
-    /// pressure analyses of the same problem.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchedFailure`] if no feasible schedule is found up to the
-    /// configured II cap.
-    pub fn run_cached(
+    /// As [`run`](Self::run), with everything the caller may want to
+    /// share or bound: MinDist matrices come from `cache` (so other
+    /// schedulers and pressure analyses of the same problem reuse them),
+    /// per-attempt allocations come from `ws` (reuse is allocation-only:
+    /// results are byte-identical), and past `deadline` a failed attempt
+    /// gives up with [`deadline_capped`](SchedFailure::deadline_capped)
+    /// set rather than trying larger IIs. Returns the §5.2 decision
+    /// tallies beside the result.
+    pub fn run_in(
         &self,
         problem: &SchedProblem<'_>,
         cache: &MinDistCache,
-    ) -> Result<Schedule, SchedFailure> {
-        self.run_with_decisions_cached(problem, cache).0
+        deadline: Option<std::time::Instant>,
+        ws: &mut EngineWorkspace,
+    ) -> (Result<Schedule, SchedFailure>, DecisionStats) {
+        let mut decisions = DecisionStats::default();
+        let max_ii = self
+            .config
+            .max_ii
+            .unwrap_or(4 * problem.mii() + 64)
+            .max(problem.mii());
+        let mut heuristic = SlackHeuristic {
+            policy: self.config.direction,
+        };
+        let result = run_framework(
+            problem,
+            &mut heuristic,
+            self.config.budget_factor,
+            max_ii,
+            self.config.increment,
+            deadline,
+            cache,
+            &mut decisions,
+            ws,
+        );
+        (result, decisions)
     }
 
     /// Schedules the problem as *straight-line code*: one iteration, no
-    /// overlap.
+    /// overlap. The [`SlackBackend`](crate::SlackBackend) adapter calls it
+    /// when [`SchedContext::straight_line`](crate::SchedContext) is set.
     ///
     /// §8: "the bidirectional slack-scheduling framework ... can be
     /// applied to straight-line code as well as loops" — the context
     /// where Integrated Prepass Scheduling was studied. Implemented by
     /// running one attempt at an initiation interval too large for any
     /// reservation to wrap, so the modulo resource table degenerates to a
-    /// plain per-cycle table and lifetimes stop wrapping.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchedFailure`] only if even a horizon four times the
-    /// serial length fails — which would indicate a framework bug rather
-    /// than a hard instance.
-    pub fn run_straight_line(&self, problem: &SchedProblem<'_>) -> Result<Schedule, SchedFailure> {
-        self.run_straight_line_in(problem, &mut EngineWorkspace::new())
-    }
-
-    /// As [`run_straight_line`](Self::run_straight_line), drawing every
-    /// per-attempt allocation from a caller-owned [`EngineWorkspace`]
-    /// (reuse is allocation-only: results are byte-identical).
-    ///
-    /// # Errors
-    ///
-    /// As [`run_straight_line`](Self::run_straight_line).
-    pub fn run_straight_line_in(
+    /// plain per-cycle table and lifetimes stop wrapping. It fails only
+    /// if even a horizon four times the serial length fails — which would
+    /// indicate a framework bug rather than a hard instance — or the
+    /// horizon leaves the 32-bit range.
+    pub(crate) fn straight_line_in(
         &self,
         problem: &SchedProblem<'_>,
         ws: &mut EngineWorkspace,
@@ -250,89 +264,6 @@ impl SlackScheduler {
             &mut decisions,
             ws,
         )
-    }
-
-    /// As [`run_cached`](Self::run_cached), with an optional wall-clock
-    /// deadline checked at every II escalation. Past the deadline a failed
-    /// attempt gives up with
-    /// [`deadline_capped`](SchedFailure::deadline_capped) set rather than
-    /// trying larger IIs — the mechanism behind the session's
-    /// budget-driven backend degradation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchedFailure`] if no feasible schedule is found before
-    /// the II cap or the deadline.
-    pub fn run_cached_with_deadline(
-        &self,
-        problem: &SchedProblem<'_>,
-        cache: &MinDistCache,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<Schedule, SchedFailure> {
-        self.run_core(problem, cache, deadline).0
-    }
-
-    /// Like [`run`](Self::run), also returning the §5.2 heuristic decision
-    /// tallies (used by the `heuristic_stats` experiment).
-    pub fn run_with_decisions(
-        &self,
-        problem: &SchedProblem<'_>,
-    ) -> (Result<Schedule, SchedFailure>, DecisionStats) {
-        self.run_with_decisions_cached(problem, &MinDistCache::new())
-    }
-
-    /// Like [`run_with_decisions`](Self::run_with_decisions) with a shared
-    /// MinDist cache.
-    pub fn run_with_decisions_cached(
-        &self,
-        problem: &SchedProblem<'_>,
-        cache: &MinDistCache,
-    ) -> (Result<Schedule, SchedFailure>, DecisionStats) {
-        self.run_core(problem, cache, None)
-    }
-
-    fn run_core(
-        &self,
-        problem: &SchedProblem<'_>,
-        cache: &MinDistCache,
-        deadline: Option<std::time::Instant>,
-    ) -> (Result<Schedule, SchedFailure>, DecisionStats) {
-        self.run_in(problem, cache, deadline, &mut EngineWorkspace::new())
-    }
-
-    /// The workspace-reusing entry point behind every other `run_*`
-    /// method, used directly by [`ModuloScheduler`](crate::ModuloScheduler)
-    /// adapters: schedules with an optional escalation deadline, drawing
-    /// allocations from `ws`, and returns the result together with the
-    /// §5.2 decision tallies.
-    pub fn run_in(
-        &self,
-        problem: &SchedProblem<'_>,
-        cache: &MinDistCache,
-        deadline: Option<std::time::Instant>,
-        ws: &mut EngineWorkspace,
-    ) -> (Result<Schedule, SchedFailure>, DecisionStats) {
-        let mut decisions = DecisionStats::default();
-        let max_ii = self
-            .config
-            .max_ii
-            .unwrap_or(4 * problem.mii() + 64)
-            .max(problem.mii());
-        let mut heuristic = SlackHeuristic {
-            policy: self.config.direction,
-        };
-        let result = run_framework(
-            problem,
-            &mut heuristic,
-            self.config.budget_factor,
-            max_ii,
-            self.config.increment,
-            deadline,
-            cache,
-            &mut decisions,
-            ws,
-        );
-        (result, decisions)
     }
 
     /// The scheduler's configuration.
@@ -517,9 +448,22 @@ fn placed_fraction<I: Iterator<Item = usize>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{validate, SchedProblem};
+    use crate::{validate, ModuloScheduler, SchedContext, SchedProblem, SlackBackend};
     use lsms_ir::{LoopBuilder, OpKind, ValueType};
     use lsms_machine::huff_machine;
+
+    /// Schedules `p` as straight-line code the way production does:
+    /// through the backend adapter with [`SchedContext::straight_line`].
+    fn straight_line(backend: &SlackBackend, p: &SchedProblem<'_>) -> Schedule {
+        let ctx = SchedContext {
+            straight_line: true,
+            ..SchedContext::new("schedule:slack")
+        };
+        backend
+            .run(p, &MinDistCache::new(), &mut EngineWorkspace::new(), &ctx)
+            .result
+            .unwrap()
+    }
 
     /// The paper's Figure 1 loop after load/store elimination: two fadds
     /// feeding each other across two iterations, plus the stores.
@@ -667,7 +611,12 @@ mod tests {
         let body = figure1_body();
         let m = huff_machine();
         let p = SchedProblem::new(&body, &m).unwrap();
-        let (result, decisions) = SlackScheduler::new().run_with_decisions(&p);
+        let (result, decisions) = SlackScheduler::new().run_in(
+            &p,
+            &MinDistCache::new(),
+            None,
+            &mut EngineWorkspace::new(),
+        );
         result.unwrap();
         assert!(decisions.selections > 0);
         assert_eq!(
@@ -681,7 +630,7 @@ mod tests {
         let body = figure1_body();
         let m = huff_machine();
         let p = SchedProblem::new(&body, &m).unwrap();
-        let s = SlackScheduler::new().run_straight_line(&p).unwrap();
+        let s = straight_line(&SlackBackend::bidirectional(), &p);
         assert_eq!(validate(&p, &s), Ok(()));
         // One iteration, no overlap: the schedule fits within the "II".
         assert!(s.length() <= i64::from(s.ii));
@@ -716,13 +665,8 @@ mod tests {
         let body = b.finish();
         let m = huff_machine();
         let p = SchedProblem::new(&body, &m).unwrap();
-        let bi = SlackScheduler::new().run_straight_line(&p).unwrap();
-        let early = SlackScheduler::with_config(SlackConfig {
-            direction: DirectionPolicy::AlwaysEarly,
-            ..SlackConfig::default()
-        })
-        .run_straight_line(&p)
-        .unwrap();
+        let bi = straight_line(&SlackBackend::bidirectional(), &p);
+        let early = straight_line(&SlackBackend::early(), &p);
         let lt = |s: &Schedule| s.times[21] - s.times[0];
         assert!(
             lt(&bi) <= lt(&early),

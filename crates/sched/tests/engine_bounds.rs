@@ -119,7 +119,7 @@ fn cydrome_outcomes_match_the_pinned_digest() {
         let body = cydrome_case(case);
         let problem = SchedProblem::new(&body, &machine).expect("buildable");
         let sched = scheduler
-            .run_cached_in(&problem, &MinDistCache::new(), &mut EngineWorkspace::new())
+            .run_in(&problem, &MinDistCache::new(), &mut EngineWorkspace::new())
             .unwrap_or_else(|e| panic!("case {case}: {e:?}"));
         digest.schedule(&sched);
     }

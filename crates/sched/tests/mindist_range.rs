@@ -14,8 +14,8 @@ use lsms_ir::{LoopBody, LoopBuilder, OpId, OpKind, ValueType};
 use lsms_machine::huff_machine;
 use lsms_prng::SmallRng;
 use lsms_sched::{
-    validate, CydromeScheduler, ProblemError, SchedFailure, SchedProblem, Schedule, SlackConfig,
-    SlackScheduler,
+    validate, CydromeScheduler, EngineWorkspace, MinDistCache, ModuloScheduler, ProblemError,
+    SchedContext, SchedFailure, SchedProblem, Schedule, SlackBackend, SlackConfig, SlackScheduler,
 };
 
 /// 2²⁷: the bound on `Σ_arcs(|latency| + ω·II)` at every II tried.
@@ -183,7 +183,18 @@ fn straight_line_horizons_around_the_ceiling() {
         for shrink in [1, 2, 8, 64, 512, 1 << 12, 1 << 16] {
             let body = far_arc_body(case, (full / shrink).max(1 << 10));
             let problem = SchedProblem::new(&body, &machine).expect("inside the range");
-            let result = SlackScheduler::new().run_straight_line(&problem);
+            let ctx = SchedContext {
+                straight_line: true,
+                ..SchedContext::new("schedule:slack")
+            };
+            let result = SlackBackend::bidirectional()
+                .run(
+                    &problem,
+                    &MinDistCache::new(),
+                    &mut EngineWorkspace::new(),
+                    &ctx,
+                )
+                .result;
             let label = format!("case {case} / {shrink}");
             match &result {
                 Ok(s) => {

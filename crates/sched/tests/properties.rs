@@ -14,7 +14,8 @@ use lsms_machine::huff_machine;
 use lsms_prng::SmallRng;
 use lsms_sched::pressure::{lifetimes, measure, min_lifetimes};
 use lsms_sched::{
-    validate, CydromeScheduler, DirectionPolicy, MinDist, SchedProblem, SlackConfig, SlackScheduler,
+    validate, CydromeScheduler, DirectionPolicy, EngineWorkspace, MinDist, MinDistCache,
+    ModuloScheduler, SchedContext, SchedProblem, SlackBackend, SlackConfig, SlackScheduler,
 };
 
 /// Description of one synthetic operation.
@@ -265,8 +266,18 @@ fn straight_line_mode_schedules_everything() {
         let body = build_body(&specs);
         let machine = huff_machine();
         let problem = SchedProblem::new(&body, &machine).expect("buildable");
-        let s = SlackScheduler::new()
-            .run_straight_line(&problem)
+        let ctx = SchedContext {
+            straight_line: true,
+            ..SchedContext::new("schedule:slack")
+        };
+        let s = SlackBackend::bidirectional()
+            .run(
+                &problem,
+                &MinDistCache::new(),
+                &mut EngineWorkspace::new(),
+                &ctx,
+            )
+            .result
             .unwrap_or_else(|e| panic!("straight-line failed on {specs:?}: {e}"));
         assert_eq!(validate(&problem, &s), Ok(()), "case {case}");
         // Straight-line: nothing wraps, so the plain (non-modulo)

@@ -1,42 +1,32 @@
-//! End-to-end equivalence harness: compile → schedule → allocate → emit →
-//! simulate, checked bit for bit against the reference interpreter.
+//! Equivalence harness: seeded inputs, the reference interpreter's
+//! arrays for them, and bit-for-bit comparison of simulated kernels
+//! against those arrays.
 
 use std::collections::BTreeMap;
 
 use lsms_codegen::{KernelCode, MveKernel};
 use lsms_front::{CompiledLoop, Expr, InitialSource, LValue, Stmt, Ty};
-use lsms_ir::RegClass;
-use lsms_machine::Machine;
 use lsms_prng::SmallRng;
-use lsms_regalloc::{allocate_rotating, RotatingAllocation, Strategy};
-use lsms_sched::{SchedProblem, Schedule, SlackConfig, SlackScheduler};
+use lsms_regalloc::RotatingAllocation;
+use lsms_sched::{SchedProblem, Schedule, SlackConfig};
 
 use crate::mve_sim::run_mve;
 use crate::reference::run_reference;
 use crate::vliw::{run_kernel, SimOutcome};
 use crate::Workspace;
 
-/// Parameters of one equivalence run.
+/// Inputs and slack configuration of one simulate-verify run, as the
+/// benchmark's traced replay spells them out. Its only user is that
+/// replay; everything else verifies through the pipeline session's
+/// `VerifySpec`, which checks the kernels the session itself emitted.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     /// Loop trip count.
     pub trip: u64,
     /// Seed for the deterministic input generator.
     pub seed: u64,
-    /// Scheduler configuration (ablation variants are worth simulating
-    /// too — a wrong schedule must fail *here*, not just in the
-    /// validator).
+    /// The slack configuration the replay schedules with.
     pub scheduler: SlackConfig,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        Self {
-            trip: 25,
-            seed: 0x5eed,
-            scheduler: SlackConfig::default(),
-        }
-    }
 }
 
 /// Outcome of a successful equivalence check.
@@ -293,76 +283,10 @@ impl Oracle {
     }
 }
 
-/// Schedules `compiled` with the slack configuration `config` names and
-/// validates the result.
-fn slack_schedule<'a>(
-    compiled: &'a CompiledLoop,
-    machine: &'a Machine,
-    config: &RunConfig,
-) -> Result<(SchedProblem<'a>, Schedule), String> {
-    let problem =
-        SchedProblem::new(&compiled.body, machine).map_err(|e| format!("problem: {e}"))?;
-    let schedule = SlackScheduler::with_config(config.scheduler.clone())
-        .run(&problem)
-        .map_err(|e| format!("schedule: {e}"))?;
-    lsms_sched::validate(&problem, &schedule).map_err(|e| format!("validate: {e}"))?;
-    Ok((problem, schedule))
-}
-
-/// Builds the whole pipeline for `compiled` (slack schedule, both
-/// register files, rotating-file kernel) and checks the simulated
-/// pipeline produces bitwise-identical arrays to the reference
-/// interpreter. To check a kernel that already exists, use
-/// [`Oracle::check_kernel`].
-///
-/// # Errors
-///
-/// Returns a description of the first divergence — scheduling failure,
-/// allocation failure, simulator fault, or an array mismatch (with the
-/// array, element, and both values).
-pub fn check_equivalence(
-    compiled: &CompiledLoop,
-    machine: &Machine,
-    config: &RunConfig,
-) -> Result<EquivReport, String> {
-    let (problem, schedule) = slack_schedule(compiled, machine, config)?;
-    let alloc = |class, label| {
-        allocate_rotating(&problem, &schedule, class, Strategy::default())
-            .map_err(|e| format!("{label} alloc: {e}"))
-    };
-    let rr = alloc(RegClass::Rr, "rr")?;
-    let icr = alloc(RegClass::Icr, "icr")?;
-    let kernel =
-        lsms_codegen::emit(&problem, &schedule, &rr, &icr).map_err(|e| format!("codegen: {e}"))?;
-    Oracle::new(compiled, config.trip, config.seed)
-        .check_kernel(compiled, &problem, &schedule, &kernel, &rr, &icr)
-}
-
-/// Like [`check_equivalence`] but executing through the
-/// modulo-variable-expansion path (static registers, no rotation),
-/// validating the §2.3 alternative end to end. To check an MVE kernel
-/// that already exists, use [`Oracle::check_mve`].
-///
-/// # Errors
-///
-/// As for [`check_equivalence`].
-pub fn check_equivalence_mve(
-    compiled: &CompiledLoop,
-    machine: &Machine,
-    config: &RunConfig,
-) -> Result<EquivReport, String> {
-    let (problem, schedule) = slack_schedule(compiled, machine, config)?;
-    let kernel = lsms_codegen::emit_mve(&problem, &schedule).map_err(|e| format!("mve: {e}"))?;
-    Oracle::new(compiled, config.trip, config.seed)
-        .check_mve(compiled, &problem, &schedule, &kernel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lsms_front::compile;
-    use lsms_machine::huff_machine;
-    use lsms_sched::DirectionPolicy;
 
     #[test]
     fn a_mismatch_names_array_element_ii_and_trip() {
@@ -385,134 +309,5 @@ mod tests {
         let err = oracle.compare(compiled, 3, &got).unwrap_err();
         assert!(err.starts_with("array 1 (y) element 5: pipeline "), "{err}");
         assert!(err.ends_with("[loop axpy, II 3, trip 9]"), "{err}");
-    }
-
-    fn check(src: &str) {
-        let unit = compile(src).unwrap();
-        let machine = huff_machine();
-        for l in &unit.loops {
-            for trip in [1, 2, 7, 40] {
-                for policy in [
-                    DirectionPolicy::Bidirectional,
-                    DirectionPolicy::AlwaysEarly,
-                    DirectionPolicy::AlwaysLate,
-                ] {
-                    let config = RunConfig {
-                        trip,
-                        seed: trip.wrapping_mul(0x1234_5678),
-                        scheduler: SlackConfig {
-                            direction: policy,
-                            ..SlackConfig::default()
-                        },
-                    };
-                    let report = check_equivalence(l, &machine, &config).unwrap_or_else(|e| {
-                        panic!("{} (trip {trip}, {policy:?}): {e}", l.def.name)
-                    });
-                    assert!(report.elements > 0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn figure1_sample_pipeline_computes_correctly() {
-        check(
-            "loop sample(i = 3..n) {
-                 real x[], y[];
-                 x[i] = x[i-1] + y[i-2];
-                 y[i] = y[i-1] + x[i-2];
-             }",
-        );
-    }
-
-    #[test]
-    fn axpy_pipeline_computes_correctly() {
-        check(
-            "loop axpy(i = 1..n) {
-                 real x[], y[];
-                 param real a;
-                 y[i] = y[i] + a * x[i];
-             }",
-        );
-    }
-
-    #[test]
-    fn conditional_pipeline_computes_correctly() {
-        check(
-            "loop clip(i = 1..n) {
-                 real x[], y[];
-                 param real t;
-                 if (x[i] > t) { y[i] = t; } else { y[i] = x[i] * 0.5; }
-             }",
-        );
-    }
-
-    #[test]
-    fn scalar_recurrence_pipeline_computes_correctly() {
-        check(
-            "loop scan(i = 1..n) {
-                 real x[], y[];
-                 real s;
-                 s = s * 0.5 + x[i];
-                 y[i] = s;
-             }",
-        );
-    }
-
-    #[test]
-    fn division_pipeline_computes_correctly() {
-        check(
-            "loop div(i = 1..n) {
-                 real x[], y[], z[];
-                 z[i] = x[i] / (y[i] + 3000.0) + sqrt(y[i] + 1000.0);
-             }",
-        );
-    }
-
-    #[test]
-    fn integer_pipeline_computes_correctly() {
-        check(
-            "loop ints(i = 1..n) {
-                 int k[], m[];
-                 k[i] = (m[i] * 3 + k[i-1]) % 7 + m[i] / 2;
-             }",
-        );
-    }
-
-    #[test]
-    fn nested_conditionals_compute_correctly() {
-        check(
-            "loop nest(i = 1..n) {
-                 real x[], y[];
-                 param real t;
-                 if (x[i] > t) {
-                     if (y[i] > 0.0) { y[i] = y[i] - t; } else { y[i] = t; }
-                 } else {
-                     y[i] = x[i];
-                 }
-             }",
-        );
-    }
-
-    #[test]
-    fn store_forwarding_computes_correctly() {
-        check(
-            "loop fwd(i = 1..n) {
-                 real x[], y[];
-                 x[i] = y[i] * 2.0;
-                 y[i+1] = x[i] + 1.0;
-             }",
-        );
-    }
-
-    #[test]
-    fn multi_store_arrays_compute_correctly() {
-        check(
-            "loop multi(i = 2..n) {
-                 real x[], y[];
-                 x[i] = y[i] + x[i-1];
-                 x[i+1] = x[i] * 0.25;
-             }",
-        );
     }
 }

@@ -12,8 +12,10 @@
 //!   predication), guard predicates, and a flat word-addressed memory;
 //! * [`harness`] — lays out arrays, seeds initial register-file
 //!   instances, runs both engines on identical inputs, and compares every
-//!   array bit for bit: [`Oracle`] checks kernels a caller already built,
-//!   [`check_equivalence`] builds one first.
+//!   array bit for bit: [`Oracle`] checks kernels a caller already built.
+//!   The pipeline's `CompileSession` builds them and checks them through
+//!   it when verification is on; that is the one way to compile and
+//!   verify a loop.
 //!
 //! Arithmetic is evaluated identically on both sides (including `-x`
 //! lowering to `0.0 - x`, wrapping integer arithmetic, and
@@ -29,9 +31,7 @@ pub mod reference;
 pub mod trace;
 pub mod vliw;
 
-pub use harness::{
-    check_equivalence, check_equivalence_mve, make_workspace, EquivReport, Oracle, RunConfig,
-};
+pub use harness::{make_workspace, EquivReport, Oracle, RunConfig};
 pub use mve_sim::run_mve;
 pub use reference::run_reference;
 pub use trace::{issue_trace, trace_stats, TraceEvent, TraceStats};

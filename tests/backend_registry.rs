@@ -121,8 +121,7 @@ fn external_backend_registers_schedules_and_traces() {
         let via_echo = session.run_loop(l);
         // Byte-identical to the scheduler it wraps.
         let problem = SchedProblem::new(&l.body, &machine).expect("well-formed");
-        let cache = MinDistCache::new();
-        match SlackScheduler::new().run_cached(&problem, &cache) {
+        match SlackScheduler::new().run(&problem) {
             Ok(expected) => {
                 let artifacts = via_echo.expect("echo schedules what slack schedules");
                 assert_eq!(expected.ii, artifacts.schedule.ii, "{}", l.def.name);

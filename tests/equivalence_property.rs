@@ -4,9 +4,11 @@
 //! Formerly a `proptest` suite; rewritten over the vendored deterministic
 //! PRNG so the workspace builds without external crates.
 
+mod common;
+
+use common::verify;
 use lsms::machine::huff_machine;
-use lsms::sched::{DirectionPolicy, SlackConfig};
-use lsms::sim::{check_equivalence, RunConfig};
+use lsms::pipeline::{Stage, VerifySpec};
 use lsms_prng::SmallRng;
 
 #[test]
@@ -19,26 +21,22 @@ fn random_loops_compute_correctly_through_the_pipeline() {
         let loops = lsms::loops::generate(&lsms::loops::GeneratorConfig { seed, count: 1 });
         let unit = lsms::front::compile(&loops[0].source).expect("generator emits valid DSL");
         let machine = huff_machine();
-        let policy = match policy_sel {
-            0 => DirectionPolicy::Bidirectional,
-            1 => DirectionPolicy::AlwaysEarly,
-            _ => DirectionPolicy::AlwaysLate,
+        let backend = match policy_sel {
+            0 => "slack",
+            1 => "early",
+            _ => "late",
         };
-        let config = RunConfig {
+        let spec = VerifySpec {
             trip,
             seed: seed ^ 0xdead_beef,
-            scheduler: SlackConfig {
-                direction: policy,
-                ..SlackConfig::default()
-            },
         };
-        // Scheduling failure is acceptable (counted elsewhere); incorrect
-        // computation never is.
-        match check_equivalence(&unit.loops[0], &machine, &config) {
+        // Failure to pipeline is acceptable (counted elsewhere); an invalid
+        // schedule or incorrect computation never is.
+        match verify(&unit.loops[0], &machine, backend, spec, false) {
             Ok(report) => assert!(report.elements > 0, "case {case} seed {seed}"),
             Err(e) => {
                 assert!(
-                    e.starts_with("schedule:"),
+                    e.stage == Stage::Schedule && e.code == "E0501",
                     "non-scheduling failure on seed {seed}: {e}"
                 );
             }

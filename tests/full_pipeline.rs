@@ -2,12 +2,15 @@
 //! scheduling → rotating allocation → kernel code → simulated execution,
 //! with every stage checked by an independent oracle.
 
+mod common;
+
+use common::verify;
 use lsms::front::compile;
 use lsms::ir::RegClass;
 use lsms::machine::{alternate_machines, huff_machine};
+use lsms::pipeline::VerifySpec;
 use lsms::regalloc::{allocate_rotating, verify_allocation, Strategy};
 use lsms::sched::{validate, SchedProblem, SlackScheduler};
-use lsms::sim::{check_equivalence, RunConfig};
 
 #[test]
 fn every_kernel_survives_the_whole_pipeline() {
@@ -15,8 +18,14 @@ fn every_kernel_survives_the_whole_pipeline() {
     for kernel in lsms::loops::kernels() {
         let unit = compile(&kernel.source).expect("kernels compile");
         let compiled = &unit.loops[0];
-        let report = check_equivalence(compiled, &machine, &RunConfig::default())
-            .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
+        let report = verify(
+            compiled,
+            &machine,
+            "slack",
+            VerifySpec::with_trip(25),
+            false,
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
         assert!(report.elements > 0, "{}", kernel.name);
     }
 }
@@ -30,12 +39,11 @@ fn kernels_simulate_correctly_at_edge_trip_counts() {
         let unit = compile(&kernel.source).expect("kernels compile");
         let compiled = &unit.loops[0];
         for trip in [1, 2, 3, 13, 64] {
-            let config = RunConfig {
+            let spec = VerifySpec {
                 trip,
                 seed: trip * 7 + 1,
-                ..RunConfig::default()
             };
-            check_equivalence(compiled, &machine, &config)
+            verify(compiled, &machine, "slack", spec, false)
                 .unwrap_or_else(|e| panic!("{} at trip {trip}: {e}", kernel.name));
         }
     }
@@ -70,12 +78,11 @@ fn generated_corpus_slice_schedules_validates_and_allocates() {
 fn generated_corpus_slice_simulates_correctly() {
     let machine = huff_machine();
     for compiled in lsms::loops::corpus(40, 0xbeef) {
-        let config = RunConfig {
+        let spec = VerifySpec {
             trip: 17,
             seed: 0xabc,
-            ..RunConfig::default()
         };
-        check_equivalence(&compiled, &machine, &config)
+        verify(&compiled, &machine, "slack", spec, false)
             .unwrap_or_else(|e| panic!("{}: {e}", compiled.def.name));
     }
 }
@@ -85,8 +92,14 @@ fn pipeline_holds_on_alternative_machines() {
     for machine in alternate_machines() {
         for kernel in lsms::loops::kernels().into_iter().take(6) {
             let unit = compile(&kernel.source).expect("kernels compile");
-            check_equivalence(&unit.loops[0], &machine, &RunConfig::default())
-                .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, machine.name()));
+            verify(
+                &unit.loops[0],
+                &machine,
+                "slack",
+                VerifySpec::with_trip(25),
+                false,
+            )
+            .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, machine.name()));
         }
     }
 }

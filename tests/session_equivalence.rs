@@ -12,8 +12,8 @@ use lsms::machine::{huff_machine, Machine};
 use lsms::pipeline::CompileSession;
 use lsms::sched::pressure::{gpr_count, measure_cached, min_avg_cached};
 use lsms::sched::{
-    bounds, CydromeScheduler, DecisionStats, DirectionPolicy, MinDistCache, PressureReport,
-    SchedProblem, SchedStats, Schedule, SlackConfig, SlackScheduler,
+    bounds, CydromeScheduler, DecisionStats, DirectionPolicy, EngineWorkspace, MinDistCache,
+    PressureReport, SchedProblem, SchedStats, Schedule, SlackConfig, SlackScheduler,
 };
 use lsms_bench::{class_line, LoopRecord, SchedOutcome, CORPUS_SEED};
 
@@ -72,13 +72,14 @@ fn old_style_evaluate(compiled: &lsms::front::CompiledLoop, machine: &Machine) -
             direction,
             ..SlackConfig::default()
         });
-        let (result, decisions) = scheduler.run_with_decisions_cached(&problem, &cache);
+        let (result, decisions) =
+            scheduler.run_in(&problem, &cache, None, &mut EngineWorkspace::new());
         (old_outcome(result, &problem, &cache), decisions)
     };
     let (new, decisions) = run_slack(DirectionPolicy::Bidirectional);
     let (early, _) = run_slack(DirectionPolicy::AlwaysEarly);
     let old = old_outcome(
-        CydromeScheduler::new().run_cached(&problem, &cache),
+        CydromeScheduler::new().run_in(&problem, &cache, &mut EngineWorkspace::new()),
         &problem,
         &cache,
     );
@@ -225,13 +226,16 @@ fn registry_backends_match_their_enum_era_schedulers() {
                 direction,
                 ..SlackConfig::default()
             })
-            .run_cached(problem, cache)
+            .run_in(problem, cache, None, &mut EngineWorkspace::new())
+            .0
         };
         match name {
             "slack" => slack(DirectionPolicy::Bidirectional),
             "early" => slack(DirectionPolicy::AlwaysEarly),
             "late" => slack(DirectionPolicy::AlwaysLate),
-            "cydrome" => CydromeScheduler::new().run_cached(problem, cache),
+            "cydrome" => {
+                CydromeScheduler::new().run_in(problem, cache, &mut EngineWorkspace::new())
+            }
             _ => unreachable!("enum-era backend"),
         }
     };
