@@ -22,11 +22,12 @@
 //!   --trace PATH                 write a Chrome trace-event JSON file
 //!                                (load it at https://ui.perfetto.dev);
 //!                                corpus runs merge all workers into one
-//!                                trace, one row per worker thread
-//!   --metrics PATH               write counters and histograms in
-//!                                Prometheus text exposition format
-//!                                ("-" = stdout); totals reconcile with
-//!                                --timings
+//!                                trace, one row per worker thread; the
+//!                                tracer is off unless this is given
+//!   --metrics PATH               write the per-pass report's counters
+//!                                (the same ones --timings prints, plus
+//!                                invocations) in Prometheus text
+//!                                exposition format ("-" = stdout)
 //!   --pass-budget NAME=MILLIS    per-invocation wall-clock deadline for
 //!                                a pass; overruns emit a
 //!                                `budget_exceeded` trace event and
@@ -498,18 +499,6 @@ fn explain_pass(name: &str, session: &CompileSession) -> Result<(), LsmsError> {
     Ok(())
 }
 
-/// `--timings PATH`: the session's per-pass report as JSON.
-fn write_timings(path: &str, session: &CompileSession) -> Result<(), LsmsError> {
-    let json = session.report().to_json();
-    if path == "-" {
-        print!("{json}");
-    } else {
-        std::fs::write(path, json)
-            .map_err(|e| LsmsError::io(format!("cannot write {path}: {e}")))?;
-    }
-    Ok(())
-}
-
 /// Where the quality-history ledger lives: `results/quality_history.jsonl`
 /// by default, overridden by `LSMS_QUALITY_HISTORY` (set it to `0` or
 /// empty to disable the append entirely).
@@ -534,12 +523,8 @@ fn write_quality_outputs(
     use std::fmt::Write as _;
     let rollup = lsms_obs::QualityRollup::new(machine_name, records);
     if let Some(path) = &options.quality {
-        let json = rollup.to_json();
-        if path == "-" {
-            print!("{json}");
-        } else {
-            std::fs::write(path, json)
-                .map_err(|e| LsmsError::io(format!("cannot write {path}: {e}")))?;
+        write_output(path, &rollup.to_json())?;
+        if path != "-" {
             if let Some(ledger) = history_path() {
                 let secs = std::time::SystemTime::now()
                     .duration_since(std::time::UNIX_EPOCH)
@@ -568,40 +553,19 @@ fn write_quality_outputs(
             .and_then(|p| std::fs::read_to_string(p).ok())
             .map(|text| lsms_obs::parse_history(&text))
             .unwrap_or_default();
-        let html = lsms_obs::quality_dashboard_html(&rollup, &history);
-        if path == "-" {
-            print!("{html}");
-        } else {
-            std::fs::write(path, html)
-                .map_err(|e| LsmsError::io(format!("cannot write {path}: {e}")))?;
-        }
+        write_output(path, &lsms_obs::quality_dashboard_html(&rollup, &history))?;
     }
     Ok(())
 }
 
-/// `--trace PATH` / `--metrics PATH`: drains the trace collector once
-/// and writes whichever exports were requested.
-fn write_trace_outputs(options: &Options) -> Result<(), LsmsError> {
-    let trace = lsms_trace::drain();
-    if let Some(path) = &options.trace {
-        let json = lsms_trace::to_chrome_json(&trace);
-        if path == "-" {
-            print!("{json}");
-        } else {
-            std::fs::write(path, json)
-                .map_err(|e| LsmsError::io(format!("cannot write {path}: {e}")))?;
-        }
+/// Writes `text` to `path`, or to stdout for `-`.
+fn write_output(path: &str, text: &str) -> Result<(), LsmsError> {
+    if path == "-" {
+        print!("{text}");
+        Ok(())
+    } else {
+        std::fs::write(path, text).map_err(|e| LsmsError::io(format!("cannot write {path}: {e}")))
     }
-    if let Some(path) = &options.metrics {
-        let text = lsms_trace::to_prometheus(&trace);
-        if path == "-" {
-            print!("{text}");
-        } else {
-            std::fs::write(path, text)
-                .map_err(|e| LsmsError::io(format!("cannot write {path}: {e}")))?;
-        }
-    }
-    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -610,7 +574,7 @@ fn main() -> ExitCode {
         print!("{}", list_backends_text());
         return ExitCode::SUCCESS;
     }
-    if options.trace.is_some() || options.metrics.is_some() {
+    if options.trace.is_some() {
         lsms_trace::set_enabled(true);
     }
     let session = CompileSession::new(session_config(&options));
@@ -653,16 +617,22 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Some(path) = &options.timings {
-        if let Err(e) = write_timings(path, &session) {
-            eprintln!("lsmsc: {}", e.render(None));
-            if code == 0 {
-                code = e.exit_code();
-            }
-        }
-    }
-    if options.trace.is_some() || options.metrics.is_some() {
-        if let Err(e) = write_trace_outputs(&options) {
+    let exports = [
+        options
+            .timings
+            .as_ref()
+            .map(|path| (path, session.report().to_json())),
+        options
+            .trace
+            .as_ref()
+            .map(|path| (path, lsms_trace::to_chrome_json(&lsms_trace::drain()))),
+        options
+            .metrics
+            .as_ref()
+            .map(|path| (path, session.report().to_prometheus())),
+    ];
+    for (path, text) in exports.into_iter().flatten() {
+        if let Err(e) = write_output(path, &text) {
             eprintln!("lsmsc: {}", e.render(None));
             if code == 0 {
                 code = e.exit_code();

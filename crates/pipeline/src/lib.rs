@@ -107,6 +107,51 @@ mod tests {
         assert!(sched.counters["ii"] >= 1);
     }
 
+    /// Every counter a session records is documented in the pass
+    /// registry, so `--explain-pass` and `--metrics` describe the same
+    /// keys. `budget_exceeded` is the one key any pass may record.
+    #[test]
+    fn every_recorded_counter_is_documented() {
+        let mut config = SessionConfig::new(huff_machine());
+        config.codegen = true;
+        config.mve = true;
+        config.verify = Some(VerifySpec::with_trip(20));
+        let full = CompileSession::new(config);
+        let unit = full.compile_source(SAMPLE).expect("compiles");
+        full.run_loop(&unit.loops[0]).expect("pipelines");
+        full.evaluate_variants(&unit.loops[0], false)
+            .expect("evaluates");
+
+        // A blown budget adds the degradation counters.
+        let mut config = SessionConfig::new(huff_machine());
+        config.backend = BackendSelection::parse("slack:budget-factor=0").expect("static spec");
+        config.budgets = vec![PassBudget {
+            pass: "schedule:slack",
+            limit: std::time::Duration::ZERO,
+        }];
+        let degraded = CompileSession::new(config);
+        degraded.run_loop(&unit.loops[0]).expect("degrades");
+
+        let mut report = full.report();
+        report.merge(&degraded.report());
+        for key in ["budget_capped", "degraded", "budget_exceeded"] {
+            assert!(
+                report.passes().iter().any(|r| r.counters.contains_key(key)),
+                "{key} never recorded"
+            );
+        }
+        for record in report.passes() {
+            let info = pass_info(record.name).unwrap_or_else(|| panic!("{}", record.name));
+            for key in record.counters.keys() {
+                assert!(
+                    *key == "budget_exceeded" || info.counters.iter().any(|(k, _)| k == key),
+                    "{}: counter `{key}` is not in its PassInfo",
+                    record.name
+                );
+            }
+        }
+    }
+
     #[test]
     fn parse_errors_carry_code_span_and_exit_code() {
         let session = CompileSession::with_machine(huff_machine());
@@ -208,20 +253,6 @@ mod tests {
     const RECURRENCE: &str = "loop rec(i = 1..n) { real s[], x[];
          s[i] = s[i-1] + x[i]; }";
 
-    /// A loop's outcome with the wall clock zeroed — everything that must
-    /// be byte-identical between cold and cached runs.
-    fn outcome_key(o: &SchedOutcome) -> (Option<u32>, u32, String, lsms_sched::SchedStats, bool) {
-        let mut stats = o.stats.clone();
-        stats.elapsed = std::time::Duration::ZERO;
-        (
-            o.ii,
-            o.last_ii,
-            format!("{:?}", o.pressure),
-            stats,
-            o.degraded,
-        )
-    }
-
     #[test]
     fn alpha_equivalent_loops_hit_the_schedule_cache() {
         let session = CompileSession::with_machine(huff_machine());
@@ -253,18 +284,6 @@ mod tests {
         let report = session.report();
         let record = report.get("sched-cache").expect("recorded");
         assert!(record.counters["hits"] >= 1);
-    }
-
-    #[test]
-    fn disabling_the_cache_reruns_every_backend() {
-        let mut config = SessionConfig::new(huff_machine());
-        config.sched_cache = false;
-        let session = CompileSession::new(config);
-        let unit = session.compile_source(DAXPY).expect("compiles");
-        let first = session.schedule_outcome(&unit.loops[0]).expect("schedules");
-        let second = session.schedule_outcome(&unit.loops[0]).expect("schedules");
-        assert_eq!(outcome_key(&first), outcome_key(&second));
-        assert!(session.report().get("sched-cache").is_none());
     }
 
     #[test]

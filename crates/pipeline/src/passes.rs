@@ -204,6 +204,14 @@ pub const SCHED_COUNTERS: &[(&str, &str)] = &[
     ("ejected_ops", "operations ejected"),
     ("step6_restarts", "II increments (Step 6)"),
     ("attempts", "II values attempted"),
+    (
+        "bounds_cells_touched",
+        "MinDist cells read maintaining Estart/Lstart",
+    ),
+    (
+        "choose_scan_len",
+        "ready-set entries scanned choosing operations",
+    ),
     ("failures", "loops that failed to pipeline"),
     (
         "budget_capped",

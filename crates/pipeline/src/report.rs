@@ -1,6 +1,6 @@
 //! Per-pass observability: wall-clock timings and work counters,
-//! aggregated across every loop a session touches and serializable to
-//! JSON for `lsmsc --timings`.
+//! aggregated across every loop a session touches, serializable to JSON
+//! for `lsmsc --timings` and to Prometheus text for `lsmsc --metrics`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -151,6 +151,42 @@ impl PassReport {
         out
     }
 
+    /// Serializes the counters in Prometheus text exposition format, one
+    /// `lsms_<pass>_<key>_total` counter per `(pass, key)` plus one per
+    /// pass for `invocations`:
+    ///
+    /// ```text
+    /// # TYPE lsms_parse_invocations_total counter
+    /// lsms_parse_invocations_total 1
+    /// # TYPE lsms_parse_loops_total counter
+    /// lsms_parse_loops_total 1
+    /// ```
+    ///
+    /// Names map every character outside `[a-zA-Z0-9_]` to `_`
+    /// (`schedule:slack` → `schedule_slack`). Series sort by the raw
+    /// `(pass, key)` pair and carry no wall clock or timestamp, so two
+    /// runs that did the same work produce byte-identical output whatever
+    /// their worker count.
+    pub fn to_prometheus(&self) -> String {
+        let mut series: Vec<(&str, &str, u64)> = self
+            .records
+            .iter()
+            .flat_map(|r| {
+                let invocations = std::iter::once(("invocations", r.invocations));
+                let counters = r.counters.iter().map(|(&k, &v)| (k, v));
+                invocations.chain(counters).map(|(k, v)| (r.name, k, v))
+            })
+            .collect();
+        series.sort_unstable();
+        let mut out = String::new();
+        for (pass, key, value) in series {
+            let name = format!("lsms_{}_{}_total", sanitize(pass), sanitize(key));
+            let _ = writeln!(out, "# TYPE {name} counter");
+            let _ = writeln!(out, "{name} {value}");
+        }
+        out
+    }
+
     /// A human-readable table of the report (used by `--explain-pass` and
     /// handy in logs).
     pub fn to_table(&self) -> String {
@@ -173,6 +209,14 @@ impl PassReport {
         }
         out
     }
+}
+
+/// Maps a name onto the Prometheus metric-name alphabet
+/// (`[a-zA-Z0-9_]`); every other character becomes `_`.
+fn sanitize(s: &str) -> String {
+    s.chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+        .collect()
 }
 
 #[cfg(test)]
@@ -217,6 +261,39 @@ mod tests {
         assert!(json.contains("\"wall_us\": 42"));
         assert!(json.contains("\"loops\": 1"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn prometheus_sorts_by_raw_pass_and_key() {
+        let mut report = PassReport::new();
+        report.record("schedule:slack", Duration::from_micros(9), &[("ii", 3)]);
+        report.record("sched-cache", Duration::ZERO, &[("misses", 1), ("hits", 0)]);
+        report.record("schedule:slack", Duration::from_micros(4), &[("ii", 2)]);
+        report.record("if-convert", Duration::ZERO, &[("predicates", 0)]);
+        report.bump("schedule:slack", "budget_exceeded", 1);
+        // Report order is pipeline order, but the exposition sorts the
+        // raw names: `sched-cache` before `schedule:slack`, and
+        // `invocations` among the keys.
+        assert_eq!(
+            report.to_prometheus(),
+            "# TYPE lsms_if_convert_invocations_total counter\n\
+             lsms_if_convert_invocations_total 1\n\
+             # TYPE lsms_if_convert_predicates_total counter\n\
+             lsms_if_convert_predicates_total 0\n\
+             # TYPE lsms_sched_cache_hits_total counter\n\
+             lsms_sched_cache_hits_total 0\n\
+             # TYPE lsms_sched_cache_invocations_total counter\n\
+             lsms_sched_cache_invocations_total 1\n\
+             # TYPE lsms_sched_cache_misses_total counter\n\
+             lsms_sched_cache_misses_total 1\n\
+             # TYPE lsms_schedule_slack_budget_exceeded_total counter\n\
+             lsms_schedule_slack_budget_exceeded_total 1\n\
+             # TYPE lsms_schedule_slack_ii_total counter\n\
+             lsms_schedule_slack_ii_total 5\n\
+             # TYPE lsms_schedule_slack_invocations_total counter\n\
+             lsms_schedule_slack_invocations_total 2\n"
+        );
+        assert_eq!(PassReport::new().to_prometheus(), "");
     }
 
     /// Passes the registry doesn't know (runtime-registered backends)

@@ -69,10 +69,6 @@ pub struct SessionConfig {
     /// (default: bidirectional slack). Resolved against the
     /// [backend registry](crate::backend) when the session is built.
     pub backend: BackendSelection,
-    /// The backend a budget-capped schedule pass degrades to, by registry
-    /// name (default `cydrome`). Only consulted when a [`PassBudget`]
-    /// covers the primary scheduling pass.
-    pub degrade_to: String,
     /// Unroll factor applied before scheduling (1 = off).
     pub unroll: u32,
     /// Schedule as a single basic block instead of a modulo pipeline.
@@ -90,11 +86,6 @@ pub struct SessionConfig {
     pub verify: Option<VerifySpec>,
     /// Optional per-pass wall-clock deadlines (see [`PassBudget`]).
     pub budgets: Vec<PassBudget>,
-    /// Memoize scheduling results in the session's content-addressed
-    /// cache (default on). Passes running under a [`PassBudget`]
-    /// deadline bypass the cache either way, because a deadline-capped
-    /// result is not deterministic.
-    pub sched_cache: bool,
 }
 
 impl SessionConfig {
@@ -104,7 +95,6 @@ impl SessionConfig {
         Self {
             machine,
             backend: BackendSelection::default(),
-            degrade_to: "cydrome".to_owned(),
             unroll: 1,
             straight_line: false,
             regalloc: false,
@@ -112,7 +102,6 @@ impl SessionConfig {
             mve: false,
             verify: None,
             budgets: Vec::new(),
-            sched_cache: true,
         }
     }
 }
@@ -229,10 +218,10 @@ pub struct CompileSession {
     /// worker thread shares one `Arc`; resolution failure is kept as data
     /// and surfaced by [`backend`](Self::backend) / [`validate`](Self::validate).
     primary: Result<BackendEntry, LsmsError>,
-    /// The degradation target (`config.degrade_to`), resolved likewise.
-    fallback: Result<BackendEntry, LsmsError>,
     /// The three-scheduler evaluation trio (`slack`, `early`, `cydrome`),
-    /// resolved once so the parallel corpus pool shares the `Arc`s.
+    /// resolved once so the parallel corpus pool shares the `Arc`s. The
+    /// Cydrome baseline is also what a budget-capped schedule pass
+    /// degrades to.
     eval: [BackendEntry; 3],
     report: Mutex<PassReport>,
     /// In-memory schedule memoization, shared by every worker thread.
@@ -247,19 +236,11 @@ impl CompileSession {
     /// scheduling call surfaces.
     pub fn new(config: SessionConfig) -> Self {
         let primary = resolve_backend(&config.backend);
-        let fallback = lookup_backend(&config.degrade_to).ok_or_else(|| {
-            LsmsError::backend(format!(
-                "unknown degradation backend `{}` (backends: {})",
-                config.degrade_to,
-                crate::backend::backend_names().join(", ")
-            ))
-        });
         let eval = ["slack", "early", "cydrome"]
             .map(|name| lookup_backend(name).expect("built-in backend registered"));
         Self {
             config,
             primary,
-            fallback,
             eval,
             report: Mutex::new(PassReport::new()),
             sched_cache: ScheduleCache::new(),
@@ -294,18 +275,15 @@ impl CompileSession {
         Ok(entry)
     }
 
-    /// Checks the whole backend configuration eagerly — primary backend,
-    /// capability requirements, degradation target — so drivers can fail
-    /// fast instead of erroring on the first loop.
+    /// Checks the backend configuration eagerly — primary backend and
+    /// capability requirements — so drivers can fail fast instead of
+    /// erroring on the first loop.
     ///
     /// # Errors
     ///
-    /// As [`backend`](Self::backend), plus `E0003` for an unknown
-    /// `degrade_to` name.
+    /// As [`backend`](Self::backend).
     pub fn validate(&self) -> Result<(), LsmsError> {
-        self.backend()?;
-        self.fallback.as_ref().map_err(Clone::clone)?;
-        Ok(())
+        self.backend().map(|_| ())
     }
 
     /// A snapshot of everything measured so far.
@@ -313,15 +291,12 @@ impl CompileSession {
         self.report.lock().expect("report lock").clone()
     }
 
-    /// Records one pass invocation everywhere it is observable: the
-    /// [`PassReport`], the trace metrics (scoped by pass name, so
-    /// `--metrics` totals reconcile with `--timings`), and — when the
-    /// invocation overran a configured [`PassBudget`] — a
-    /// `budget_exceeded` event and counter.
+    /// Records one pass invocation in the [`PassReport`], the one place
+    /// work is counted (`--timings` and `--metrics` both render it), plus
+    /// — when the invocation overran a configured [`PassBudget`] — a
+    /// `budget_exceeded` trace event and counter.
     fn record(&self, pass: &'static str, started: Instant, counters: &[(&'static str, u64)]) {
         let elapsed = started.elapsed();
-        lsms_trace::add_all(pass, counters);
-        lsms_trace::add(pass, "invocations", 1);
         let over_budget = self
             .config
             .budgets
@@ -332,7 +307,6 @@ impl CompileSession {
                 "budget_exceeded",
                 &[("wall_us", elapsed.as_micros().min(i64::MAX as u128) as i64)],
             );
-            lsms_trace::add(pass, "budget_exceeded", 1);
         }
         let mut report = self.report.lock().expect("report lock");
         report.record(pass, elapsed, counters);
@@ -436,9 +410,8 @@ impl CompileSession {
     ///
     /// When a [`PassBudget`] covers the entry's pass, its limit becomes a
     /// wall-clock deadline on II escalation; a deadline-capped failure
-    /// degrades to the registry backend named by
-    /// [`SessionConfig::degrade_to`] (recorded under that backend's own
-    /// pass label with a `degraded` counter) instead of failing the loop.
+    /// degrades to the Cydrome baseline (recorded under its own pass
+    /// label with a `degraded` counter) instead of failing the loop.
     /// The returned [`ScheduledRun`] names the backend that actually
     /// produced the result (the fallback's, after degradation), so the
     /// quality record attributes the schedule to the right pass.
@@ -471,27 +444,18 @@ impl CompileSession {
             .0
         };
         let capped = matches!(&result, Err(f) if f.deadline_capped);
-        let (stats, counters) = match &result {
-            Ok(s) => (&s.stats, [("ii", u64::from(s.ii)), ("failures", 0)]),
-            // A capped run is not a pipeline failure: the fallback below
-            // decides whether the loop compiles.
-            Err(f) => (&f.stats, [("ii", 0), ("failures", u64::from(!capped))]),
-        };
-        let mut all = vec![
-            counters[0],
-            ("central_iterations", stats.central_iterations),
-            ("step3_invocations", stats.step3_invocations),
-            ("ejected_ops", stats.ejected_ops),
-            ("step6_restarts", stats.step6_restarts),
-            ("attempts", u64::from(stats.attempts)),
-            ("bounds_cells_touched", stats.bounds_cells_touched),
-            ("choose_scan_len", stats.choose_scan_len),
-            counters[1],
-        ];
+        // A capped run is not a pipeline failure: the fallback below
+        // decides whether the loop compiles.
+        let counters = sched_counters(&result, !capped);
         if capped {
-            all.push(("budget_capped", 1));
+            self.record(
+                pass,
+                started,
+                &[&counters[..], &[("budget_capped", 1)]].concat(),
+            );
+        } else {
+            self.record(pass, started, &counters);
         }
-        self.record(pass, started, &all);
         let produced_by = |result, entry: &BackendEntry, degraded| ScheduledRun {
             result,
             pass: entry.pass,
@@ -501,15 +465,11 @@ impl CompileSession {
         if !capped {
             return produced_by(result, entry, false);
         }
-        let Ok(fallback_entry) = &self.fallback else {
-            // Unknown degrade_to name and validate() was skipped: surface
-            // the capped failure rather than degrade to nothing.
-            return produced_by(result, entry, false);
-        };
 
         // Budget-driven degradation: the configured backend blew its
-        // wall-clock budget mid-escalation. Retry with the configured
-        // fallback backend rather than reporting the loop unschedulable.
+        // wall-clock budget mid-escalation. Retry with the Cydrome
+        // baseline rather than reporting the loop unschedulable.
+        let fallback_entry = &self.eval[2];
         let last_ii = result.as_ref().err().map_or(0, |f| f.last_ii);
         lsms_trace::instant("sched.degrade", &[("last_ii", i64::from(last_ii))]);
         let started = Instant::now();
@@ -520,25 +480,11 @@ impl CompileSession {
                 .run(problem, cache, ws, &SchedContext::new(fallback_entry.pass))
                 .result
         };
-        let (stats, counters) = match &fallback {
-            Ok(s) => (&s.stats, [("ii", u64::from(s.ii)), ("failures", 0)]),
-            Err(f) => (&f.stats, [("ii", 0), ("failures", 1)]),
-        };
+        let counters = sched_counters(&fallback, true);
         self.record(
             fallback_entry.pass,
             started,
-            &[
-                counters[0],
-                ("central_iterations", stats.central_iterations),
-                ("step3_invocations", stats.step3_invocations),
-                ("ejected_ops", stats.ejected_ops),
-                ("step6_restarts", stats.step6_restarts),
-                ("attempts", u64::from(stats.attempts)),
-                ("bounds_cells_touched", stats.bounds_cells_touched),
-                ("choose_scan_len", stats.choose_scan_len),
-                counters[1],
-                ("degraded", 1),
-            ],
+            &[&counters[..], &[("degraded", 1)]].concat(),
         );
         produced_by(fallback, fallback_entry, true)
     }
@@ -569,7 +515,7 @@ impl CompileSession {
             deadline,
             straight_line,
         };
-        if deadline.is_some() || !self.config.sched_cache {
+        if deadline.is_some() {
             let run = entry.scheduler.run(problem, cache, ws, &ctx);
             return (run.result, run.decisions);
         }
@@ -795,17 +741,20 @@ impl CompileSession {
         let started = Instant::now();
         let result = {
             let _span = lsms_trace::span("simulate-verify");
-            let oracle = Oracle::new(compiled, spec.trip, spec.seed);
-            oracle
-                .check_kernel(compiled, problem, schedule, kernel, rr, icr)
-                .and_then(|report| match mve {
-                    Some(mve) => oracle
-                        .check_mve(compiled, problem, schedule, mve)
-                        .map(|_| report)
-                        .map_err(|e| format!("mve: {e}")),
-                    None => Ok(report),
+            Oracle::new(compiled, spec.trip, spec.seed)
+                .map_err(LsmsError::from)
+                .and_then(|oracle| {
+                    oracle
+                        .check_kernel(compiled, problem, schedule, kernel, rr, icr)
+                        .and_then(|report| match mve {
+                            Some(mve) => oracle
+                                .check_mve(compiled, problem, schedule, mve)
+                                .map(|_| report)
+                                .map_err(|e| format!("mve: {e}")),
+                            None => Ok(report),
+                        })
+                        .map_err(LsmsError::verification)
                 })
-                .map_err(LsmsError::verification)
         };
         let counters = match &result {
             Ok(r) => [("cycles", r.cycles), ("elements", r.elements as u64)],
@@ -862,8 +811,9 @@ impl CompileSession {
                     None,
                 )
             };
+            let counters = sched_counters(&result, true);
             let outcome = outcome_of(result, &problem, &cache, false);
-            self.record_outcome(entry.pass, started, &outcome);
+            self.record(entry.pass, started, &counters);
             (outcome, decisions)
         };
         let [slack, early_entry, cydrome] = &self.eval;
@@ -897,24 +847,31 @@ impl CompileSession {
             decisions,
         })
     }
+}
 
-    fn record_outcome(&self, pass: &'static str, started: Instant, outcome: &SchedOutcome) {
-        self.record(
-            pass,
-            started,
-            &[
-                ("ii", outcome.ii.map_or(0, u64::from)),
-                ("central_iterations", outcome.stats.central_iterations),
-                ("step3_invocations", outcome.stats.step3_invocations),
-                ("ejected_ops", outcome.stats.ejected_ops),
-                ("step6_restarts", outcome.stats.step6_restarts),
-                ("attempts", u64::from(outcome.stats.attempts)),
-                ("bounds_cells_touched", outcome.stats.bounds_cells_touched),
-                ("choose_scan_len", outcome.stats.choose_scan_len),
-                ("failures", u64::from(outcome.ii.is_none())),
-            ],
-        );
-    }
+/// The [`SCHED_COUNTERS`](crate::SCHED_COUNTERS) every schedule-pass
+/// invocation records (all but the out-of-band `budget_capped` and
+/// `degraded`). `failure_counts` says whether a failed run counts as a
+/// pipeline failure; a deadline-capped one does not.
+fn sched_counters(
+    result: &Result<Schedule, lsms_sched::SchedFailure>,
+    failure_counts: bool,
+) -> [(&'static str, u64); 9] {
+    let (ii, stats) = match result {
+        Ok(s) => (u64::from(s.ii), &s.stats),
+        Err(f) => (0, &f.stats),
+    };
+    [
+        ("ii", ii),
+        ("central_iterations", stats.central_iterations),
+        ("step3_invocations", stats.step3_invocations),
+        ("ejected_ops", stats.ejected_ops),
+        ("step6_restarts", stats.step6_restarts),
+        ("attempts", u64::from(stats.attempts)),
+        ("bounds_cells_touched", stats.bounds_cells_touched),
+        ("choose_scan_len", stats.choose_scan_len),
+        ("failures", u64::from(result.is_err() && failure_counts)),
+    ]
 }
 
 fn outcome_of(

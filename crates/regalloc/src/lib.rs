@@ -28,4 +28,5 @@ pub use gpr::assign_gprs;
 pub use mve::{mve_plan, MvePlan};
 pub use rotating::{
     allocate_rotating, verify_allocation, AllocError, Fit, Ordering, RotatingAllocation, Strategy,
+    MAX_ROTATING_REGS,
 };

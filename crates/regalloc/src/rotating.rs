@@ -98,6 +98,12 @@ impl RotatingAllocation {
     }
 }
 
+/// The largest rotating file [`allocate_rotating`] will size. The
+/// allocator and the simulator's register file are linear in it, so a
+/// recurrence distance long enough to need more registers (about 8.4
+/// million) gets [`AllocError::TooManyRegisters`] instead of gigabytes.
+pub const MAX_ROTATING_REGS: u32 = 1 << 23;
+
 /// Allocation failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AllocError {
@@ -105,6 +111,15 @@ pub enum AllocError {
     CapExceeded {
         /// The largest file size attempted.
         cap: u32,
+    },
+    /// The file needs more registers than [`MAX_ROTATING_REGS`] before
+    /// any assignment is tried.
+    TooManyRegisters {
+        /// The lower bound `max(MaxLive, self-overlap minimum, 1)`
+        /// (saturating).
+        needed: u64,
+        /// The limit it exceeds.
+        limit: u32,
     },
 }
 
@@ -117,6 +132,10 @@ impl std::fmt::Display for AllocError {
                     "no conflict-free rotating allocation within {cap} registers"
                 )
             }
+            AllocError::TooManyRegisters { needed, limit } => write!(
+                f,
+                "rotating allocation needs at least {needed} registers, above the limit of {limit}"
+            ),
         }
     }
 }
@@ -150,9 +169,10 @@ struct Live {
 ///
 /// # Errors
 ///
-/// Returns [`AllocError::CapExceeded`] if no assignment exists within
-/// `max(MaxLive, self-overlap minimum, 1) + 64` registers (never
-/// observed; a defensive bound).
+/// Returns [`AllocError::TooManyRegisters`] when that lower bound is above
+/// [`MAX_ROTATING_REGS`], and [`AllocError::CapExceeded`] if no
+/// assignment exists within the bound + 64 registers (never observed; a
+/// defensive bound).
 pub fn allocate_rotating(
     problem: &SchedProblem<'_>,
     schedule: &Schedule,
@@ -210,14 +230,18 @@ pub fn allocate_rotating(
         .iter()
         .map(|l| l.len.div_euclid(ii) + 1)
         .max()
-        .unwrap_or(1) as u32;
-    let start = max_live.max(self_min).max(1);
+        .unwrap_or(1);
+    let needed = u64::from(max_live).max(self_min as u64).max(1);
+    if needed > u64::from(MAX_ROTATING_REGS) {
+        return Err(AllocError::TooManyRegisters {
+            needed,
+            limit: MAX_ROTATING_REGS,
+        });
+    }
+    let start = needed as u32;
     let cap = start + 64;
     for n in start..=cap {
         if let Some(offsets) = try_size(&lives, ii, n, strategy.fit) {
-            lsms_trace::add("regalloc", "allocations", 1);
-            lsms_trace::observe("regalloc_regs", u64::from(n));
-            lsms_trace::observe("regalloc_excess", u64::from(n.saturating_sub(max_live)));
             return Ok(RotatingAllocation {
                 num_regs: n,
                 offsets,
@@ -229,7 +253,6 @@ pub fn allocate_rotating(
         "regalloc.alloc_fail",
         &[("max_live", i64::from(max_live)), ("cap", i64::from(cap))],
     );
-    lsms_trace::add("regalloc", "alloc_failures", 1);
     Err(AllocError::CapExceeded { cap })
 }
 

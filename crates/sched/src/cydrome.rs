@@ -134,7 +134,6 @@ impl CydromeHeuristic {
 
 impl Heuristic for CydromeHeuristic {
     fn begin_attempt(&mut self, st: &EngineState<'_, '_>) {
-        lsms_trace::add("cydrome", "attempts", 1);
         // Static priority from the *initial* slack: recurrence operations
         // first (smallest initial slack first), then the rest, Stop last.
         let n = st.problem.num_nodes();

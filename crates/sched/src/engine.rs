@@ -725,14 +725,6 @@ fn attempt(
         debug_assert!(!st.is_placed(x));
         // Step 2: search for an issue cycle within the bounds.
         let direction = heuristic.direction(&st, x, decisions);
-        lsms_trace::add(
-            "sched",
-            match direction {
-                Direction::Early => "dir_early",
-                Direction::Late => "dir_late",
-            },
-            1,
-        );
         let e = i64::from(st.estart[x]);
         let l = i64::from(st.lstart[x]);
         let mut found = None;
@@ -772,7 +764,6 @@ fn attempt(
                         ("slack", l - e),
                     ],
                 );
-                lsms_trace::add("sched", "placements", 1);
                 let Some(t) = stored_time(t) else {
                     return st.end(Attempt::OutOfRange, ws, stats);
                 };
@@ -785,7 +776,6 @@ fn attempt(
                 // Step 3: force the operation in, ejecting conflicts.
                 stats.step3_invocations += 1;
                 lsms_trace::instant("sched.mrt_conflict", &[("op", x as i64), ("estart", e)]);
-                lsms_trace::add("sched", "mrt_conflicts", 1);
                 let mut t = st.last_place[x].map_or(e, |last| e.max(last + 1));
                 // brtop cannot be ejected; search successive cycles to
                 // avoid resource conflicts with it (§4.4 footnote).
@@ -821,7 +811,6 @@ fn attempt(
                             "sched.eject",
                             &[("op", z.index() as i64), ("by", x as i64), ("cycle", t)],
                         );
-                        lsms_trace::add("sched", "ejections", 1);
                         st.eject(z.index());
                         stats.ejected_ops += 1;
                     }
@@ -831,7 +820,6 @@ fn attempt(
                     "sched.place",
                     &[("op", x as i64), ("cycle", t), ("forced", 1)],
                 );
-                lsms_trace::add_all("sched", &[("placements", 1), ("forced_placements", 1)]);
                 st.place(x, t32);
                 // Eject every placed operation whose dependence constraints
                 // the forced placement violates. `MinDist` reflects the
@@ -849,7 +837,6 @@ fn attempt(
                         "sched.eject",
                         &[("op", z as i64), ("by", x as i64), ("cycle", t)],
                     );
-                    lsms_trace::add("sched", "ejections", 1);
                     st.eject(z);
                     stats.ejected_ops += 1;
                 }
@@ -976,13 +963,11 @@ pub(crate) fn run_framework_from(
                 stats.step6_restarts += 1;
                 if ii >= max_ii {
                     lsms_trace::instant("sched.fail", &[("last_ii", i64::from(ii))]);
-                    lsms_trace::add("sched", "pipeline_failures", 1);
                     return fail(ii, stats, false, range_capped);
                 }
                 if let Some(d) = deadline {
                     if std::time::Instant::now() >= d {
                         lsms_trace::instant("sched.budget_capped", &[("last_ii", i64::from(ii))]);
-                        lsms_trace::add("sched", "budget_capped", 1);
                         return fail(ii, stats, true, false);
                     }
                 }
@@ -1001,7 +986,6 @@ pub(crate) fn run_framework_from(
                         ("warm", i64::from(ws.mrt.is_some())),
                     ],
                 );
-                lsms_trace::add("sched", "ii_escalations", 1);
                 ii = next_ii;
             }
         }

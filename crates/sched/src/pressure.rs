@@ -255,12 +255,6 @@ pub fn measure_cached(
             ("stages", i64::from(stages)),
         ],
     );
-    lsms_trace::add("pressure", "measurements", 1);
-    lsms_trace::observe("pressure_max_live", u64::from(rr_max_live));
-    lsms_trace::observe(
-        "pressure_excess",
-        u64::from(rr_max_live.saturating_sub(rr_min_avg)),
-    );
 
     PressureReport {
         ii,

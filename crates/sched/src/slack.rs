@@ -318,7 +318,6 @@ impl Heuristic for SlackHeuristic {
     ) -> Direction {
         if st.slack(node) <= 0 {
             decisions.zero_slack += 1;
-            lsms_trace::add("slack", "zero_slack", 1);
             return Direction::Early;
         }
         match self.policy {
@@ -387,17 +386,14 @@ fn bidirectional_direction(
         // E.g. an accumulator not referenced until the loop exits: place
         // early to minimise the overall schedule length.
         decisions.isolated_early += 1;
-        lsms_trace::add("slack", "isolated_early", 1);
         return Direction::Early;
     }
     if inputs > outputs {
         decisions.early_more_inputs += 1;
-        lsms_trace::add("slack", "early_more_inputs", 1);
         return Direction::Early;
     }
     if inputs < outputs {
         decisions.late_more_outputs += 1;
-        lsms_trace::add("slack", "late_more_outputs", 1);
         return Direction::Late;
     }
 

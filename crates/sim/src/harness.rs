@@ -12,7 +12,7 @@ use lsms_sched::{SchedProblem, Schedule, SlackConfig};
 
 use crate::mve_sim::run_mve;
 use crate::reference::run_reference;
-use crate::vliw::{run_kernel, SimOutcome};
+use crate::vliw::{run_kernel, SimError, SimOutcome};
 use crate::Workspace;
 
 /// Inputs and slack configuration of one simulate-verify run, as the
@@ -42,13 +42,19 @@ pub struct EquivReport {
     pub elements: usize,
 }
 
-/// Builds a deterministic workspace for a compiled loop: arrays sized so
-/// every access (including pre-loop seed instances) is in bounds, filled
-/// with seeded pseudo-random data; integer data stays in small positive
-/// ranges so `%`/`/` behave; integer parameters get the trip-consistent
-/// bound value.
-pub fn make_workspace(compiled: &CompiledLoop, trip: u64, seed: u64) -> Workspace {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+/// The most array cells (array length × number of arrays) an [`Oracle`]
+/// lays out. The workspace, the reference arrays and the simulated
+/// memory each hold that many 8-byte cells, so this caps verification
+/// at a few hundred MB however long the recurrence distance or the trip
+/// count. A loop without arrays counts as one array, which bounds its
+/// trip count the same way.
+pub const MAX_SIM_CELLS: u64 = 1 << 23;
+
+/// The first loop index `lo` and the per-array length that
+/// [`make_workspace`] lays out: room for the pre-loop seed instances
+/// (`depth − min_off` below `lo`), `trip` iterations, and the largest
+/// positive subscript offset. The length saturates instead of wrapping.
+fn layout(compiled: &CompiledLoop, trip: u64) -> (i64, u64) {
     // Offsets used anywhere in the source.
     let mut min_off: i64 = 0;
     let mut max_off: i64 = 0;
@@ -65,7 +71,22 @@ pub fn make_workspace(compiled: &CompiledLoop, trip: u64, seed: u64) -> Workspac
         .max()
         .unwrap_or(0) as i64;
     let lo = (depth - min_off).max(1);
-    let len = (lo + trip as i64 + max_off + 2) as usize;
+    let len = (lo as u64)
+        .saturating_add(trip)
+        .saturating_add(max_off as u64 + 2);
+    (lo, len)
+}
+
+/// Builds a deterministic workspace for a compiled loop: arrays sized so
+/// every access (including pre-loop seed instances) is in bounds, filled
+/// with seeded pseudo-random data; integer data stays in small positive
+/// ranges so `%`/`/` behave; integer parameters get the trip-consistent
+/// bound value. It allocates without a limit; [`Oracle::new`] checks
+/// [`MAX_SIM_CELLS`] first.
+pub fn make_workspace(compiled: &CompiledLoop, trip: u64, seed: u64) -> Workspace {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let (lo, len) = layout(compiled, trip);
+    let len = len as usize;
 
     let arrays = compiled
         .info
@@ -167,13 +188,26 @@ pub struct Oracle {
 impl Oracle {
     /// Builds the workspace for `trip` iterations from `seed` and runs the
     /// reference interpreter on it.
-    pub fn new(compiled: &CompiledLoop, trip: u64, seed: u64) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::WorkspaceTooLarge`], before allocating anything, when
+    /// the arrays would exceed [`MAX_SIM_CELLS`].
+    pub fn new(compiled: &CompiledLoop, trip: u64, seed: u64) -> Result<Self, SimError> {
+        let (_, len) = layout(compiled, trip);
+        let cells = len.saturating_mul(compiled.info.arrays.len().max(1) as u64);
+        if cells > MAX_SIM_CELLS {
+            return Err(SimError::WorkspaceTooLarge {
+                cells,
+                limit: MAX_SIM_CELLS,
+            });
+        }
         let workspace = make_workspace(compiled, trip, seed);
         let expected = run_reference(compiled, &workspace);
-        Self {
+        Ok(Self {
             workspace,
             expected,
-        }
+        })
     }
 
     /// Simulates a rotating-file kernel and compares its arrays with the
@@ -263,7 +297,6 @@ impl Oracle {
                             ("ii", i64::from(ii)),
                         ],
                     );
-                    lsms_trace::add("sim", "verify_mismatches", 1);
                     return Err(format!(
                         "array {} ({}) element {idx}: pipeline {:e} ({g:#x}) != reference {:e} ({w:#x}) \
                          [loop {}, II {}, trip {}]",
@@ -278,7 +311,6 @@ impl Oracle {
                 }
             }
         }
-        lsms_trace::add("sim", "verified_elements", elements as u64);
         Ok(elements)
     }
 }
@@ -299,7 +331,7 @@ mod tests {
         )
         .unwrap();
         let compiled = &unit.loops[0];
-        let mut oracle = Oracle::new(compiled, 9, 4);
+        let mut oracle = Oracle::new(compiled, 9, 4).expect("small workspace");
         let got = oracle.expected.clone();
         let all: usize = got.iter().map(Vec::len).sum();
         assert_eq!(oracle.compare(compiled, 3, &got), Ok(all));

@@ -31,7 +31,7 @@ pub mod reference;
 pub mod trace;
 pub mod vliw;
 
-pub use harness::{make_workspace, EquivReport, Oracle, RunConfig};
+pub use harness::{make_workspace, EquivReport, Oracle, RunConfig, MAX_SIM_CELLS};
 pub use mve_sim::run_mve;
 pub use reference::run_reference;
 pub use trace::{issue_trace, trace_stats, TraceEvent, TraceStats};

@@ -54,6 +54,15 @@ pub enum SimError {
     },
     /// An initial-instance seed fell outside the workspace arrays.
     SeedOutOfBounds,
+    /// The workspace arrays would exceed
+    /// [`MAX_SIM_CELLS`](crate::harness::MAX_SIM_CELLS) (a very long
+    /// recurrence distance or trip count); nothing was allocated.
+    WorkspaceTooLarge {
+        /// Array cells the workspace would need (saturating).
+        cells: u64,
+        /// The limit it exceeds.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -69,6 +78,10 @@ impl fmt::Display for SimError {
                 write!(f, "two writes to physical register {phys} in one cycle")
             }
             SimError::SeedOutOfBounds => f.write_str("initial instance outside arrays"),
+            SimError::WorkspaceTooLarge { cells, limit } => write!(
+                f,
+                "verification needs {cells} array cells, above the simulator's limit of {limit}"
+            ),
         }
     }
 }

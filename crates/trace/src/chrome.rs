@@ -107,7 +107,6 @@ mod tests {
                     place,
                 ],
             }],
-            metrics: crate::Metrics::default(),
         };
         let json = to_chrome_json(&trace);
         assert!(json.contains("\"name\": \"parse\", \"ph\": \"B\", \"ts\": 1"));

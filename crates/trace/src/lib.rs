@@ -1,5 +1,7 @@
-//! `lsms-trace`: structured span tracing, typed scheduler events, and
-//! exportable metrics for the whole compilation pipeline.
+//! `lsms-trace`: structured span tracing and typed scheduler events for
+//! the whole compilation pipeline — the timeline half of observability.
+//! Work counts live in the pipeline's `PassReport`, recorded once per
+//! pass; this crate records only *when* things happened.
 //!
 //! The design goal is a collector cheap enough to leave compiled into
 //! every hot path: when tracing is disabled (the default) each
@@ -9,20 +11,15 @@
 //! cross-thread only at [`drain`] time), so the parallel corpus pool
 //! never serializes on a shared sink.
 //!
-//! Three kinds of data are collected:
+//! Two kinds of events are collected:
 //!
 //! * **Spans** — hierarchical begin/end pairs ([`span`]), one per pass
 //!   invocation; they nest (a `sched.attempt` span sits inside its
 //!   `schedule:slack` pass span) and export as Chrome trace-event `B`/`E`
 //!   pairs per thread ([`chrome::to_chrome_json`]).
-//! * **Events** — typed instants ([`instant`]) with up to four integer
+//! * **Instants** — typed events ([`instant`]) with up to four integer
 //!   arguments: op placement, ejection, II escalation, MRT conflict,
 //!   allocation failure, verify mismatch.
-//! * **Metrics** — named counters ([`add`]) and fixed-bucket histograms
-//!   ([`observe`]), summed across threads at drain time; totals are
-//!   deterministic regardless of worker count because summation is
-//!   order-independent. Exported in Prometheus text exposition format
-//!   ([`prom::to_prometheus`]).
 //!
 //! # Example
 //!
@@ -31,12 +28,10 @@
 //! {
 //!     let _pass = lsms_trace::span("parse");
 //!     lsms_trace::instant("sched.place", &[("op", 3), ("cycle", 7)]);
-//!     lsms_trace::add("sched", "placements", 1);
-//!     lsms_trace::observe("sched_slack", 5);
 //! }
 //! let trace = lsms_trace::drain();
 //! lsms_trace::set_enabled(false);
-//! assert_eq!(trace.metrics.counter("sched", "placements"), 1);
+//! assert_eq!(trace.num_events(), 3);
 //! let json = lsms_trace::chrome::to_chrome_json(&trace);
 //! assert!(json.contains("\"ph\": \"B\""));
 //! ```
@@ -45,80 +40,13 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
-pub mod prom;
 
 pub use chrome::to_chrome_json;
-pub use prom::{metrics_to_prometheus, to_prometheus};
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-/// The largest finite histogram bucket boundary; values above it land in
-/// the `+Inf` overflow bucket.
-pub const HISTOGRAM_MAX_BOUND: u64 = 1 << 15;
-
-/// Finite bucket boundaries: powers of two from 1 to
-/// [`HISTOGRAM_MAX_BOUND`] (a value `v` lands in the first bucket whose
-/// boundary is `>= v`; zero lands in the first bucket).
-pub const HISTOGRAM_BOUNDS: [u64; 16] = [
-    1,
-    2,
-    4,
-    8,
-    16,
-    32,
-    64,
-    128,
-    256,
-    512,
-    1024,
-    2048,
-    4096,
-    8192,
-    16384,
-    HISTOGRAM_MAX_BOUND,
-];
-
-const NUM_BUCKETS: usize = HISTOGRAM_BOUNDS.len() + 1; // + overflow
-
-/// A fixed-bucket histogram: power-of-two boundaries plus an overflow
-/// bucket, with the running sum and count Prometheus expects.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Histogram {
-    /// Per-bucket observation counts (not cumulative; the exporters
-    /// cumulate). Index `i < 16` holds values `<= HISTOGRAM_BOUNDS[i]`
-    /// (and above the previous boundary); the last index is overflow.
-    pub buckets: [u64; NUM_BUCKETS],
-    /// Sum of all observed values.
-    pub sum: u64,
-    /// Number of observations.
-    pub count: u64,
-}
-
-impl Histogram {
-    /// Records one observation.
-    pub fn observe(&mut self, value: u64) {
-        let idx = HISTOGRAM_BOUNDS
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(NUM_BUCKETS - 1);
-        self.buckets[idx] += 1;
-        self.sum += value;
-        self.count += 1;
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.sum += other.sum;
-        self.count += other.count;
-    }
-}
 
 /// Event phase, mirroring the Chrome trace-event `ph` field.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -164,46 +92,6 @@ fn pack_args(args: &[(&'static str, i64)]) -> ([(&'static str, i64); MAX_ARGS], 
     (packed, n as u8)
 }
 
-/// Counter key: a `(scope, name)` pair, e.g. `("sched", "placements")`
-/// or `("schedule:slack", "ii")`. Both halves are `&'static str`, so
-/// recording a counter never allocates.
-pub type CounterKey = (&'static str, &'static str);
-
-/// Aggregated metrics: counters and histograms summed across all
-/// threads. Totals are independent of thread count and drain order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Metrics {
-    /// `(scope, key) → total`.
-    pub counters: BTreeMap<CounterKey, u64>,
-    /// `name → histogram`.
-    pub histograms: BTreeMap<&'static str, Histogram>,
-}
-
-impl Metrics {
-    /// The total for one counter (0 if never bumped).
-    pub fn counter(&self, scope: &str, key: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|((s, k), _)| *s == scope && *k == key)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// Folds another metrics set into this one.
-    pub fn merge(&mut self, other: &Metrics) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(*k).or_insert(0) += v;
-        }
-        for (name, h) in &other.histograms {
-            self.histograms.entry(name).or_default().merge(h);
-        }
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
-}
-
 /// The event stream of one thread, in recording order.
 #[derive(Clone, Debug, Default)]
 pub struct ThreadTrace {
@@ -213,15 +101,13 @@ pub struct ThreadTrace {
     pub events: Vec<Event>,
 }
 
-/// Everything collected since the last [`drain`]: per-thread event
-/// streams plus the merged metrics.
+/// Everything collected since the last [`drain`]: the per-thread event
+/// streams.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Per-thread event streams, sorted by thread id. Threads that
     /// recorded nothing are omitted.
     pub threads: Vec<ThreadTrace>,
-    /// Counters and histograms, summed across threads.
-    pub metrics: Metrics,
 }
 
 impl Trace {
@@ -229,12 +115,6 @@ impl Trace {
     pub fn num_events(&self) -> usize {
         self.threads.iter().map(|t| t.events.len()).sum()
     }
-}
-
-#[derive(Debug, Default)]
-struct ThreadBuf {
-    events: Vec<Event>,
-    metrics: Metrics,
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -245,7 +125,7 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-type SharedBuf = Arc<Mutex<ThreadBuf>>;
+type SharedBuf = Arc<Mutex<Vec<Event>>>;
 
 fn registry() -> &'static Mutex<Vec<(u32, SharedBuf)>> {
     static REGISTRY: OnceLock<Mutex<Vec<(u32, SharedBuf)>>> = OnceLock::new();
@@ -273,11 +153,11 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-fn with_buf(f: impl FnOnce(&mut ThreadBuf)) {
+fn with_buf(f: impl FnOnce(&mut Vec<Event>)) {
     LOCAL.with(|slot| {
         let mut slot = slot.borrow_mut();
         let arc = slot.get_or_insert_with(|| {
-            let arc = Arc::new(Mutex::new(ThreadBuf::default()));
+            let arc = Arc::new(Mutex::new(Vec::new()));
             let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
             registry()
                 .lock()
@@ -308,7 +188,7 @@ impl Drop for SpanGuard {
         if self.active {
             let ts_us = now_us();
             with_buf(|buf| {
-                buf.events.push(Event {
+                buf.push(Event {
                     name: self.name,
                     phase: Phase::End,
                     ts_us,
@@ -336,7 +216,7 @@ pub fn span_with(name: &'static str, args: &[(&'static str, i64)]) -> SpanGuard 
         let ts_us = now_us();
         let (packed, nargs) = pack_args(args);
         with_buf(|buf| {
-            buf.events.push(Event {
+            buf.push(Event {
                 name,
                 phase: Phase::Begin,
                 ts_us,
@@ -362,7 +242,7 @@ pub fn instant(name: &'static str, args: &[(&'static str, i64)]) {
     let ts_us = now_us();
     let (packed, nargs) = pack_args(args);
     with_buf(|buf| {
-        buf.events.push(Event {
+        buf.push(Event {
             name,
             phase: Phase::Instant,
             ts_us,
@@ -372,69 +252,22 @@ pub fn instant(name: &'static str, args: &[(&'static str, i64)]) {
     });
 }
 
-/// Bumps the `(scope, key)` counter by `delta`.
-#[inline]
-pub fn add(scope: &'static str, key: &'static str, delta: u64) {
-    if !enabled() || delta == 0 {
-        return;
-    }
-    with_buf(|buf| {
-        *buf.metrics.counters.entry((scope, key)).or_insert(0) += delta;
-    });
-}
-
-/// Bumps several counters under one scope (one thread-local access).
-pub fn add_all(scope: &'static str, counters: &[(&'static str, u64)]) {
-    if !enabled() {
-        return;
-    }
-    with_buf(|buf| {
-        for &(key, delta) in counters {
-            *buf.metrics.counters.entry((scope, key)).or_insert(0) += delta;
-        }
-    });
-}
-
-/// Records one observation into the named histogram.
-#[inline]
-pub fn observe(name: &'static str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    with_buf(|buf| {
-        buf.metrics
-            .histograms
-            .entry(name)
-            .or_default()
-            .observe(value);
-    });
-}
-
 /// Takes everything collected since the last drain, clearing the
-/// per-thread buffers (thread registrations persist). Metrics totals are
-/// summed across threads, so they do not depend on how work was spread
-/// over the pool.
+/// per-thread buffers (thread registrations persist).
 pub fn drain() -> Trace {
     let registry = registry().lock().expect("trace registry");
     let mut trace = Trace::default();
     for (tid, buf) in registry.iter() {
-        let mut buf = buf.lock().expect("thread trace buffer");
-        trace.metrics.merge(&buf.metrics);
-        buf.metrics = Metrics::default();
-        if !buf.events.is_empty() {
+        let mut events = buf.lock().expect("thread trace buffer");
+        if !events.is_empty() {
             trace.threads.push(ThreadTrace {
                 tid: *tid,
-                events: std::mem::take(&mut buf.events),
+                events: std::mem::take(&mut *events),
             });
         }
     }
     trace.threads.sort_by_key(|t| t.tid);
     trace
-}
-
-/// Discards everything collected since the last drain (test helper).
-pub fn reset() {
-    let _ = drain();
 }
 
 #[cfg(test)]
@@ -455,22 +288,19 @@ mod tests {
     #[test]
     fn disabled_collection_records_nothing() {
         let _g = guard();
-        reset();
+        let _ = drain();
         set_enabled(false);
         let _span = span("parse");
         instant("sched.place", &[("op", 1)]);
-        add("sched", "placements", 1);
-        observe("sched_slack", 3);
         drop(_span);
         let trace = drain();
         assert_eq!(trace.num_events(), 0);
-        assert!(trace.metrics.is_empty());
     }
 
     #[test]
     fn spans_nest_and_balance() {
         let _g = guard();
-        reset();
+        let _ = drain();
         set_enabled(true);
         {
             let _outer = span("schedule:slack");
@@ -503,7 +333,7 @@ mod tests {
     #[test]
     fn toggling_mid_span_cannot_imbalance() {
         let _g = guard();
-        reset();
+        let _ = drain();
         set_enabled(false);
         let dark = span("never-begun");
         set_enabled(true);
@@ -534,79 +364,24 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucketing_is_exact() {
-        let mut h = Histogram::default();
-        h.observe(0); // first bucket (le 1)
-        h.observe(1); // le 1
-        h.observe(2); // le 2
-        h.observe(3); // le 4
-        h.observe(16); // le 16
-        h.observe(17); // le 32
-        h.observe(HISTOGRAM_MAX_BOUND); // last finite bucket
-        h.observe(HISTOGRAM_MAX_BOUND + 1); // overflow
-        assert_eq!(h.buckets[0], 2);
-        assert_eq!(h.buckets[1], 1);
-        assert_eq!(h.buckets[2], 1);
-        assert_eq!(h.buckets[4], 1);
-        assert_eq!(h.buckets[5], 1);
-        assert_eq!(h.buckets[HISTOGRAM_BOUNDS.len() - 1], 1);
-        assert_eq!(h.buckets[NUM_BUCKETS - 1], 1);
-        assert_eq!(h.count, 8);
-        assert_eq!(h.sum, 1 + 2 + 3 + 16 + 17 + 2 * HISTOGRAM_MAX_BOUND + 1);
-    }
-
-    #[test]
-    fn metrics_merge_is_order_independent() {
-        let mut a = Metrics::default();
-        *a.counters.entry(("sched", "placements")).or_insert(0) += 3;
-        a.histograms.entry("h").or_default().observe(5);
-        let mut b = Metrics::default();
-        *b.counters.entry(("sched", "placements")).or_insert(0) += 4;
-        *b.counters.entry(("sim", "mismatches")).or_insert(0) += 1;
-        b.histograms.entry("h").or_default().observe(100);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.counter("sched", "placements"), 7);
-        assert_eq!(ab.counter("sim", "mismatches"), 1);
-        assert_eq!(ab.histograms["h"].count, 2);
-    }
-
-    #[test]
-    fn cross_thread_counters_sum_deterministically() {
-        let _g = guard();
-        reset();
-        set_enabled(true);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        add("sched", "placements", 1);
-                    }
-                    observe("sched_slack", 7);
-                });
-            }
-        });
-        set_enabled(false);
-        let trace = drain();
-        assert_eq!(trace.metrics.counter("sched", "placements"), 400);
-        assert_eq!(trace.metrics.histograms["sched_slack"].count, 4);
-    }
-
-    #[test]
     fn drain_clears_but_keeps_collecting() {
         let _g = guard();
-        reset();
+        let _ = drain();
         set_enabled(true);
-        add("a", "b", 1);
+        instant("a", &[]);
         let first = drain();
-        add("a", "b", 2);
+        instant("b", &[]);
+        instant("c", &[]);
         let second = drain();
         set_enabled(false);
-        assert_eq!(first.metrics.counter("a", "b"), 1);
-        assert_eq!(second.metrics.counter("a", "b"), 2);
+        let names = |t: &Trace| -> Vec<&str> {
+            t.threads
+                .iter()
+                .flat_map(|t| &t.events)
+                .map(|e| e.name)
+                .collect()
+        };
+        assert_eq!(names(&first), ["a"]);
+        assert_eq!(names(&second), ["b", "c"]);
     }
 }

@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", to_asm(&kernel, &problem));
 
     // And prove the kernel printed above computes what the source says.
-    let report = Oracle::new(compiled, 50, 0x5eed)
+    let report = Oracle::new(compiled, 50, 0x5eed)?
         .check_kernel(compiled, &problem, &schedule, &kernel, &rr, &icr)
         .map_err(std::io::Error::other)?;
     println!(

@@ -73,7 +73,7 @@ impl ModuloScheduler for EchoBackend {
 /// Registers `echo` exactly once, however many tests run first, and
 /// returns a guard that serializes the tests of this binary: the trace
 /// collector is process-global, so a `schedule:echo` pass run by one test
-/// while another has tracing on would be counted in the other's metrics.
+/// while another has tracing on would land in the other's trace.
 fn ensure_echo() -> MutexGuard<'static, ()> {
     static ONCE: OnceLock<()> = OnceLock::new();
     static SERIAL: Mutex<()> = Mutex::new(());
@@ -138,19 +138,16 @@ fn external_backend_registers_schedules_and_traces() {
     lsms_trace::set_enabled(false);
     let trace = lsms_trace::drain();
 
-    // Trace spans and metrics appear under the derived pass label.
+    // Trace spans appear under the derived pass label.
     let has_span = trace
         .threads
         .iter()
         .flat_map(|t| &t.events)
         .any(|e| e.name == "schedule:echo");
     assert!(has_span, "no schedule:echo span in the trace");
-    assert_eq!(
-        trace.metrics.counter("schedule:echo", "invocations"),
-        loops.len() as u64
-    );
 
-    // The PassReport row (the --timings table) carries the same label.
+    // The PassReport row (the --timings table and the --metrics
+    // exposition) carries the same label.
     let report = session.report();
     let record = report.get("schedule:echo").expect("echo pass recorded");
     assert_eq!(record.invocations, loops.len() as u64);

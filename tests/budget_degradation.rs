@@ -1,7 +1,6 @@
 //! Budget-driven degradation: a blown `--pass-budget` on the scheduling
-//! pass caps II escalation and falls back through the backend registry —
-//! to the Cydrome baseline by default, or to whatever `degrade_to` names —
-//! instead of failing the loop outright.
+//! pass caps II escalation and falls back to the Cydrome baseline instead
+//! of failing the loop outright.
 
 use std::time::Duration;
 
@@ -76,34 +75,6 @@ fn a_degraded_loop_verifies_its_fallback_kernel() {
     let report = session.report();
     let cydrome = report.get("schedule:cydrome").expect("fallback recorded");
     assert_eq!(cydrome.counters.get("degraded"), Some(&1));
-}
-
-#[test]
-fn degradation_target_is_routed_through_the_registry() {
-    let mut config = SessionConfig::new(huff_machine());
-    config.backend = starved_slack();
-    config.degrade_to = "early".to_owned();
-    config.budgets = vec![PassBudget {
-        pass: "schedule:slack",
-        limit: Duration::ZERO,
-    }];
-    let session = CompileSession::new(config);
-    session.validate().expect("early is a registered backend");
-    let unit = session.compile_source(SOURCE).expect("compiles");
-    let artifacts = session.run_loop(&unit.loops[0]).expect("degrades to early");
-    assert!(artifacts.schedule.ii >= 2);
-
-    let report = session.report();
-    let early = report.get("schedule:early").expect("fallback recorded");
-    assert_eq!(early.counters.get("degraded"), Some(&1));
-    assert!(report.get("schedule:cydrome").is_none());
-
-    // An unknown degradation target is an eager E0003 from validate().
-    let mut config = SessionConfig::new(huff_machine());
-    config.degrade_to = "quantum".to_owned();
-    let err = CompileSession::new(config).validate().unwrap_err();
-    assert_eq!(err.code, "E0003");
-    assert!(err.message.contains("degradation"), "{}", err.message);
 }
 
 #[test]

@@ -246,6 +246,19 @@ fn regalloc_diagnostic() {
         "error[E0601]: t.loop: no conflict-free rotating allocation within \
          128 registers [regalloc]",
     );
+    let err: LsmsError = AllocError::TooManyRegisters {
+        needed: 9_000_002,
+        limit: 1 << 23,
+    }
+    .into();
+    check(
+        &err,
+        Stage::Regalloc,
+        "E0601",
+        9,
+        "error[E0601]: t.loop: rotating allocation needs at least 9000002 \
+         registers, above the limit of 8388608 [regalloc]",
+    );
 }
 
 #[test]
@@ -265,6 +278,19 @@ fn simulate_diagnostics() {
         "E0801",
         11,
         "error[E0801]: t.loop: parameter `a` missing from workspace [simulate]",
+    );
+    let err: LsmsError = SimError::WorkspaceTooLarge {
+        cells: 18_000_106,
+        limit: 1 << 23,
+    }
+    .into();
+    check(
+        &err,
+        Stage::Simulate,
+        "E0801",
+        11,
+        "error[E0801]: t.loop: verification needs 18000106 array cells, above \
+         the simulator's limit of 8388608 [simulate]",
     );
     let err = LsmsError::verification("element 3 of `y` differs");
     check(

@@ -155,3 +155,56 @@ fn a_long_recurrence_distance_verifies() {
     assert_eq!(report.ii, 1);
     assert!(report.elements > 400_000, "{}", report.elements);
 }
+
+/// Compiles `src` and verifies it with `trip` iterations, expecting a
+/// diagnostic; returns its code and how long the session took to give up.
+fn verify_err(src: &str, trip: u64) -> (&'static str, std::time::Duration) {
+    let unit = compile(src).unwrap();
+    let started = std::time::Instant::now();
+    let err = verify(
+        &unit.loops[0],
+        &huff_machine(),
+        "slack",
+        VerifySpec::with_trip(trip),
+        false,
+    )
+    .expect_err("too large to verify");
+    (err.code, started.elapsed())
+}
+
+/// A recurrence carried 9,000,000 iterations needs more rotating
+/// registers than the allocator accepts: a diagnostic before the
+/// allocator or the simulator sizes anything by the distance.
+#[test]
+fn a_recurrence_needing_too_many_registers_is_rejected_early() {
+    let (code, took) = verify_err(
+        "loop far(i = 1..n) {
+             real x[];
+             x[i] = x[i - 9000000] + 1.0;
+         }",
+        50,
+    );
+    assert_eq!(code, "E0601");
+    assert!(took.as_secs() < 1, "{took:?}");
+}
+
+/// Reading 9,000,000 iterations back needs only a few registers but
+/// arrays longer than the simulator lays out, and so does a huge trip
+/// count: both are diagnosed before the workspace is allocated.
+#[test]
+fn a_workspace_above_the_simulator_limit_is_rejected_early() {
+    let far = "loop fary(i = 1..n) {
+         real x[], y[];
+         y[i] = x[i - 9000000] + 1.0;
+     }";
+    let axpy = "loop axpy(i = 1..n) {
+         real x[], y[];
+         param real a;
+         y[i] = y[i] + a * x[i];
+     }";
+    for (src, trip) in [(far, 50), (axpy, 1 << 40)] {
+        let (code, took) = verify_err(src, trip);
+        assert_eq!(code, "E0801");
+        assert!(took.as_secs() < 1, "{took:?}");
+    }
+}
