@@ -31,10 +31,12 @@ use std::fmt;
 use std::path::Path;
 use std::time::Duration;
 
-use lsms_bench::{default_jobs, evaluate_loops_session, par_map, LoopRecord, CORPUS_SEED};
+use lsms_bench::{default_jobs, evaluate_loops_session, par_map, CORPUS_SEED};
 use lsms_loops::{generate_with_profile, GeneratorConfig, Profile, PAPER_CORPUS_SIZE};
 use lsms_machine::{alternate_machines, huff_machine};
-use lsms_pipeline::{BackendSelection, CompileSession, SchedOutcome, SessionConfig};
+use lsms_pipeline::{
+    BackendSelection, CompileSession, LoopEvaluation, SchedOutcome, SessionConfig,
+};
 
 /// Where the results files live, wherever `paper` is run from.
 const RESULTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
@@ -89,7 +91,7 @@ fn main() -> std::io::Result<()> {
     write("compile_time.txt", |o| trio::compile_time(o, records))?;
     write("heuristic_stats.txt", |o| trio::heuristic_stats(o, records))?;
     write("quality.tsv", |o| trio::quality_tsv(o, &trio))?;
-    let wall = |pick: fn(&LoopRecord) -> &SchedOutcome| -> Duration {
+    let wall = |pick: fn(&LoopEvaluation) -> &SchedOutcome| -> Duration {
         records.iter().map(|r| pick(r).stats.elapsed).sum()
     };
     let (new_time, old_time) = (wall(|r| &r.new), wall(|r| &r.old));

@@ -4,14 +4,15 @@
 use std::fmt::{self, Write};
 
 use lsms_bench::{
-    class_line, cumulative_histogram, percentiles, stat_row, CorpusReport, LoopRecord, SchedOutcome,
+    class_line, cumulative_histogram, percentiles, stat_row, CorpusReport, LoopEvaluation,
+    SchedOutcome,
 };
 use lsms_ir::LoopClass;
 use lsms_machine::Machine;
 use lsms_sched::{DecisionStats, PressureReport, SchedStats};
 
 /// Selects one scheduler's outcome from a record.
-type Pick = fn(&LoopRecord) -> &SchedOutcome;
+type Pick = fn(&LoopEvaluation) -> &SchedOutcome;
 
 /// Table 1: functional-unit latencies of the target machine. The machine
 /// description is an *input* to the evaluation; printing it in the
@@ -61,7 +62,7 @@ pub fn table1(out: &mut String, machine: &Machine) -> fmt::Result {
 ///
 /// Paper values (1,525 loops), min/50%/90%/max: basic blocks 1/1/5/30,
 /// operations 3/15/48/322, MII 1/6/26/278, MinAvg at MII 1/10/32/212.
-pub fn table2(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
+pub fn table2(out: &mut String, records: &[LoopEvaluation]) -> fmt::Result {
     writeln!(
         out,
         "Table 2: Measurements from all {} loops",
@@ -72,7 +73,7 @@ pub fn table2(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
         "{:<24} {:>6} {:>6} {:>6} {:>6}",
         "Metric", "Min", "50%", "90%", "Max"
     )?;
-    type Metric = fn(&LoopRecord) -> u64;
+    type Metric = fn(&LoopEvaluation) -> u64;
     let columns: [(&str, Metric); 10] = [
         ("# Basic Blocks", |r| u64::from(r.basic_blocks)),
         ("# Operations", |r| r.num_ops as u64),
@@ -97,7 +98,7 @@ pub fn table2(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
 /// Paper values: 1,463 of 1,525 optimal (96%), overall ΣII/ΣMII = 1.01;
 /// for the 62 non-optimal loops, II − MII has min/50%/90%/max =
 /// 1/1/4/15 and II/MII = 1.005/1.08/1.5/3.0.
-pub fn table3(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
+pub fn table3(out: &mut String, records: &[LoopEvaluation]) -> fmt::Result {
     class_table(
         out,
         "Table 3: Slack Scheduling Performance (New Scheduler)",
@@ -114,7 +115,7 @@ pub fn table3(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
 /// 14 loops failed to pipeline (counted at the last II attempted); for
 /// the 132 non-optimal loops II − MII reaches 198 and II/MII reaches 12;
 /// old/new ΣII = 1.11.
-pub fn table4(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
+pub fn table4(out: &mut String, records: &[LoopEvaluation]) -> fmt::Result {
     class_table(
         out,
         "Table 4: Cydrome-Style Scheduling Performance (Old Scheduler)",
@@ -137,7 +138,7 @@ fn class_table(
     out: &mut String,
     title: &str,
     failures_label: &str,
-    records: &[LoopRecord],
+    records: &[LoopEvaluation],
     pick: Pick,
 ) -> fmt::Result {
     writeln!(out, "{title}")?;
@@ -195,9 +196,9 @@ fn class_table(
 
 /// One pressure series over the loops a scheduler pipelined.
 fn series(
-    records: &[LoopRecord],
+    records: &[LoopEvaluation],
     pick: Pick,
-    value: impl Fn(&LoopRecord, &PressureReport) -> i64,
+    value: impl Fn(&LoopEvaluation, &PressureReport) -> i64,
 ) -> Vec<i64> {
     records
         .iter()
@@ -228,8 +229,8 @@ fn above(values: &[i64], limit: i64) -> usize {
 /// bidirectional heuristics the slack scheduler "generates nearly the
 /// same register pressure as Cydrome's scheduler" — the `slack/early`
 /// series shows that ablation.
-pub fn fig5(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
-    let excess = |_: &LoopRecord, p: &PressureReport| p.excess();
+pub fn fig5(out: &mut String, records: &[LoopEvaluation]) -> fmt::Result {
+    let excess = |_: &LoopEvaluation, p: &PressureReport| p.excess();
     let new = series(records, |r| &r.new, excess);
     let early = series(records, |r| &r.early, excess);
     let old = series(records, |r| &r.old, excess);
@@ -257,8 +258,8 @@ pub fn fig5(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
 ///
 /// Paper: with the new scheduler 92% of loops use no more than 32 RRs and
 /// only 5 loops use more than 64.
-pub fn fig6(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
-    let max_live = |_: &LoopRecord, p: &PressureReport| i64::from(p.rr_max_live);
+pub fn fig6(out: &mut String, records: &[LoopEvaluation]) -> fmt::Result {
+    let max_live = |_: &LoopEvaluation, p: &PressureReport| i64::from(p.rr_max_live);
     let new = series(records, |r| &r.new, max_live);
     let early = series(records, |r| &r.early, max_live);
     let old = series(records, |r| &r.old, max_live);
@@ -286,9 +287,9 @@ pub fn fig6(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
 ///
 /// Paper: 97% of loops use no more than 16 GPRs, only 3 use more than 32;
 /// 82% of loops keep RRs + GPRs ≤ 32 and only 16 exceed 64.
-pub fn fig7(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
+pub fn fig7(out: &mut String, records: &[LoopEvaluation]) -> fmt::Result {
     let gprs: Vec<i64> = records.iter().map(|r| i64::from(r.gprs)).collect();
-    let combined = |r: &LoopRecord, p: &PressureReport| i64::from(p.rr_max_live + r.gprs);
+    let combined = |r: &LoopEvaluation, p: &PressureReport| i64::from(p.rr_max_live + r.gprs);
     let new = series(records, |r| &r.new, combined);
     let old = series(records, |r| &r.old, combined);
     writeln!(
@@ -317,8 +318,8 @@ pub fn fig7(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
 ///
 /// Paper: only one loop used more than 32 predicates, and the two
 /// schedulers generate very similar ICR pressure.
-pub fn fig8(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
-    let icr = |_: &LoopRecord, p: &PressureReport| i64::from(p.icr_max_live);
+pub fn fig8(out: &mut String, records: &[LoopEvaluation]) -> fmt::Result {
+    let icr = |_: &LoopEvaluation, p: &PressureReport| i64::from(p.icr_max_live);
     let new = series(records, |r| &r.new, icr);
     let old = series(records, |r| &r.old, icr);
     writeln!(
@@ -344,7 +345,7 @@ pub fn fig8(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
 /// placed 23,603 operations in 306,860 central-loop iterations, invoking
 /// Step 3 157,694 times (ejecting 282,130 operations) and Step 6 a mere
 /// 139 times. Cydrome's scheduler backtracked 3.7× as much.
-pub fn compile_time(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
+pub fn compile_time(out: &mut String, records: &[LoopEvaluation]) -> fmt::Result {
     let mut ejected = [0u64; 2];
     for (i, (label, pick)) in [
         ("New scheduler (bidirectional slack)", (|r| &r.new) as Pick),
@@ -399,7 +400,7 @@ pub fn compile_time(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
 /// of the time; 46% of candidates have no slack; among the rest, more
 /// stretchable inputs than outputs 30%, fewer 4%, ties 20%; overall the
 /// heuristics favour early placement about 2:1.
-pub fn heuristic_stats(out: &mut String, records: &[LoopRecord]) -> fmt::Result {
+pub fn heuristic_stats(out: &mut String, records: &[LoopEvaluation]) -> fmt::Result {
     let mut total = DecisionStats::default();
     for r in records {
         total += &r.decisions;
@@ -448,7 +449,11 @@ pub fn heuristic_stats(out: &mut String, records: &[LoopRecord]) -> fmt::Result 
 /// §7 robustness: "other experiments with different latencies for the
 /// functional units give very similar performance results and
 /// compilation times." One row per machine, each over the same slice.
-pub fn robustness(out: &mut String, count: usize, rows: &[(&str, &[LoopRecord])]) -> fmt::Result {
+pub fn robustness(
+    out: &mut String,
+    count: usize,
+    rows: &[(&str, &[LoopEvaluation])],
+) -> fmt::Result {
     writeln!(
         out,
         "Robustness across machine variants ({count} loops each)"
@@ -483,8 +488,9 @@ pub fn robustness(out: &mut String, count: usize, rows: &[(&str, &[LoopRecord])]
 }
 
 /// `quality.tsv`: one row per (loop, backend) in corpus order, the
-/// per-loop record that names a moved loop. Every field is a pure
-/// function of the evaluation; wall time is left out.
+/// per-loop record that names a moved loop: each
+/// [`LoopEvaluation::quality_records`] row plus the loop's class. Every
+/// field is a pure function of the evaluation; wall time is left out.
 pub fn quality_tsv(out: &mut String, trio: &CorpusReport) -> fmt::Result {
     writeln!(
         out,
@@ -492,7 +498,7 @@ pub fn quality_tsv(out: &mut String, trio: &CorpusReport) -> fmt::Result {
     )?;
     let dash = |v: Option<u32>| v.map_or("-".to_owned(), |v| v.to_string());
     for r in &trio.records {
-        for (q, outcome) in r.quality_records().iter().zip([&r.new, &r.early, &r.old]) {
+        for q in r.quality_records() {
             writeln!(
                 out,
                 "{}\t{}\t{:?}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
@@ -503,8 +509,8 @@ pub fn quality_tsv(out: &mut String, trio: &CorpusReport) -> fmt::Result {
                 dash(q.ii),
                 q.last_ii,
                 q.max_live,
-                dash(outcome.pressure.as_ref().map(|p| p.rr_min_avg)),
-                outcome.stats.attempts,
+                dash(q.min_avg),
+                q.attempts,
                 q.ejected_ops,
                 q.backtracks,
             )?;

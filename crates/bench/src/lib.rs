@@ -4,7 +4,7 @@
 //! `results/`; this library does the shared work: run the corpus
 //! through the three schedulers (bidirectional slack, unidirectional
 //! slack, Cydrome-style baseline) on a pool of worker threads, collect
-//! per-loop [`LoopRecord`]s in corpus order, and provide
+//! the per-loop [`LoopEvaluation`]s in corpus order, and provide
 //! percentile/histogram formatting.
 //!
 //! Performance is measured by one binary, `benchmark`, a Cargo package
@@ -16,110 +16,10 @@
 #![warn(missing_docs)]
 
 use lsms_front::CompiledLoop;
-use lsms_ir::LoopClass;
 use lsms_pipeline::{CompileSession, LsmsError};
-use lsms_sched::{bounds, DecisionStats};
 
 pub use lsms_loops::CORPUS_SEED;
-pub use lsms_pipeline::SchedOutcome;
-
-/// Everything the experiments need about one loop.
-#[derive(Clone, Debug)]
-pub struct LoopRecord {
-    /// Loop name.
-    pub name: String,
-    /// Table 3/4 class.
-    pub class: LoopClass,
-    /// Operation count (including `brtop`).
-    pub num_ops: usize,
-    /// Basic blocks before if-conversion.
-    pub basic_blocks: u32,
-    /// Operations on critical resources at MII.
-    pub critical_ops: usize,
-    /// Operations on non-trivial recurrence circuits.
-    pub ops_on_recurrences: usize,
-    /// Divider operations (div/mod/sqrt).
-    pub div_ops: usize,
-    /// The §3.1 bounds.
-    pub rec_mii: u32,
-    /// Resource bound.
-    pub res_mii: u32,
-    /// `max(ResMII, RecMII)`.
-    pub mii: u32,
-    /// Schedule-independent `MinAvg` at MII.
-    pub min_avg_at_mii: u32,
-    /// GPR (loop-invariant) count.
-    pub gprs: u32,
-    /// Bidirectional slack scheduler ("New Scheduler").
-    pub new: SchedOutcome,
-    /// Unidirectional (always-early) slack ablation.
-    pub early: SchedOutcome,
-    /// Cydrome-style baseline ("Old Scheduler").
-    pub old: SchedOutcome,
-    /// §5.2 decision tallies from the bidirectional run.
-    pub decisions: DecisionStats,
-}
-
-impl LoopRecord {
-    /// Evaluates one compiled loop through a [`CompileSession`]: the
-    /// session runs the three schedulers over one shared `MinDistCache`
-    /// (each distinct II this loop visits costs exactly one
-    /// Floyd–Warshall) and this crate adds the corpus bookkeeping.
-    ///
-    /// A malformed loop (invalid body, zero-ω circuit) comes back as an
-    /// [`LsmsError`] instead of panicking, so one bad generated loop
-    /// degrades to a recorded failure rather than aborting a corpus run.
-    pub fn try_evaluate(
-        session: &CompileSession,
-        compiled: &CompiledLoop,
-    ) -> Result<Self, LsmsError> {
-        let eval = session.evaluate_variants(compiled, false)?;
-        let machine = &session.config().machine;
-        let body = &compiled.body;
-        Ok(LoopRecord {
-            name: compiled.def.name.clone(),
-            class: body.class(),
-            num_ops: body.num_ops(),
-            basic_blocks: body.meta().basic_blocks,
-            critical_ops: bounds::critical_ops(machine, body, eval.mii),
-            ops_on_recurrences: bounds::ops_on_recurrences(body),
-            div_ops: body.num_divider_ops(),
-            rec_mii: eval.rec_mii,
-            res_mii: eval.res_mii,
-            mii: eval.mii,
-            min_avg_at_mii: eval.min_avg_at_mii,
-            gprs: eval.gprs,
-            new: eval.new,
-            early: eval.early,
-            old: eval.old,
-            decisions: eval.decisions,
-        })
-    }
-
-    /// The observatory's view of this loop: one
-    /// [`ScheduleQuality`](lsms_obs::ScheduleQuality) record per
-    /// scheduler in the evaluation trio, in the paper's new/early/old
-    /// order. Wall time is the only nondeterministic field; everything
-    /// else is a pure function of the (deterministic) evaluation.
-    pub fn quality_records(&self) -> [lsms_obs::ScheduleQuality; 3] {
-        let mk = |backend: &str, outcome: &SchedOutcome| {
-            lsms_pipeline::quality_of(
-                &self.name,
-                backend,
-                &format!("schedule:{backend}"),
-                self.rec_mii,
-                self.res_mii,
-                self.mii,
-                outcome,
-            )
-        };
-        [
-            mk("slack", &self.new),
-            mk("early", &self.early),
-            mk("cydrome", &self.old),
-        ]
-    }
-}
+pub use lsms_pipeline::{LoopEvaluation, SchedOutcome};
 
 /// One loop the corpus evaluation could not process (its diagnostic is
 /// kept; the run continues).
@@ -138,7 +38,7 @@ pub struct CorpusFailure {
 #[derive(Clone, Debug, Default)]
 pub struct CorpusReport {
     /// Successfully evaluated loops, in input order.
-    pub records: Vec<LoopRecord>,
+    pub records: Vec<LoopEvaluation>,
     /// Loops that failed a pipeline stage, in input order.
     pub failures: Vec<CorpusFailure>,
 }
@@ -157,14 +57,14 @@ impl CorpusReport {
     pub fn quality_records(&self) -> Vec<lsms_obs::ScheduleQuality> {
         self.records
             .iter()
-            .flat_map(LoopRecord::quality_records)
+            .flat_map(LoopEvaluation::quality_records)
             .collect()
     }
 
     /// The records of the first `count` input loops. A smaller corpus is
     /// a prefix of a larger one, so this is the report a `count`-loop
     /// run would have produced.
-    pub fn prefix(&self, count: usize) -> &[LoopRecord] {
+    pub fn prefix(&self, count: usize) -> &[LoopEvaluation] {
         let failed = self.failures.iter().filter(|f| f.index < count).count();
         &self.records[..(count - failed).min(self.records.len())]
     }
@@ -194,10 +94,12 @@ pub fn evaluate_loops_session(
 ) -> CorpusReport {
     // Each loop's evaluation gets a span so corpus traces show one B/E
     // pair per loop per worker thread; the index arg links it back to
-    // the corpus order.
+    // the corpus order. The session runs the three schedulers over one
+    // shared `MinDistCache`, and a malformed loop (invalid body, zero-ω
+    // circuit) comes back as an error, recorded below as a failure.
     let results = par_map(loops.len(), jobs, |i| {
         let _span = lsms_trace::span_with("corpus.loop", &[("index", i as i64)]);
-        LoopRecord::try_evaluate(session, &loops[i])
+        session.evaluate_variants(&loops[i], false)
     });
     let mut report = CorpusReport::default();
     for (index, result) in results.into_iter().enumerate() {
@@ -354,8 +256,8 @@ pub fn cumulative_histogram(title: &str, series: &[(&str, Vec<i64>)]) -> String 
 /// failure convention).
 pub fn class_line(
     label: &str,
-    records: &[&LoopRecord],
-    pick: impl Fn(&LoopRecord) -> &SchedOutcome,
+    records: &[&LoopEvaluation],
+    pick: impl Fn(&LoopEvaluation) -> &SchedOutcome,
 ) -> String {
     let all = records.len();
     let optimal = records.iter().filter(|r| pick(r).ii == Some(r.mii)).count();
@@ -418,7 +320,7 @@ mod tests {
         )
     }
 
-    fn assert_records_identical(a: &[LoopRecord], b: &[LoopRecord]) {
+    fn assert_records_identical(a: &[LoopEvaluation], b: &[LoopEvaluation]) {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
             assert_eq!(x.name, y.name);
@@ -446,7 +348,7 @@ mod tests {
 
     #[test]
     fn fanout_evaluation_matches_sequential() {
-        let key = |e: &lsms_pipeline::LoopEvaluation| {
+        let key = |e: &LoopEvaluation| {
             (
                 e.mii,
                 e.min_avg_at_mii,

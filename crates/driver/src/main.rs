@@ -35,16 +35,12 @@
 //!   --quality PATH               write per-loop schedule-quality records
 //!                                (II vs MII, MaxLive, lifetimes,
 //!                                backtracking) plus the corpus rollup as
-//!                                JSON ("-" = stdout); writing a real
-//!                                file also appends a timestamped line to
-//!                                the results/quality_history.jsonl
-//!                                ledger (override the ledger path with
-//!                                LSMS_QUALITY_HISTORY, or set it to "0"
-//!                                to disable the append)
-//!   --quality-report PATH        write a self-contained HTML quality
-//!                                dashboard (tables, distribution bars,
-//!                                and — when the history ledger exists —
-//!                                inline SVG sparklines; no JS)
+//!                                JSON ("-" = stdout); with --eval-corpus
+//!                                these are the rows results/quality.tsv
+//!                                holds
+//!   --quality-report PATH        write the same records and rollup as a
+//!                                self-contained HTML dashboard (tables
+//!                                and distribution bars; no JS)
 //!   --explain-pass NAME          describe a pipeline pass; with a FILE
 //!                                or --eval-corpus, also print what the
 //!                                pass did on this invocation
@@ -73,6 +69,7 @@
 use std::process::ExitCode;
 
 use lsms_machine::{huff_machine, short_latency_machine, wide_machine, Machine};
+use lsms_obs::{QualityRollup, ScheduleQuality};
 use lsms_pipeline::{
     list_backends_text, lookup_backend, pass_info, registered_backends, BackendSelection,
     CompileSession, LsmsError, PassBudget, SessionConfig, Stage, VerifySpec,
@@ -334,9 +331,9 @@ fn session_config(options: &Options) -> SessionConfig {
 
 /// `--eval-corpus`: schedule the synthetic corpus with the three schedulers
 /// and print a headline summary (the quick health check the experiment
-/// binaries expand into full tables). Returns the corpus's quality
-/// records for `--quality` / `--quality-report`.
-fn eval_corpus(options: &Options, session: &CompileSession) -> Vec<lsms_obs::ScheduleQuality> {
+/// binaries expand into full tables). The headline reads the rollup's
+/// `slack` row; the rollup also feeds `--quality` / `--quality-report`.
+fn eval_corpus(options: &Options, session: &CompileSession) -> QualityRollup {
     let corpus = lsms_bench::evaluate_corpus_session(
         session,
         options.corpus_size.expect("resolved in parse_args"),
@@ -344,20 +341,19 @@ fn eval_corpus(options: &Options, session: &CompileSession) -> Vec<lsms_obs::Sch
         options.jobs,
     );
     corpus.warn_failures();
-    let quality = corpus.quality_records();
-    let records = corpus.records;
-    let scheduled = records.iter().filter(|r| r.new.ii.is_some()).count();
-    let optimal = records.iter().filter(|r| r.new.ii == Some(r.mii)).count();
-    let sum_ii: u64 = records.iter().map(|r| r.new.counted_ii()).sum();
-    let sum_mii: u64 = records.iter().map(|r| u64::from(r.mii)).sum();
+    let rollup = QualityRollup::new(options.machine.name(), corpus.quality_records());
+    let (loops, scheduled, at_mii, sum_ii, sum_mii) = rollup
+        .backends
+        .iter()
+        .find(|b| b.backend == "slack")
+        .map_or((0, 0, 0, 0, 0), |b| {
+            (b.loops, b.scheduled, b.at_mii, b.ii.sum, b.mii_sum)
+        });
     println!(
-        "corpus: {} loops on {} ({} jobs): {} scheduled, {} at MII ({:.1}%), II/MII {:.3}",
-        records.len(),
+        "corpus: {loops} loops on {} ({} jobs): {scheduled} scheduled, {at_mii} at MII ({:.1}%), II/MII {:.3}",
         options.machine.name(),
         options.jobs,
-        scheduled,
-        optimal,
-        100.0 * optimal as f64 / records.len().max(1) as f64,
+        100.0 * at_mii as f64 / loops.max(1) as f64,
         sum_ii as f64 / sum_mii.max(1) as f64,
     );
     let report = session.report();
@@ -369,22 +365,23 @@ fn eval_corpus(options: &Options, session: &CompileSession) -> Vec<lsms_obs::Sch
             get("misses")
         );
     }
-    quality
+    rollup
 }
 
-/// Compiles the input file and prints everything the options ask for.
-/// Returns one quality record per compiled loop for `--quality` /
-/// `--quality-report`.
+/// Compiles the input file and prints everything the options ask for,
+/// pushing one quality record per compiled loop onto `quality` for
+/// `--quality` / `--quality-report`. A loop that fails stops the run, but
+/// the records of the loops before it stay in `quality`.
 fn compile_and_emit(
     options: &Options,
     session: &CompileSession,
-) -> Result<Vec<lsms_obs::ScheduleQuality>, LsmsError> {
+    quality: &mut Vec<ScheduleQuality>,
+) -> Result<(), LsmsError> {
     let unit = session.compile_file(&options.file)?;
     if unit.loops.is_empty() {
         return Err(LsmsError::usage(format!("no loops in {}", options.file)));
     }
     let backend = session.backend()?.clone();
-    let mut quality = Vec::with_capacity(unit.loops.len());
     for compiled in &unit.loops {
         let artifacts = session.run_loop(compiled)?;
         quality.push(artifacts.quality.clone());
@@ -431,7 +428,7 @@ fn compile_and_emit(
             );
         }
     }
-    Ok(quality)
+    Ok(())
 }
 
 /// `--explain-pass NAME`: static documentation for the pass plus, when
@@ -499,61 +496,14 @@ fn explain_pass(name: &str, session: &CompileSession) -> Result<(), LsmsError> {
     Ok(())
 }
 
-/// Where the quality-history ledger lives: `results/quality_history.jsonl`
-/// by default, overridden by `LSMS_QUALITY_HISTORY` (set it to `0` or
-/// empty to disable the append entirely).
-fn history_path() -> Option<std::path::PathBuf> {
-    match std::env::var("LSMS_QUALITY_HISTORY") {
-        Ok(v) if v.is_empty() || v == "0" => None,
-        Ok(v) => Some(v.into()),
-        Err(_) => Some("results/quality_history.jsonl".into()),
-    }
-}
-
-/// `--quality PATH|-` / `--quality-report PATH|-`: rolls the run's
-/// per-loop records up and writes the JSON report and/or the HTML
-/// dashboard. Writing the JSON to a real file (not `-`) also appends one
-/// timestamped line to the history ledger — stdout dumps and dashboards
-/// never grow the ledger, so exploratory runs stay side-effect-free.
-fn write_quality_outputs(
-    options: &Options,
-    machine_name: &str,
-    records: Vec<lsms_obs::ScheduleQuality>,
-) -> Result<(), LsmsError> {
-    use std::fmt::Write as _;
-    let rollup = lsms_obs::QualityRollup::new(machine_name, records);
+/// `--quality PATH|-` / `--quality-report PATH|-`: writes the run's
+/// rollup as the JSON report and/or the HTML dashboard.
+fn write_quality_outputs(options: &Options, rollup: &QualityRollup) -> Result<(), LsmsError> {
     if let Some(path) = &options.quality {
         write_output(path, &rollup.to_json())?;
-        if path != "-" {
-            if let Some(ledger) = history_path() {
-                let secs = std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map_or(0, |d| d.as_secs());
-                let mut line = rollup.history_line(&lsms_obs::iso8601_utc(secs));
-                let _ = writeln!(line);
-                if let Some(dir) = ledger.parent().filter(|d| !d.as_os_str().is_empty()) {
-                    std::fs::create_dir_all(dir).map_err(|e| {
-                        LsmsError::io(format!("cannot create {}: {e}", dir.display()))
-                    })?;
-                }
-                use std::io::Write as _;
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&ledger)
-                    .and_then(|mut f| f.write_all(line.as_bytes()))
-                    .map_err(|e| {
-                        LsmsError::io(format!("cannot append {}: {e}", ledger.display()))
-                    })?;
-            }
-        }
     }
     if let Some(path) = &options.quality_report {
-        let history = history_path()
-            .and_then(|p| std::fs::read_to_string(p).ok())
-            .map(|text| lsms_obs::parse_history(&text))
-            .unwrap_or_default();
-        write_output(path, &lsms_obs::quality_dashboard_html(&rollup, &history))?;
+        write_output(path, &lsms_obs::quality_dashboard_html(rollup))?;
     }
     Ok(())
 }
@@ -584,24 +534,22 @@ fn main() -> ExitCode {
     }
 
     let mut code = 0u8;
-    let mut quality_records = Vec::new();
-    if options.eval_corpus {
-        quality_records = eval_corpus(&options, &session);
-    } else if !options.file.is_empty() {
-        match compile_and_emit(&options, &session) {
-            Ok(quality) => quality_records = quality,
-            Err(e) => {
+    let rollup = if options.eval_corpus {
+        eval_corpus(&options, &session)
+    } else {
+        let mut records = Vec::new();
+        if !options.file.is_empty() {
+            if let Err(e) = compile_and_emit(&options, &session, &mut records) {
                 // I/O messages already name the path; don't prefix it twice.
                 let origin = (e.stage != Stage::Io).then_some(options.file.as_str());
                 eprintln!("lsmsc: {}", e.render(origin));
                 code = e.exit_code();
             }
         }
-    }
+        QualityRollup::new(options.machine.name(), records)
+    };
     if options.quality.is_some() || options.quality_report.is_some() {
-        if let Err(e) =
-            write_quality_outputs(&options, session.config().machine.name(), quality_records)
-        {
+        if let Err(e) = write_quality_outputs(&options, &rollup) {
             eprintln!("lsmsc: {}", e.render(None));
             if code == 0 {
                 code = e.exit_code();

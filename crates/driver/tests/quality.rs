@@ -1,5 +1,6 @@
 //! End-to-end tests of `--quality` / `--quality-report`: report shape,
-//! determinism across worker counts, and the history ledger.
+//! determinism across worker counts, agreement with the committed
+//! `results/quality.tsv`, and no side effects beyond the named outputs.
 
 use std::process::Command;
 
@@ -38,7 +39,6 @@ fn corpus_quality_is_identical_across_job_counts() {
         let out = lsmsc()
             .args(["--eval-corpus", "--corpus-size", "32", "--jobs", jobs])
             .args(["--quality", "-"])
-            .env("LSMS_QUALITY_HISTORY", "") // keep the test hermetic
             .output()
             .expect("runs");
         assert!(
@@ -67,24 +67,36 @@ fn corpus_quality_is_identical_across_job_counts() {
     }
 }
 
-/// Single-loop compiles report quality too, and stdout output must not
-/// touch the history ledger.
-#[test]
-fn single_loop_quality_reports_bounds_and_skips_the_ledger() {
-    let source = "loop daxpy(i = 1..n) {
-    real x[], y[];
-    param real a;
-    y[i] = y[i] + a * x[i];
-}";
-    let path = temp("lsmsc_quality_daxpy.loop");
-    std::fs::write(&path, source).expect("write test loop");
-    let ledger = temp("lsmsc_quality_daxpy_history.jsonl");
-    let _ = std::fs::remove_file(&ledger);
+/// A fresh, empty working directory for one test, so a run that wrote
+/// anything besides its named outputs would show.
+fn empty_cwd(name: &str) -> std::path::PathBuf {
+    let dir = temp(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create test cwd");
+    dir
+}
 
+/// The value of `"key": ` in one JSON record line, quotes stripped.
+fn field<'a>(line: &'a str, key: &str) -> &'a str {
+    let pat = format!("\"{key}\": ");
+    let at = line.find(&pat).unwrap_or_else(|| panic!("{key} in {line}")) + pat.len();
+    line[at..]
+        .split([',', '}'])
+        .next()
+        .expect("value")
+        .trim_matches('"')
+}
+
+/// `--quality` and `results/quality.tsv` project the same per-loop rows:
+/// the report of the first 32 corpus loops matches the first 96 rows of
+/// the committed file. The report prints `counted_ii`, which equals
+/// `last_ii` (achieved or last attempted), and `null` where the file
+/// prints `-`.
+#[test]
+fn quality_report_rows_match_the_committed_quality_tsv() {
     let out = lsmsc()
-        .arg(&path)
-        .args(["--emit", "asm", "--quality", "-"])
-        .env("LSMS_QUALITY_HISTORY", &ledger)
+        .args(["--eval-corpus", "--corpus-size", "32", "--jobs", "1"])
+        .args(["--quality", "-"])
         .output()
         .expect("runs");
     assert!(
@@ -92,7 +104,105 @@ fn single_loop_quality_reports_bounds_and_skips_the_ledger() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let report = String::from_utf8(out.stdout).expect("utf-8 report");
+    let from_report: Vec<String> = report
+        .lines()
+        .filter(|line| line.trim_start().starts_with("{\"name\": "))
+        .map(|line| {
+            let ii = match field(line, "ii") {
+                "null" => "-",
+                ii => ii,
+            };
+            [
+                field(line, "name"),
+                field(line, "backend"),
+                ii,
+                field(line, "counted_ii"),
+                field(line, "max_live"),
+                field(line, "ejected_ops"),
+                field(line, "backtracks"),
+            ]
+            .join("\t")
+        })
+        .collect();
+    let tsv = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/quality.tsv"
+    ))
+    .expect("committed results/quality.tsv");
+    let header: Vec<&str> = tsv.lines().next().expect("header").split('\t').collect();
+    let column = |name: &str| header.iter().position(|h| *h == name).expect(name);
+    let keep = [
+        "name",
+        "backend",
+        "ii",
+        "last_ii",
+        "max_live",
+        "ejected_ops",
+        "backtracks",
+    ]
+    .map(column);
+    let from_tsv: Vec<String> = tsv
+        .lines()
+        .skip(1)
+        .take(96)
+        .map(|line| {
+            let cells: Vec<&str> = line.split('\t').collect();
+            keep.map(|i| cells[i]).join("\t")
+        })
+        .collect();
+    assert_eq!(from_report.len(), 96, "{report}");
+    assert_eq!(from_report, from_tsv);
+}
+
+/// A loop that fails after earlier loops compiled keeps their records:
+/// daxpy verifies, the second loop needs more rotating registers than
+/// verification accepts (`E0601`, exit 9), and the report still holds
+/// daxpy's row.
+#[test]
+fn quality_keeps_the_loops_compiled_before_a_failure() {
+    let source = "loop daxpy(i = 1..n) { real x[], y[]; param real a;
+    y[i] = y[i] + a * x[i]; }
+loop far(i = 1..n) { real x[];
+    x[i] = x[i - 9000000] + 1.0; }";
+    let path = temp("lsmsc_quality_partial.loop");
+    std::fs::write(&path, source).expect("write test loop");
+    let out = lsmsc()
+        .arg(&path)
+        .args(["--run", "50", "--quality", "-"])
+        .output()
+        .expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(9), "{stderr}");
+    assert!(stderr.contains("E0601"), "{stderr}");
     let report = String::from_utf8_lossy(&out.stdout);
+    assert!(report.contains("\"records\": 1,"), "{report}");
+    assert!(report.contains("\"name\": \"daxpy\""), "{report}");
+}
+
+/// Single-loop compiles report quality too, and writing the report to a
+/// file writes nothing else.
+#[test]
+fn single_loop_quality_reports_bounds() {
+    let source = "loop daxpy(i = 1..n) {
+    real x[], y[];
+    param real a;
+    y[i] = y[i] + a * x[i];
+}";
+    let cwd = empty_cwd("lsmsc_quality_daxpy");
+    std::fs::write(cwd.join("daxpy.loop"), source).expect("write test loop");
+
+    let out = lsmsc()
+        .current_dir(&cwd)
+        .args(["daxpy.loop", "--emit", "asm", "--quality", "report.json"])
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report = std::fs::read_to_string(cwd.join("report.json")).expect("report written");
     assert!(report.contains("\"name\": \"daxpy\""), "{report}");
     assert!(report.contains("\"backend\": \"slack\""), "{report}");
     // daxpy on the Table 1 machine: MII = achieved II = 2, no gap.
@@ -100,59 +210,47 @@ fn single_loop_quality_reports_bounds_and_skips_the_ledger() {
     assert!(report.contains("\"ii\": 2"), "{report}");
     assert!(report.contains("\"ii_gap\": 0"), "{report}");
     assert!(
-        !ledger.exists(),
-        "stdout reports must not append to the history ledger"
+        !cwd.join("results").exists(),
+        "--quality FILE must write only FILE"
     );
 }
 
-/// File output appends one ledger line per run, and the dashboard is a
-/// self-contained HTML document with a sparkline once history exists.
+/// The dashboard is a self-contained HTML document, and writing it with
+/// the JSON report writes nothing else.
 #[test]
-fn quality_file_appends_history_and_dashboard_renders() {
+fn quality_file_and_dashboard_render() {
     let source = "loop saxpy(i = 1..n) {
     real x[], y[];
     param real a;
     y[i] = a * x[i] + y[i];
 }";
-    let path = temp("lsmsc_quality_saxpy.loop");
-    std::fs::write(&path, source).expect("write test loop");
-    let report_path = temp("lsmsc_quality_saxpy.json");
-    let html_path = temp("lsmsc_quality_saxpy.html");
-    let ledger = temp("lsmsc_quality_saxpy_history.jsonl");
-    let _ = std::fs::remove_file(&ledger);
+    let cwd = empty_cwd("lsmsc_quality_saxpy");
+    std::fs::write(cwd.join("saxpy.loop"), source).expect("write test loop");
 
-    for _ in 0..2 {
-        let out = lsmsc()
-            .arg(&path)
-            .args(["--emit", "asm", "--quality"])
-            .arg(&report_path)
-            .arg("--quality-report")
-            .arg(&html_path)
-            .env("LSMS_QUALITY_HISTORY", &ledger)
-            .output()
-            .expect("runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
+    let out = lsmsc()
+        .current_dir(&cwd)
+        .args(["saxpy.loop", "--emit", "asm", "--quality", "report.json"])
+        .args(["--quality-report", "report.html"])
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report = std::fs::read_to_string(cwd.join("report.json")).expect("report written");
+    assert!(report.contains("\"ii_sum\":"), "{report}");
+    assert!(report.contains("\"max_live_sum\":"), "{report}");
 
-    let ledger_text = std::fs::read_to_string(&ledger).expect("ledger written");
-    let lines: Vec<&str> = ledger_text.lines().collect();
-    assert_eq!(lines.len(), 2, "one ledger line per run: {ledger_text}");
-    for line in &lines {
-        assert!(line.starts_with("{\"ts\": \""), "{line}");
-        assert!(line.contains("\"ii_sum\":"), "{line}");
-        assert!(line.contains("\"max_live_sum\":"), "{line}");
-    }
-
-    let html = std::fs::read_to_string(&html_path).expect("dashboard written");
+    let html = std::fs::read_to_string(cwd.join("report.html")).expect("dashboard written");
     assert!(html.starts_with("<!DOCTYPE html>"), "{html}");
-    assert!(html.contains("<svg"), "history sparkline expected: {html}");
     assert!(html.contains("saxpy"), "{html}");
     assert!(
         !html.contains("<script"),
         "dashboard must be JS-free: {html}"
+    );
+    assert!(
+        !cwd.join("results").exists(),
+        "--quality FILE must write only FILE"
     );
 }

@@ -1,17 +1,14 @@
 //! Self-contained HTML dashboard for the quality observatory.
 //!
 //! One static page, no JavaScript and no external assets: a summary
-//! header, per-backend rollup tables with distribution bars, the
-//! per-loop record table, and — when a history ledger is available —
-//! inline SVG sparklines of ΣII / ΣMaxLive over past runs.
+//! header, per-backend rollup tables with distribution bars, and the
+//! per-loop record table.
 
-use crate::{HistorySample, QualityRollup, II_GAP_BUCKETS, MAX_LIVE_BUCKETS};
+use crate::{QualityRollup, II_GAP_BUCKETS, MAX_LIVE_BUCKETS};
 use std::fmt::Write as _;
 
-/// Renders the dashboard. `history` is the parsed
-/// `quality_history.jsonl` ledger (oldest first); pass `&[]` when no
-/// ledger exists and the sparkline section is omitted.
-pub fn quality_dashboard_html(rollup: &QualityRollup, history: &[HistorySample]) -> String {
+/// Renders the dashboard.
+pub fn quality_dashboard_html(rollup: &QualityRollup) -> String {
     let mut out = String::new();
     out.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
     let _ = writeln!(
@@ -51,22 +48,6 @@ pub fn quality_dashboard_html(rollup: &QualityRollup, history: &[HistorySample])
         );
     }
     out.push_str("</div>\n");
-
-    if !history.is_empty() {
-        out.push_str("<h2>History</h2>\n<div class=\"sparks\">\n");
-        let ii: Vec<u64> = history.iter().map(|s| s.ii_sum).collect();
-        let ml: Vec<u64> = history.iter().map(|s| s.max_live_sum).collect();
-        sparkline(&mut out, "&Sigma;II", &ii);
-        sparkline(&mut out, "&Sigma;MaxLive", &ml);
-        out.push_str("</div>\n");
-        let _ = writeln!(
-            out,
-            "<p class=\"note\">{} ledger samples, {} &rarr; {}</p>",
-            history.len(),
-            esc(&history[0].ts),
-            esc(&history[history.len() - 1].ts)
-        );
-    }
 
     out.push_str("<h2>Backends</h2>\n");
     out.push_str("<table>\n<tr><th>backend</th><th>loops</th><th>scheduled</th><th>at MII</th><th>degraded</th><th>&Sigma;II</th><th>&Sigma;MII</th><th>II p50/p99</th><th>MaxLive p50/p99/max</th><th>&Sigma;lifetime</th><th>ejected</th><th>backtracks</th><th>wall ms</th></tr>\n");
@@ -147,54 +128,6 @@ pub fn quality_dashboard_html(rollup: &QualityRollup, history: &[HistorySample])
     out
 }
 
-/// Inline SVG sparkline of one metric over ledger samples. The y-range
-/// is padded so a flat series draws mid-height instead of on the edge.
-fn sparkline(out: &mut String, label: &str, values: &[u64]) {
-    const W: f64 = 260.0;
-    const H: f64 = 48.0;
-    const PAD: f64 = 4.0;
-    let last = *values.last().unwrap_or(&0);
-    let _ = writeln!(
-        out,
-        "<div class=\"spark\"><div class=\"k\">{label} <span class=\"v\">{last}</span></div>"
-    );
-    let min = values.iter().copied().min().unwrap_or(0) as f64;
-    let max = values.iter().copied().max().unwrap_or(0) as f64;
-    let span = if max > min { max - min } else { 1.0 };
-    let x = |i: usize| {
-        if values.len() < 2 {
-            W / 2.0
-        } else {
-            PAD + (W - 2.0 * PAD) * i as f64 / (values.len() - 1) as f64
-        }
-    };
-    let y = |v: u64| H - PAD - (H - 2.0 * PAD) * (v as f64 - min) / span;
-    let pts: Vec<String> = values
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| format!("{:.1},{:.1}", x(i), y(v)))
-        .collect();
-    let _ = writeln!(
-        out,
-        "<svg width=\"{W}\" height=\"{H}\" viewBox=\"0 0 {W} {H}\" role=\"img\" aria-label=\"{label} history\">"
-    );
-    if pts.len() >= 2 {
-        let _ = writeln!(
-            out,
-            "<polyline fill=\"none\" stroke=\"#3465a4\" stroke-width=\"1.5\" points=\"{}\"/>",
-            pts.join(" ")
-        );
-    }
-    if let Some(lastpt) = pts.last() {
-        let (cx, cy) = lastpt.split_once(',').unwrap_or(("0", "0"));
-        let _ = writeln!(
-            out,
-            "<circle cx=\"{cx}\" cy=\"{cy}\" r=\"2.5\" fill=\"#cc0000\"/>"
-        );
-    }
-    out.push_str("</svg></div>\n");
-}
-
 /// Horizontal-bar histogram for one bucketed distribution.
 fn histogram(out: &mut String, label: &str, labels: &[&str], counts: &[u64]) {
     let peak = counts.iter().copied().max().unwrap_or(0).max(1);
@@ -217,6 +150,8 @@ fn esc(s: &str) -> String {
         .replace('>', "&gt;")
 }
 
+// The `.spark*` and `.note` rules style nothing any more; they stay so
+// the page is byte-identical to dashboards written before.
 const STYLE: &str = "<style>\n\
 body { font: 14px/1.45 system-ui, sans-serif; margin: 2em auto; max-width: 72em; padding: 0 1em; color: #1a1a1a; }\n\
 h1, h2, h3 { font-weight: 600; }\n\
@@ -256,39 +191,18 @@ mod tests {
                 record("b", "cydrome", 3, 5, 9),
             ],
         );
-        let history = vec![
-            HistorySample {
-                ts: "2026-08-07T00:00:00Z".into(),
-                records: 2,
-                ii_sum: 8,
-                mii_sum: 5,
-                max_live_sum: 15,
-            },
-            HistorySample {
-                ts: "2026-08-08T00:00:00Z".into(),
-                records: 2,
-                ii_sum: 7,
-                mii_sum: 5,
-                max_live_sum: 14,
-            },
-        ];
-        let html = quality_dashboard_html(&rollup, &history);
+        let html = quality_dashboard_html(&rollup);
         assert!(html.starts_with("<!DOCTYPE html>"));
-        assert!(html.contains("<svg"), "sparklines present with history");
-        assert!(html.contains("polyline"));
         assert!(!html.contains("<script"), "no JS");
         assert!(!html.contains("http"), "no external assets");
         assert!(html.contains("slack") && html.contains("cydrome"));
-        // Without history the sparkline section is dropped entirely.
-        let bare = quality_dashboard_html(&rollup, &[]);
-        assert!(!bare.contains("<svg"));
     }
 
     #[test]
     fn html_escapes_names() {
         let mut r = record("a<b>", "slack", 2, 2, 5);
         r.loop_name = "x<&>y".into();
-        let html = quality_dashboard_html(&QualityRollup::new("m&m", vec![r]), &[]);
+        let html = quality_dashboard_html(&QualityRollup::new("m&m", vec![r]));
         assert!(html.contains("x&lt;&amp;&gt;y"));
         assert!(html.contains("m&amp;m"));
         assert!(!html.contains("x<&>y"));

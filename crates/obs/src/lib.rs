@@ -9,14 +9,15 @@
 //! Two artifacts, both dependency-free plain data:
 //!
 //! * [`ScheduleQuality`] — one record per (loop, backend): the bounds
-//!   (RecMII/ResMII/MII), the achieved II and its gap over MII, MaxLive,
-//!   lifetime sum/mean/max, ejection and backtrack counts, the
-//!   budget-degradation flag, and wall time.
+//!   (RecMII/ResMII/MII), the achieved II and its gap over MII, MaxLive
+//!   and the RR MinAvg at the achieved II, lifetime sum/mean/max, II
+//!   attempts, ejection and backtrack counts, the budget-degradation
+//!   flag, and wall time.
 //! * [`QualityRollup`] — the corpus-level aggregation: counts,
 //!   distribution buckets, p50/p99 per metric, per-backend breakdown.
-//!   Serializes to the `BENCH_quality.json` shape ([`QualityRollup::to_json`])
-//!   and to one timestamped ledger line
-//!   ([`QualityRollup::history_line`]) for `results/quality_history.jsonl`.
+//!   Serializes to the `BENCH_quality.json` shape
+//!   ([`QualityRollup::to_json`]) and renders as a self-contained HTML
+//!   dashboard ([`quality_dashboard_html`]).
 //!
 //! The regression gate is not here: the `paper` binary of `lsms-bench`
 //! writes one deterministic row per (loop, backend) to
@@ -25,9 +26,9 @@
 //!
 //! Everything here is deterministic: records keep their input order,
 //! aggregation is order-independent arithmetic, and no timestamp enters
-//! [`QualityRollup::to_json`] (the ledger line carries it instead), so
-//! two runs that scheduled the same corpus identically produce
-//! byte-identical rollups regardless of worker count.
+//! a report, so two runs that scheduled the same corpus identically
+//! produce byte-identical rollups (wall times aside) regardless of
+//! worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,9 +40,8 @@ pub use html::quality_dashboard_html;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-/// Version stamp of the `BENCH_quality.json` shape and the history
-/// ledger lines; bump on any breaking change so a reader of an old
-/// report or ledger line can tell it apart.
+/// Version stamp of the `BENCH_quality.json` shape; bump on any
+/// breaking change so a reader of an old report can tell it apart.
 pub const QUALITY_SCHEMA_VERSION: u32 = 1;
 
 /// One (loop, backend) quality record — the paper's per-loop evaluation
@@ -69,12 +69,17 @@ pub struct ScheduleQuality {
     pub last_ii: u32,
     /// RR-file `MaxLive` of the final schedule (0 when none exists).
     pub max_live: u32,
+    /// RR-file `MinAvg` at the achieved II (`None` when no schedule
+    /// exists).
+    pub min_avg: Option<u32>,
     /// Σ RR lifetime lengths (0 when no schedule exists).
     pub lifetime_sum: i64,
     /// Longest single RR lifetime.
     pub lifetime_max: i64,
     /// RR values contributing a lifetime (denominator of the mean).
     pub lifetime_count: u32,
+    /// IIs attempted, the successful one included.
+    pub attempts: u32,
     /// Operations ejected from the partial schedule (Step 3 work).
     pub ejected_ops: u64,
     /// Backtracks: Step 3 (ejection) invocations plus Step 6 (II
@@ -307,8 +312,8 @@ impl QualityRollup {
 
     /// Serializes the `BENCH_quality.json` shape: one per-loop record per
     /// line under `"loops"`, then the aggregated `"rollup"`. Contains no
-    /// timestamp — only [`history_line`](Self::history_line) carries one —
-    /// so identical scheduling work yields byte-identical reports.
+    /// timestamp, so identical scheduling work yields byte-identical
+    /// reports apart from `wall_us`.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
@@ -403,37 +408,6 @@ impl QualityRollup {
         let _ = writeln!(out, "}}");
         out
     }
-
-    /// One timestamped ledger line for `results/quality_history.jsonl`:
-    /// the corpus-wide sums plus per-backend sums, small enough to append
-    /// forever and parse with [`parse_history`].
-    pub fn history_line(&self, ts_iso: &str) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"ts\": \"{ts_iso}\", \"schema_version\": {QUALITY_SCHEMA_VERSION}, \
-             \"machine\": \"{}\", \"loops\": {}, \"records\": {}, \"ii_sum\": {}, \
-             \"mii_sum\": {}, \"max_live_sum\": {}, \"backends\": [",
-            self.machine,
-            self.loops,
-            self.records.len(),
-            self.ii_sum(),
-            self.mii_sum(),
-            self.max_live_sum(),
-        );
-        for (i, b) in self.backends.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"backend\": \"{}\", \"ii_sum\": {}, \"max_live_sum\": {}}}",
-                if i == 0 { "" } else { ", " },
-                b.backend,
-                b.ii.sum,
-                b.max_live.sum
-            );
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 fn bucket_pairs(labels: &[&str], counts: &[u64]) -> String {
@@ -443,76 +417,6 @@ fn bucket_pairs(labels: &[&str], counts: &[u64]) -> String {
         .map(|(l, c)| format!("\"{l}\": {c}"))
         .collect::<Vec<_>>()
         .join(", ")
-}
-
-/// One parsed ledger sample (see [`parse_history`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistorySample {
-    /// ISO-8601 UTC timestamp the line was appended at.
-    pub ts: String,
-    /// Records in that run.
-    pub records: u64,
-    /// Corpus-wide ΣII.
-    pub ii_sum: u64,
-    /// Corpus-wide ΣMII.
-    pub mii_sum: u64,
-    /// Corpus-wide ΣMaxLive.
-    pub max_live_sum: u64,
-}
-
-/// Parses a `quality_history.jsonl` ledger: one [`HistorySample`] per
-/// well-formed line, unparseable lines skipped (the ledger is
-/// append-only across schema versions).
-pub fn parse_history(text: &str) -> Vec<HistorySample> {
-    text.lines()
-        .filter_map(|line| {
-            Some(HistorySample {
-                ts: scan_str(line, "\"ts\": \"")?,
-                records: scan_u64(line, "\"records\": ")?,
-                ii_sum: scan_u64(line, "\"ii_sum\": ")?,
-                mii_sum: scan_u64(line, "\"mii_sum\": ")?,
-                max_live_sum: scan_u64(line, "\"max_live_sum\": ")?,
-            })
-        })
-        .collect()
-}
-
-fn scan_str(line: &str, key: &str) -> Option<String> {
-    line.split(key).nth(1)?.split('"').next().map(str::to_owned)
-}
-
-fn scan_u64(line: &str, key: &str) -> Option<u64> {
-    line.split(key)
-        .nth(1)?
-        .split(|c: char| !c.is_ascii_digit())
-        .next()?
-        .parse()
-        .ok()
-}
-
-/// Formats a unix timestamp (seconds) as ISO-8601 UTC
-/// (`2026-08-08T12:34:56Z`), dependency-free.
-pub fn iso8601_utc(unix_secs: u64) -> String {
-    let days = unix_secs / 86_400;
-    let secs = unix_secs % 86_400;
-    // Howard Hinnant's civil_from_days, shifted so the era starts on
-    // 0000-03-01 (unix day 0 is 1970-01-01 = day 719468 of that era).
-    let z = days as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!(
-        "{y:04}-{m:02}-{d:02}T{:02}:{:02}:{:02}Z",
-        secs / 3600,
-        (secs / 60) % 60,
-        secs % 60
-    )
 }
 
 #[cfg(test)]
@@ -536,9 +440,11 @@ mod tests {
             ii: Some(ii),
             last_ii: ii,
             max_live,
+            min_avg: Some(max_live),
             lifetime_sum: i64::from(max_live) * 3,
             lifetime_max: i64::from(max_live),
             lifetime_count: 3,
+            attempts: 1,
             ejected_ops: 1,
             backtracks: 2,
             degraded: false,
@@ -605,24 +511,5 @@ mod tests {
             json.contains("\"ii\": null, \"counted_ii\": 9,"),
             "failures count last_ii"
         );
-    }
-
-    #[test]
-    fn history_line_round_trips() {
-        let rollup = QualityRollup::new("huff", vec![record("a", "slack", 2, 3, 5)]);
-        let line = rollup.history_line("2026-08-08T00:00:00Z");
-        let samples = parse_history(&format!("garbage\n{line}\n"));
-        assert_eq!(samples.len(), 1);
-        assert_eq!(samples[0].ts, "2026-08-08T00:00:00Z");
-        assert_eq!(samples[0].ii_sum, 3);
-        assert_eq!(samples[0].max_live_sum, 5);
-    }
-
-    #[test]
-    fn iso_timestamps_are_civil() {
-        assert_eq!(iso8601_utc(0), "1970-01-01T00:00:00Z");
-        assert_eq!(iso8601_utc(951_782_400), "2000-02-29T00:00:00Z");
-        assert_eq!(iso8601_utc(1_786_147_200), "2026-08-08T00:00:00Z");
-        assert_eq!(iso8601_utc(1_786_190_706), "2026-08-08T12:05:06Z");
     }
 }

@@ -39,7 +39,7 @@
 pub mod backend;
 mod error;
 pub mod passes;
-pub mod quality;
+mod quality;
 mod report;
 mod schedcache;
 mod session;
@@ -50,7 +50,6 @@ pub use backend::{
 };
 pub use error::{LsmsError, Stage};
 pub use passes::{pass_info, PassInfo, PASSES, SCHED_COUNTERS};
-pub use quality::quality_of;
 pub use report::{PassRecord, PassReport};
 pub use session::{
     CompileSession, LoopArtifacts, LoopEvaluation, PassBudget, SchedOutcome, SessionConfig,

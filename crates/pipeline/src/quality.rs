@@ -1,7 +1,8 @@
 //! Bridges the session's scheduling outcomes into [`lsms_obs`] quality
 //! records — the one place the observatory's per-loop schema is filled
-//! in, so the driver's compile path and the bench corpus path cannot
-//! drift apart.
+//! in. Its two callers are `run_loop` (one row for the configured
+//! backend) and [`LoopEvaluation::quality_records`](crate::LoopEvaluation::quality_records)
+//! (one row per scheduler in the trio).
 
 use lsms_obs::ScheduleQuality;
 
@@ -10,8 +11,9 @@ use crate::session::SchedOutcome;
 /// Builds one loop's [`ScheduleQuality`] record from a scheduling
 /// outcome plus the loop's §3.1 bounds. Pressure-derived fields come
 /// back zero when the loop failed to pipeline (no schedule, no
-/// lifetimes), matching the rollup's failure convention.
-pub fn quality_of(
+/// lifetimes), matching the rollup's failure convention; `min_avg` is
+/// `None` then.
+pub(crate) fn quality_of(
     loop_name: &str,
     backend: &str,
     pass: &str,
@@ -31,9 +33,11 @@ pub fn quality_of(
         ii: outcome.ii,
         last_ii: outcome.last_ii,
         max_live: p.map_or(0, |p| p.rr_max_live),
+        min_avg: p.map(|p| p.rr_min_avg),
         lifetime_sum: p.map_or(0, |p| p.rr_total_lifetime),
         lifetime_max: p.map_or(0, |p| p.rr_max_lifetime),
         lifetime_count: p.map_or(0, |p| p.rr_lifetime_count),
+        attempts: outcome.stats.attempts,
         ejected_ops: outcome.stats.ejected_ops,
         backtracks: outcome.stats.backtracks(),
         degraded: outcome.degraded,
@@ -70,6 +74,8 @@ mod tests {
         assert_eq!(q.counted_ii(), 17);
         assert_eq!(q.ii_gap(), 13);
         assert_eq!((q.max_live, q.lifetime_sum, q.lifetime_count), (0, 0, 0));
+        assert_eq!(q.min_avg, None);
+        assert_eq!(q.attempts, 5);
         assert_eq!(q.backtracks, 5);
         assert_eq!(q.ejected_ops, 9);
         assert!(q.degraded);

@@ -14,18 +14,20 @@ use std::time::Instant;
 
 use lsms_codegen::{KernelCode, MveKernel};
 use lsms_front::{analyze, lex, lower_loop, parse, CompiledLoop, CompiledUnit, LoopDef};
-use lsms_ir::{LoopBody, RegClass};
+use lsms_ir::{LoopBody, LoopClass, RegClass};
 use lsms_machine::Machine;
+use lsms_obs::ScheduleQuality;
 use lsms_regalloc::{allocate_rotating, RotatingAllocation, Strategy};
 use lsms_sched::pressure::{gpr_count, measure_cached, min_avg_cached};
 use lsms_sched::{
-    validate, DecisionStats, EngineWorkspace, MinDistCache, PressureReport, SchedContext,
+    bounds, validate, DecisionStats, EngineWorkspace, MinDistCache, PressureReport, SchedContext,
     SchedProblem, SchedStats, Schedule,
 };
 use lsms_sim::{EquivReport, Oracle};
 
 use crate::backend::{lookup_backend, resolve_backend, BackendEntry, BackendSelection};
 use crate::error::{LsmsError, Stage};
+use crate::quality::quality_of;
 use crate::report::PassReport;
 use crate::schedcache::{CachedRun, ScheduleCache};
 
@@ -131,7 +133,7 @@ pub struct LoopArtifacts {
     pub equiv: Option<EquivReport>,
     /// The loop's schedule-quality record (II vs. MII, MaxLive,
     /// lifetimes, backtracking work) for the observatory.
-    pub quality: lsms_obs::ScheduleQuality,
+    pub quality: ScheduleQuality,
 }
 
 impl LoopArtifacts {
@@ -178,11 +180,31 @@ struct ScheduledRun {
     degraded: bool,
 }
 
-/// The three-scheduler evaluation of one loop (the paper's experimental
-/// unit): bidirectional slack, always-early ablation, Cydrome baseline,
-/// plus the schedule-independent bounds, all sharing one `MinDistCache`.
+/// The three-scheduler evaluation of one loop, the paper's experimental
+/// unit and the corpus evaluation's one per-loop record: the loop's
+/// identity and Table 2 features, the schedule-independent bounds, and
+/// the bidirectional slack, always-early ablation and Cydrome baseline
+/// outcomes, all scheduled over one `MinDistCache`.
+///
+/// [`quality_records`](Self::quality_records) projects it into one
+/// [`ScheduleQuality`] row per scheduler; `results/quality.tsv` and
+/// `lsmsc --quality` both render those rows.
 #[derive(Clone, Debug)]
 pub struct LoopEvaluation {
+    /// Loop name.
+    pub name: String,
+    /// Table 3/4 class.
+    pub class: LoopClass,
+    /// Operation count (including `brtop`).
+    pub num_ops: usize,
+    /// Basic blocks before if-conversion.
+    pub basic_blocks: u32,
+    /// Operations on critical resources at MII.
+    pub critical_ops: usize,
+    /// Operations on non-trivial recurrence circuits.
+    pub ops_on_recurrences: usize,
+    /// Divider operations (div/mod/sqrt).
+    pub div_ops: usize,
     /// Recurrence-constrained MII (§3.1).
     pub rec_mii: u32,
     /// Resource-constrained MII.
@@ -201,6 +223,31 @@ pub struct LoopEvaluation {
     pub old: SchedOutcome,
     /// §5.2 decision tallies from the bidirectional run.
     pub decisions: DecisionStats,
+}
+
+impl LoopEvaluation {
+    /// One [`ScheduleQuality`] row per scheduler in the trio, in the
+    /// paper's new/early/old order. Wall time is the only
+    /// nondeterministic field; everything else is a pure function of the
+    /// (deterministic) evaluation.
+    pub fn quality_records(&self) -> [ScheduleQuality; 3] {
+        let row = |backend: &str, outcome: &SchedOutcome| {
+            quality_of(
+                &self.name,
+                backend,
+                &format!("schedule:{backend}"),
+                self.rec_mii,
+                self.res_mii,
+                self.mii,
+                outcome,
+            )
+        };
+        [
+            row("slack", &self.new),
+            row("early", &self.early),
+            row("cydrome", &self.old),
+        ]
+    }
 }
 
 /// The pass manager: the one place the fixed pipeline (parse → sema →
@@ -632,7 +679,7 @@ impl CompileSession {
             if !cfg.straight_line {
                 validate(&problem, &schedule)?;
             }
-            let quality = crate::quality::quality_of(
+            let quality = quality_of(
                 &compiled.def.name,
                 &sched_backend,
                 sched_pass,
@@ -780,8 +827,9 @@ impl CompileSession {
     /// The paper's three-scheduler evaluation of one loop, sharing one
     /// `MinDistCache` across the scheduler runs, both pressure
     /// measurements, and the MinAvg bound (one Floyd–Warshall per
-    /// distinct II). With `fan_out` the three runs use scoped threads;
-    /// the result is identical either way.
+    /// distinct II), plus the loop's Table 2 features. With `fan_out`
+    /// the three runs use scoped threads; the result is identical either
+    /// way.
     ///
     /// A malformed loop (invalid body, zero-ω circuit) returns an error
     /// instead of panicking, so corpus runs can record the failure and
@@ -835,7 +883,15 @@ impl CompileSession {
 
         let min_avg_at_mii = min_avg_cached(&problem, mii, &cache);
         self.record_mindist(&cache);
+        let body = &compiled.body;
         Ok(LoopEvaluation {
+            name: compiled.def.name.clone(),
+            class: body.class(),
+            num_ops: body.num_ops(),
+            basic_blocks: body.meta().basic_blocks,
+            critical_ops: bounds::critical_ops(&self.config.machine, body, mii),
+            ops_on_recurrences: bounds::ops_on_recurrences(body),
+            div_ops: body.num_divider_ops(),
             rec_mii: problem.rec_mii(),
             res_mii: problem.res_mii(),
             mii,

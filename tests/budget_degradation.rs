@@ -41,6 +41,10 @@ fn blown_schedule_budget_degrades_to_cydrome() {
     let machine = huff_machine();
     let problem = SchedProblem::new(&artifacts.body, &machine).unwrap();
     assert_eq!(validate(&problem, &artifacts.schedule), Ok(()));
+    // The quality record names the backend that made the schedule.
+    assert_eq!(artifacts.quality.backend, "cydrome");
+    assert_eq!(artifacts.quality.pass, "schedule:cydrome");
+    assert!(artifacts.quality.degraded);
 
     let report = session.report();
     let slack = report.get("schedule:slack").expect("primary pass recorded");

@@ -15,7 +15,7 @@ use lsms::sched::{
     bounds, CydromeScheduler, DecisionStats, DirectionPolicy, EngineWorkspace, MinDistCache,
     PressureReport, SchedProblem, SchedStats, Schedule, SlackConfig, SlackScheduler,
 };
-use lsms_bench::{class_line, LoopRecord, SchedOutcome, CORPUS_SEED};
+use lsms_bench::{class_line, LoopEvaluation, SchedOutcome, CORPUS_SEED};
 
 /// What one scheduler produced, minus wall-clock time.
 struct OldOutcome {
@@ -129,7 +129,9 @@ fn session_records_match_the_pre_refactor_path() {
     let mut session_records = Vec::new();
     for l in &loops {
         let old = old_style_evaluate(l, &machine);
-        let new = LoopRecord::try_evaluate(&session, l).expect("corpus loop evaluates");
+        let new = session
+            .evaluate_variants(l, false)
+            .expect("corpus loop evaluates");
 
         assert_eq!(old.rec_mii, new.rec_mii, "{}", l.def.name);
         assert_eq!(old.res_mii, new.res_mii, "{}", l.def.name);
@@ -152,13 +154,13 @@ fn session_records_match_the_pre_refactor_path() {
     // The paper-table rows built from session records are byte-identical
     // to rows built from pre-refactor outcomes: render both from the same
     // formatting code over the matched data.
-    fn pick_new(r: &LoopRecord) -> &SchedOutcome {
+    fn pick_new(r: &LoopEvaluation) -> &SchedOutcome {
         &r.new
     }
-    fn pick_early(r: &LoopRecord) -> &SchedOutcome {
+    fn pick_early(r: &LoopEvaluation) -> &SchedOutcome {
         &r.early
     }
-    fn pick_old_variant(r: &LoopRecord) -> &SchedOutcome {
+    fn pick_old_variant(r: &LoopEvaluation) -> &SchedOutcome {
         &r.old
     }
     fn old_new(r: &OldRecord) -> &OldOutcome {
@@ -170,10 +172,10 @@ fn session_records_match_the_pre_refactor_path() {
     fn old_old(r: &OldRecord) -> &OldOutcome {
         &r.old
     }
-    type Pick = for<'a> fn(&'a LoopRecord) -> &'a SchedOutcome;
+    type Pick = for<'a> fn(&'a LoopEvaluation) -> &'a SchedOutcome;
     type PickOld = for<'a> fn(&'a OldRecord) -> &'a OldOutcome;
 
-    let refs: Vec<&LoopRecord> = session_records.iter().collect();
+    let refs: Vec<&LoopEvaluation> = session_records.iter().collect();
     let olds: Vec<OldRecord> = loops
         .iter()
         .map(|l| old_style_evaluate(l, &machine))
