@@ -14,14 +14,14 @@ use std::time::Instant;
 
 use lsms_codegen::{KernelCode, MveKernel};
 use lsms_front::{analyze, lex, lower_loop, parse, CompiledLoop, CompiledUnit, LoopDef};
-use lsms_ir::{LoopBody, LoopClass, RegClass};
+use lsms_ir::{Fingerprint, LoopBody, LoopClass, RegClass};
 use lsms_machine::Machine;
 use lsms_obs::ScheduleQuality;
 use lsms_regalloc::{allocate_rotating, RotatingAllocation, Strategy};
 use lsms_sched::pressure::{gpr_count, measure_cached, min_avg_cached};
 use lsms_sched::{
-    bounds, validate, DecisionStats, EngineWorkspace, MinDistCache, PressureReport, SchedContext,
-    SchedProblem, SchedStats, Schedule,
+    bounds, problem_fingerprint, validate, DecisionStats, EngineWorkspace, MinDistCache,
+    PressureReport, SchedContext, SchedProblem, SchedStats, Schedule,
 };
 use lsms_sim::{EquivReport, Oracle};
 
@@ -479,16 +479,30 @@ impl CompileSession {
         let started = Instant::now();
         let result = {
             let _span = lsms_trace::span(pass);
-            self.run_backend_memo(
-                entry,
-                &self.config.backend.options,
-                self.config.straight_line,
-                problem,
-                cache,
-                ws,
-                deadline,
-            )
-            .0
+            match deadline {
+                // A deadline-capped result depends on the wall clock, not
+                // just the inputs, so a budgeted run bypasses the cache.
+                Some(_) => {
+                    let ctx = SchedContext {
+                        pass,
+                        deadline,
+                        straight_line: self.config.straight_line,
+                    };
+                    entry.scheduler.run(problem, cache, ws, &ctx).result
+                }
+                None => {
+                    self.run_backend_memo(
+                        entry,
+                        &self.config.backend.options,
+                        self.config.straight_line,
+                        problem_fingerprint(problem.body(), &self.config.machine),
+                        problem,
+                        cache,
+                        ws,
+                    )
+                    .0
+                }
+            }
         };
         let capped = matches!(&result, Err(f) if f.deadline_capped);
         // A capped run is not a pipeline failure: the fallback below
@@ -537,41 +551,33 @@ impl CompileSession {
     }
 
     /// Runs one backend through the session's content-addressed schedule
-    /// cache.
+    /// cache, keyed by `fingerprint`, the loop's
+    /// [`problem_fingerprint`] under the session's machine, which the
+    /// caller hashes once per loop.
     ///
     /// A miss runs the backend and memoizes the outcome; a hit clones
     /// the stored run, which is byte-identical to recomputing because
     /// the scheduling framework is deterministic per (problem, machine,
-    /// backend, options, mode).
-    /// Invocations carrying a [`PassBudget`] deadline bypass the cache
-    /// entirely: a deadline-capped result depends on the wall clock,
-    /// not just the inputs, so it is never safe to memoize.
+    /// backend, options, mode). A run under a [`PassBudget`] deadline
+    /// must not come here: its result depends on the wall clock.
     #[allow(clippy::too_many_arguments)]
     fn run_backend_memo(
         &self,
         entry: &BackendEntry,
         options: &[(String, String)],
         straight_line: bool,
+        fingerprint: Fingerprint,
         problem: &SchedProblem<'_>,
         cache: &MinDistCache,
         ws: &mut EngineWorkspace,
-        deadline: Option<Instant>,
     ) -> (Result<Schedule, lsms_sched::SchedFailure>, DecisionStats) {
         let ctx = SchedContext {
             pass: entry.pass,
-            deadline,
+            deadline: None,
             straight_line,
         };
-        if deadline.is_some() {
-            let run = entry.scheduler.run(problem, cache, ws, &ctx);
-            return (run.result, run.decisions);
-        }
-        let key = lsms_sched::schedule_key(
-            lsms_sched::problem_fingerprint(problem.body(), &self.config.machine),
-            entry.scheduler.name(),
-            options,
-            straight_line,
-        );
+        let key =
+            lsms_sched::schedule_key(fingerprint, entry.scheduler.name(), options, straight_line);
         if let Some(hit) = self.sched_cache.get(key) {
             self.record("sched-cache", Instant::now(), &[("hits", 1), ("misses", 0)]);
             return (hit.result, hit.decisions);
@@ -842,6 +848,7 @@ impl CompileSession {
         let problem = self.depgraph(&compiled.body)?;
         let mii = problem.mii();
         let cache = MinDistCache::new();
+        let fingerprint = problem_fingerprint(&compiled.body, &self.config.machine);
 
         // The trio entries were resolved once at session build, so the
         // parallel corpus workers all share the same backend `Arc`s.
@@ -853,10 +860,10 @@ impl CompileSession {
                     entry,
                     &[],
                     false,
+                    fingerprint,
                     &problem,
                     &cache,
                     &mut EngineWorkspace::new(),
-                    None,
                 )
             };
             let counters = sched_counters(&result, true);

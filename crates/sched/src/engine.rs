@@ -21,8 +21,12 @@
 //! lines (pull), whichever set is smaller. Either way every Estart and
 //! Lstart is the same max or min over the same placed set.
 //!
-//! The bounds, stored times and both matrices are `i32`, so the sweeps run
-//! four lanes to a baseline x86-64 vector. Every II tried is at most
+//! The bounds, stored times and both matrices are `i32`, and the sweeps
+//! walk each line in blocks of eight (`lines`): one ymm register, or two
+//! SSE2 registers on baseline x86-64. The tightening push, the refresh and
+//! the victim sweep each run inside [`lsms_lanes::wide`], which compiles
+//! them for AVX2 where the CPU has it; the bounds are the same max and
+//! min either way. Every II tried is at most
 //! [`SchedProblem::ii_ceiling`], which keeps each MinDist entry within
 //! ±2²⁷; a time or `Lstart(Stop)` is checked against ±2²⁸ as it is stored,
 //! and the attempt fails with [`SchedFailure::out_of_range`] instead of
@@ -39,6 +43,7 @@ use lsms_machine::{critical_classes, Mrt, UnitAssignment};
 
 use std::sync::Arc;
 
+use crate::lines;
 use crate::mindist::NO_PATH;
 use crate::{DecisionStats, MinDist, MinDistCache, SchedProblem, SchedStats, Schedule};
 
@@ -93,7 +98,7 @@ pub struct EngineWorkspace {
     estart: Vec<i32>,
     lstart: Vec<i32>,
     last_place: Vec<Option<i64>>,
-    critical: Vec<bool>,
+    halvings: Vec<u8>,
     minlt: Vec<Option<i64>>,
     assignments: Vec<UnitAssignment>,
     /// The indexed ready set: the unplaced nodes, dense.
@@ -157,8 +162,10 @@ pub(crate) struct EngineState<'p, 'a> {
     pub lstart_stop: i32,
     /// Last cycle each node was placed at, for the §4.4 forcing rule.
     pub last_place: Vec<Option<i64>>,
-    /// Per-node: assigned to a critical resource class at this II (§4.3)?
-    pub critical: Vec<bool>,
+    /// Per node, how many times the §4.3 dynamic priority halves its
+    /// slack: once on a critical resource class under contention, once
+    /// more for a divider user.
+    halvings: Vec<u8>,
     /// `MinLT(v)` per value id at this II (§5.1); `None` when the value
     /// has no register flow uses.
     pub minlt: Vec<Option<i64>>,
@@ -262,12 +269,14 @@ impl<'p, 'a> EngineState<'p, 'a> {
         lstart.extend((0..n).map(|x| lstart_stop - md.get(x, stop)));
 
         let class_critical = critical_classes(machine, body, ii);
-        let mut critical = std::mem::take(&mut ws.critical);
-        critical.clear();
-        critical.extend((0..n).map(|x| {
-            x < problem.num_real_ops()
-                && class_critical[machine.desc(body.ops()[x].kind).class.index()]
-        }));
+        let mut halvings = std::mem::take(&mut ws.halvings);
+        halvings.clear();
+        let real = body.ops().iter().map(|op| {
+            let critical = contended && class_critical[machine.desc(op.kind).class.index()];
+            u8::from(critical) + u8::from(op.kind.uses_divider())
+        });
+        // `Start` and `Stop`, the last two nodes, are never halved.
+        halvings.extend(real.chain([0, 0]));
 
         // MinLT(v) = max over flow deps (d -> u, omega) of omega*II +
         // MinDist(d, u) (§5.1).
@@ -340,7 +349,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
             lstart,
             lstart_stop,
             last_place,
-            critical,
+            halvings,
             minlt,
             contended,
             straight_line,
@@ -372,7 +381,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
         ws.estart = self.estart;
         ws.lstart = self.lstart;
         ws.last_place = self.last_place;
-        ws.critical = self.critical;
+        ws.halvings = self.halvings;
         ws.minlt = self.minlt;
         ws.assignments = self.assignments;
         ws.ready = self.ready;
@@ -410,20 +419,14 @@ impl<'p, 'a> EngineState<'p, 'a> {
 
     /// The §4.3 dynamic priority: slack, halved for critical operations
     /// (only under resource contention), halved again for divider users.
+    /// A positive slack shifts right once per halving, since
+    /// `(s / 2) / 2 == s >> 2` for `s > 0`.
     pub fn dynamic_priority(&self, node: usize) -> i64 {
         let slack = self.slack(node);
         if slack <= 0 {
             return slack;
         }
-        let mut priority = slack;
-        if self.contended && self.critical[node] {
-            priority /= 2;
-        }
-        if node < self.problem.num_real_ops() && self.problem.body().ops()[node].kind.uses_divider()
-        {
-            priority /= 2;
-        }
-        priority
+        slack >> self.halvings[node]
     }
 
     /// Effective earliest start: placement time if placed, else the bound.
@@ -485,7 +488,10 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// `u`, `Estart(u) ≥ t + MinDist(node, u)` and
     /// `Lstart(u) ≤ t − MinDist(u, node)`.
     fn tighten_bounds_after(&mut self, node: usize, t: i32) -> Result<(), OutOfRange> {
-        self.push_bounds_from(node, t, true);
+        lsms_lanes::wide(
+            #[inline(always)]
+            || self.push_bounds_from(node, t, true),
+        );
         self.maybe_grow_lstart_stop()?;
         #[cfg(test)]
         self.assert_bounds_from_scratch();
@@ -501,16 +507,13 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// the bounds of placed nodes are dead state that
     /// [`refresh_bounds`](Self::refresh_bounds) resets before a node
     /// re-enters the ready set.
+    #[inline(always)]
     fn push_bounds_from(&mut self, z: usize, t: i32, estarts: bool) {
         let n = self.problem.num_nodes();
         if estarts {
-            for (e, &fwd) in self.estart.iter_mut().zip(self.md.row(z)) {
-                *e = (*e).max(t + fwd);
-            }
+            lines::max_plus(&mut self.estart, self.md.row(z), t);
         }
-        for (l, &back) in self.lstart.iter_mut().zip(&self.dt[z * n..(z + 1) * n]) {
-            *l = (*l).min(t - back);
-        }
+        lines::min_minus(&mut self.lstart, &self.dt[z * n..(z + 1) * n], t);
         self.cells_touched += (1 + u64::from(estarts)) * n as u64;
     }
 
@@ -541,6 +544,15 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// push alone on `calibrated` (EXPERIMENTS.md "Dense two-way
     /// MinDist").
     fn refresh_bounds(&mut self, estarts: bool) {
+        lsms_lanes::wide(
+            #[inline(always)]
+            || self.refresh_bounds_from_placed(estarts),
+        );
+    }
+
+    /// The body of [`refresh_bounds`](Self::refresh_bounds).
+    #[inline(always)]
+    fn refresh_bounds_from_placed(&mut self, estarts: bool) {
         let n = self.problem.num_nodes();
         let stop = self.problem.stop();
         if n - self.ready.len() <= self.ready.len() {
@@ -564,15 +576,14 @@ impl<'p, 'a> EngineState<'p, 'a> {
             let md = &*self.md;
             for &u in &self.ready {
                 if estarts {
-                    let into = self.dt[u * n..(u + 1) * n].iter().zip(&self.tpos);
-                    self.estart[u] = into.fold(0, |e, (&fwd, &t)| e.max(t + fwd));
+                    let into = &self.dt[u * n..(u + 1) * n];
+                    self.estart[u] = lines::max_plus_fold(into, &self.tpos, 0);
                 }
-                let out = md.row(u).iter().zip(&self.tneg);
                 let deadline = self.lstart_stop - md.get(u, stop);
-                self.lstart[u] = out.fold(deadline, |l, (&back, &t)| l.min(t - back));
+                self.lstart[u] = lines::min_minus_fold(md.row(u), &self.tneg, deadline);
             }
-            let lines = 1 + u64::from(estarts);
-            self.cells_touched += lines * (self.ready.len() * n) as u64;
+            let per_node = 1 + u64::from(estarts);
+            self.cells_touched += per_node * (self.ready.len() * n) as u64;
             #[cfg(test)]
             {
                 self.refreshes.1 += 1;
@@ -609,14 +620,52 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// Testing against `tneg` and `tpos` keeps unplaced nodes and
     /// [`NO_PATH`] cells out of both comparisons without a branch.
     fn collect_dependence_victims(&mut self, x: usize, t: i32) {
+        lsms_lanes::wide(
+            #[inline(always)]
+            || self.collect_dependence_victims_at(x, t),
+        );
+        #[cfg(test)]
+        self.assert_victims_from_scratch(x, t);
+    }
+
+    /// The body of
+    /// [`collect_dependence_victims`](Self::collect_dependence_victims).
+    ///
+    /// Victims are few, so the sweep first reduces each block of
+    /// [`lines::LANES`] nodes to its largest violation, `max(t + fwd −
+    /// tneg, tpos + back − t)`, a branch-free max that vectorizes, and
+    /// tests node by node only in a block where that is positive, and
+    /// only the nodes no earlier block tested (the last block overlaps
+    /// the one before it). The differences stay inside `i32`: each term
+    /// is at most `2²⁹` in magnitude.
+    #[inline(always)]
+    fn collect_dependence_victims_at(&mut self, x: usize, t: i32) {
         let n = self.problem.num_nodes();
         let start = self.problem.start();
-        self.eject_buf.clear();
-        let cells = self.md.row(x).iter().zip(&self.dt[x * n..(x + 1) * n]);
-        let times = self.tpos.iter().zip(&self.tneg);
-        for (z, ((&fwd, &back), (&tpos, &tneg))) in cells.zip(times).enumerate() {
-            if z != start && (t + fwd > tneg || tpos + back > t) {
-                self.eject_buf.push(z);
+        let (fwd, back) = (self.md.row(x), &self.dt[x * n..(x + 1) * n]);
+        let (tpos, tneg) = (&self.tpos[..], &self.tneg[..]);
+        let victims = &mut self.eject_buf;
+        victims.clear();
+        let mut scan = |from: usize, to: usize| {
+            for z in from..to {
+                if z != start && (t + fwd[z] > tneg[z] || tpos[z] + back[z] > t) {
+                    victims.push(z);
+                }
+            }
+        };
+        if n < lines::LANES {
+            scan(0, n);
+        } else {
+            let mut tested = 0;
+            for j in lines::block_starts(n) {
+                let (f, b) = (lines::block(fwd, j), lines::block(back, j));
+                let (p, q) = (lines::block(tpos, j), lines::block(tneg, j));
+                let excess = |k: usize| (t + f[k] - q[k]).max(p[k] + b[k] - t);
+                let worst = (0..lines::LANES).fold(0, |m, k| m.max(excess(k)));
+                if worst > 0 {
+                    scan(tested, j + lines::LANES);
+                }
+                tested = j + lines::LANES;
             }
         }
         self.cells_touched += 2 * n as u64;
@@ -645,6 +694,25 @@ impl<'p, 'a> EngineState<'p, 'a> {
             let bounds = (i64::from(self.estart[u]), i64::from(self.lstart[u]));
             assert_eq!(bounds, (e, l), "node {u}");
         }
+    }
+
+    /// The test oracle behind the victim sweep: the placed nodes other
+    /// than `Start` whose constraints `x` at `t` violates, in ascending
+    /// order, read cell by cell through [`MinDist::get`].
+    #[cfg(test)]
+    fn assert_victims_from_scratch(&self, x: usize, t: i32) {
+        let t = i64::from(t);
+        let violated = |z: usize| {
+            let Some(tz) = self.time(z) else { return false };
+            let (fwd, back) = (self.md.get(x, z), self.md.get(z, x));
+            (fwd != NO_PATH && t + i64::from(fwd) > tz)
+                || (back != NO_PATH && tz + i64::from(back) > t)
+        };
+        let start = self.problem.start();
+        let victims: Vec<usize> = (0..self.problem.num_nodes())
+            .filter(|&z| z != start && violated(z))
+            .collect();
+        assert_eq!(self.eject_buf, victims, "victims of {x} at {t}");
     }
 }
 
@@ -1183,25 +1251,29 @@ mod tests {
     }
 
     /// Random dependence graphs through both schedulers: every bounds
-    /// update along the way, ejections included, checks itself against
-    /// the from-scratch oracle.
+    /// update and victim sweep along the way, ejections included, checks
+    /// itself against its from-scratch oracle. The 40-op graphs give
+    /// each line several blocks, the 12-op ones two that overlap.
     #[test]
     fn random_problems_keep_every_bound_exact() {
         use lsms_prng::SmallRng;
         let machine = huff_machine();
         let mut ejecting = 0u32;
-        for case in 0u64..48 {
+        let cases = (0u64..48)
+            .map(|case| (case, 12usize))
+            .chain((48..64).map(|case| (case, 40)));
+        for (case, size) in cases {
             let mut rng = SmallRng::seed_from_u64(0xb0d5 + case);
             let mut b = LoopBuilder::new("g");
             let fin = b.invariant(ValueType::Float, "fin");
-            let ops: Vec<_> = (0..12)
+            let ops: Vec<_> = (0..size)
                 .map(|_| {
                     let v = b.new_value(ValueType::Float);
                     b.op(OpKind::FMul, &[fin, fin], Some(v))
                 })
                 .collect();
-            for _ in 0..rng.gen_range(1..24usize) {
-                let (f, t) = (rng.gen_range(0..12usize), rng.gen_range(0..12usize));
+            for _ in 0..rng.gen_range(1..2 * size) {
+                let (f, t) = (rng.gen_range(0..size), rng.gen_range(0..size));
                 // Back arcs carry a distance, so no zero-omega cycle forms.
                 let omega = rng.gen_range(0..3u32) + u32::from(t <= f);
                 b.flow_dep(ops[f], ops[t], omega);

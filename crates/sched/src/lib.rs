@@ -53,6 +53,7 @@ pub mod cydrome;
 mod engine;
 pub mod explain;
 pub mod fingerprint;
+mod lines;
 pub mod mindist;
 pub mod pressure;
 pub mod problem;

@@ -2,7 +2,10 @@
 //!
 //! [`MinDist::compute`] runs Floyd–Warshall at one fixed II in 32-bit
 //! arithmetic and keeps one row-major matrix; [`MinDistCache`] memoizes
-//! the result per II for one problem.
+//! the result per II for one problem. The relaxation runs inside
+//! [`lsms_lanes::wide`], each row update in blocks of eight cells: one
+//! ymm `vpmaxsd` on a CPU with AVX2, two SSE2 registers on baseline
+//! x86-64, with the same result either way.
 //!
 //! # Why 32 bits are enough
 //!
@@ -20,7 +23,7 @@
 
 #![deny(clippy::cast_possible_truncation)]
 
-use crate::SchedProblem;
+use crate::{lines, SchedProblem};
 use std::sync::{Arc, Mutex};
 
 /// Sentinel for "no path in the dependence graph" (the paper's −∞).
@@ -44,9 +47,10 @@ pub const NO_PATH: i32 = -(1 << 29);
 /// The relation is one dense row-major `i32` matrix: 4n² bytes per II.
 /// The engine sweeps whole rows, and whole columns of a transpose it
 /// builds once per II attempt with [`transpose_into`](Self::transpose_into),
-/// without branching on [`NO_PATH`]; 32-bit lanes let those max/min
-/// sweeps vectorize on baseline x86-64 (EXPERIMENTS.md "32-bit scheduling
-/// arithmetic").
+/// without branching on [`NO_PATH`]. In 32-bit lanes those max/min sweeps
+/// run four to an SSE2 register on baseline x86-64 and eight to a ymm
+/// register where [`lsms_lanes::wide`] finds AVX2 (EXPERIMENTS.md "32-bit
+/// scheduling arithmetic" and "AVX2 lanes, picked at run time").
 #[derive(Clone, Debug)]
 pub struct MinDist {
     n: usize,
@@ -70,6 +74,19 @@ impl MinDist {
     /// Panics if `ii` is 0 or above [`SchedProblem::ii_ceiling`], where
     /// path sums could leave the 32-bit range.
     pub fn compute(problem: &SchedProblem<'_>, ii: u32) -> Self {
+        lsms_lanes::wide(
+            #[inline(always)]
+            || Self::compute_baseline(problem, ii),
+        )
+    }
+
+    /// [`compute`](Self::compute) without [`lsms_lanes::wide`]: the same
+    /// relaxation, compiled for the caller's target features only. It
+    /// exists so that tests on an AVX2 host can still run the baseline
+    /// code path and compare it with `compute`.
+    #[doc(hidden)]
+    #[inline(always)]
+    pub fn compute_baseline(problem: &SchedProblem<'_>, ii: u32) -> Self {
         assert!(ii > 0, "II must be positive");
         assert!(
             ii <= problem.ii_ceiling(),
@@ -128,9 +145,7 @@ impl MinDist {
                 };
                 // No branch on NO_PATH: a missing leg leaves the sum below
                 // NO_PATH / 2, where the final pass resets it.
-                for (w, &kj) in row_i.iter_mut().zip(row_k) {
-                    *w = (*w).max(dik + kj);
-                }
+                lines::max_plus(row_i, row_k, dik);
             }
             if (0..n).any(|i| d[i * n + i] > 0) {
                 md.feasible = false;

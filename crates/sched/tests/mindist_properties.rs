@@ -158,12 +158,19 @@ fn estart_bounds_hold_in_actual_schedules() {
     }
 }
 
-#[test]
-fn cached_mindist_matches_direct_computation() {
-    for case in 0u64..64 {
+/// The 64 seeded graphs of `cached_mindist_matches_direct_computation`,
+/// with their case numbers.
+fn cache_cases() -> impl Iterator<Item = (u64, LoopBody)> {
+    (0u64..64).map(|case| {
         let mut rng = SmallRng::seed_from_u64(0xcac4e + case);
         let arcs = random_arcs(&mut rng, 10, 19);
-        let body = body_from(&arcs, 10);
+        (case, body_from(&arcs, 10))
+    })
+}
+
+#[test]
+fn cached_mindist_matches_direct_computation() {
+    for (case, body) in cache_cases() {
         let machine = huff_machine();
         let problem = SchedProblem::new(&body, &machine).expect("buildable");
         let rec = problem.rec_mii();
@@ -201,6 +208,35 @@ fn cached_mindist_matches_direct_computation() {
             "case {case}: one Floyd–Warshall per distinct II"
         );
         assert_eq!(stats.fw_computes, stats.misses, "case {case}");
+    }
+}
+
+/// `MinDist::compute` runs its relaxation inside `lsms_lanes::wide`, so on
+/// an AVX2 host nothing else runs the relaxation compiled for baseline
+/// x86-64. This calls that body directly and compares the two, entry for
+/// entry and on feasibility, from below RecMII to eight IIs above it.
+#[test]
+fn baseline_relaxation_matches_compute() {
+    let machine = huff_machine();
+    for (case, body) in cache_cases() {
+        let problem = SchedProblem::new(&body, &machine).expect("buildable");
+        let rec = problem.rec_mii();
+        let n = problem.num_nodes();
+        for ii in rec.max(2) - 1..=rec + 8 {
+            let baseline = MinDist::compute_baseline(&problem, ii);
+            let lanes = MinDist::compute(&problem, ii);
+            assert_eq!(
+                baseline.is_feasible(),
+                lanes.is_feasible(),
+                "case {case}: feasibility at II {ii}"
+            );
+            if !lanes.is_feasible() {
+                continue;
+            }
+            for a in 0..n {
+                assert_eq!(baseline.row(a), lanes.row(a), "case {case} ii {ii} row {a}");
+            }
+        }
     }
 }
 
