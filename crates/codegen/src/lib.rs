@@ -55,6 +55,11 @@ impl std::fmt::Display for RegRef {
     }
 }
 
+/// The most source registers an emitted instruction reads: `Select`
+/// reads three. [`emit`] and [`emit_mve`] assert it, so a simulator can
+/// read the operands into a fixed array.
+pub const MAX_SRCS: usize = 3;
+
 /// One emitted kernel instruction.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MachineInst {
@@ -185,6 +190,11 @@ pub fn emit(
         let idx = op.id.index();
         let stage = schedule.stage(idx);
         let cycle = schedule.kernel_cycle(idx) as usize;
+        assert!(
+            op.inputs.len() <= MAX_SRCS,
+            "{} reads more than {MAX_SRCS} sources",
+            op.kind
+        );
         let mut srcs = Vec::with_capacity(op.inputs.len());
         for (&v, &omega) in op.inputs.iter().zip(&op.input_omegas) {
             srcs.push(reg_of(v, omega, stage)?);

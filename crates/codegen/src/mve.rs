@@ -21,7 +21,7 @@ use lsms_ir::{OpId, OpKind, RegClass, ValueId};
 use lsms_sched::pressure::lifetimes;
 use lsms_sched::{SchedProblem, Schedule};
 
-use crate::CodegenError;
+use crate::{CodegenError, MAX_SRCS};
 
 /// A static register reference in MVE code.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -199,6 +199,11 @@ pub fn emit_mve(
             let idx = op.id.index();
             let stage = schedule.stage(idx);
             let cycle = schedule.kernel_cycle(idx) as usize;
+            assert!(
+                op.inputs.len() <= MAX_SRCS,
+                "{} reads more than {MAX_SRCS} sources",
+                op.kind
+            );
             let srcs = op
                 .inputs
                 .iter()

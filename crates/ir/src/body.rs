@@ -28,6 +28,19 @@ pub enum LoopClass {
     Neither,
 }
 
+impl LoopClass {
+    /// The class of a loop that has (or lacks) if-converted conditionals
+    /// and a non-trivial recurrence circuit.
+    pub fn new(conditional: bool, recurrence: bool) -> Self {
+        match (conditional, recurrence) {
+            (true, true) => LoopClass::Both,
+            (true, false) => LoopClass::Conditional,
+            (false, true) => LoopClass::Recurrence,
+            (false, false) => LoopClass::Neither,
+        }
+    }
+}
+
 impl fmt::Display for LoopClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -183,12 +196,7 @@ impl LoopBody {
 
     /// The loop's class for Tables 3 and 4.
     pub fn class(&self) -> LoopClass {
-        match (self.has_conditional(), self.has_recurrence()) {
-            (true, true) => LoopClass::Both,
-            (true, false) => LoopClass::Conditional,
-            (false, true) => LoopClass::Recurrence,
-            (false, false) => LoopClass::Neither,
-        }
+        LoopClass::new(self.has_conditional(), self.has_recurrence())
     }
 
     /// Number of operations executed by the divider.

@@ -53,6 +53,6 @@ pub use dot::{to_dot, to_listing};
 pub use fingerprint::{structural_fingerprint, Fingerprint, FpHasher};
 pub use ids::{DepId, OpId, ValueId};
 pub use op::{Op, OpKind};
-pub use scc::{has_recurrence, tarjan_scc};
+pub use scc::{has_recurrence, tarjan_scc, Components};
 pub use transform::unroll;
 pub use value::{RegClass, Value, ValueType};

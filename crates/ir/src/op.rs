@@ -60,6 +60,47 @@ pub enum OpKind {
 }
 
 impl OpKind {
+    /// Every kind, in declaration order, which is also the derived `Ord`
+    /// order: `OpKind::ALL[k.index()] == k`.
+    pub const ALL: [OpKind; 31] = [
+        OpKind::AddrAdd,
+        OpKind::AddrSub,
+        OpKind::AddrMul,
+        OpKind::IntAdd,
+        OpKind::IntSub,
+        OpKind::And,
+        OpKind::Or,
+        OpKind::Xor,
+        OpKind::FAdd,
+        OpKind::FSub,
+        OpKind::CmpEq,
+        OpKind::CmpNe,
+        OpKind::CmpLt,
+        OpKind::CmpLe,
+        OpKind::CmpGt,
+        OpKind::CmpGe,
+        OpKind::PredAnd,
+        OpKind::PredOr,
+        OpKind::PredNot,
+        OpKind::Select,
+        OpKind::Copy,
+        OpKind::IntMul,
+        OpKind::FMul,
+        OpKind::IntDiv,
+        OpKind::IntMod,
+        OpKind::FDiv,
+        OpKind::FMod,
+        OpKind::FSqrt,
+        OpKind::Load,
+        OpKind::Store,
+        OpKind::Brtop,
+    ];
+
+    /// The kind's position in [`OpKind::ALL`], for dense per-kind tables.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// True for `Load` and `Store`.
     pub fn is_memory(self) -> bool {
         matches!(self, OpKind::Load | OpKind::Store)
@@ -174,6 +215,16 @@ impl Op {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_lists_every_kind_in_ord_order_at_its_index() {
+        for (i, &k) in OpKind::ALL.iter().enumerate() {
+            assert_eq!(k.index(), i, "{k}");
+        }
+        assert!(OpKind::ALL.windows(2).all(|w| w[0] < w[1]));
+        // A kind added to the enum but not to `ALL` would index past it.
+        assert_eq!(OpKind::Brtop.index(), OpKind::ALL.len() - 1);
+    }
 
     #[test]
     fn divider_kinds_are_flagged() {

@@ -1,7 +1,5 @@
 //! Machine descriptions and the paper's Table 1 target.
 
-use std::collections::BTreeMap;
-
 use lsms_ir::OpKind;
 
 use crate::{ClassId, OpDesc, ResourceClass};
@@ -9,13 +7,17 @@ use crate::{ClassId, OpDesc, ResourceClass};
 /// A VLIW target: functional-unit classes plus an opcode → unit/latency/
 /// reservation mapping.
 ///
+/// The opcode table is dense, one slot per [`OpKind`] indexed by
+/// [`OpKind::index`], so [`desc`](Self::desc) is an array read: the
+/// scheduler asks it once per candidate cycle.
+///
 /// Build one with [`MachineBuilder`] or use the predefined machines
 /// ([`huff_machine`], [`short_latency_machine`], [`wide_machine`]).
 #[derive(Clone, Debug)]
 pub struct Machine {
     name: String,
     classes: Vec<ResourceClass>,
-    table: BTreeMap<OpKind, OpDesc>,
+    table: Vec<Option<OpDesc>>,
 }
 
 impl Machine {
@@ -35,21 +37,26 @@ impl Machine {
     ///
     /// Panics if the machine does not implement `kind`; predefined machines
     /// implement every [`OpKind`].
+    #[inline]
     pub fn desc(&self, kind: OpKind) -> &OpDesc {
-        self.table
-            .get(&kind)
+        self.table[kind.index()]
+            .as_ref()
             .unwrap_or_else(|| panic!("machine {} does not implement {kind}", self.name))
     }
 
     /// Result latency of `kind` (§2.1: the compiler honours latencies,
     /// scheduling no-ops wherever necessary).
+    #[inline]
     pub fn latency(&self, kind: OpKind) -> u32 {
         self.desc(kind).latency
     }
 
-    /// Iterates over the opcode table in a stable order.
+    /// Iterates over the implemented opcodes in [`OpKind`]'s `Ord` order.
     pub fn op_table(&self) -> impl Iterator<Item = (OpKind, &OpDesc)> + '_ {
-        self.table.iter().map(|(&k, d)| (k, d))
+        OpKind::ALL
+            .iter()
+            .zip(&self.table)
+            .filter_map(|(&k, d)| d.as_ref().map(|d| (k, d)))
     }
 }
 
@@ -72,7 +79,7 @@ impl Machine {
 pub struct MachineBuilder {
     name: String,
     classes: Vec<ResourceClass>,
-    table: BTreeMap<OpKind, OpDesc>,
+    table: Vec<Option<OpDesc>>,
 }
 
 impl MachineBuilder {
@@ -81,7 +88,7 @@ impl MachineBuilder {
         Self {
             name: name.into(),
             classes: Vec::new(),
-            table: BTreeMap::new(),
+            table: vec![None; OpKind::ALL.len()],
         }
     }
 
@@ -103,7 +110,7 @@ impl MachineBuilder {
     /// Maps each of `kinds` to a fully pipelined operation on `class`.
     pub fn pipelined(&mut self, class: ClassId, latency: u32, kinds: &[OpKind]) -> &mut Self {
         for &k in kinds {
-            self.table.insert(k, OpDesc::pipelined(class, latency));
+            self.table[k.index()] = Some(OpDesc::pipelined(class, latency));
         }
         self
     }
@@ -112,14 +119,14 @@ impl MachineBuilder {
     /// (busy for its whole latency, like the paper's divider).
     pub fn unpipelined(&mut self, class: ClassId, latency: u32, kinds: &[OpKind]) -> &mut Self {
         for &k in kinds {
-            self.table.insert(k, OpDesc::unpipelined(class, latency));
+            self.table[k.index()] = Some(OpDesc::unpipelined(class, latency));
         }
         self
     }
 
     /// Maps `kind` to a custom reservation pattern.
     pub fn custom(&mut self, kind: OpKind, desc: OpDesc) -> &mut Self {
-        self.table.insert(kind, desc);
+        self.table[kind.index()] = Some(desc);
         self
     }
 

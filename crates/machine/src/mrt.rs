@@ -15,13 +15,19 @@ use crate::{Machine, OpDesc};
 ///
 /// # Layout
 ///
-/// Cells live in one flat row-major arena indexed
-/// `class_base[class] + instance·II + cycle`, with a parallel one-bit-per-
-/// cell occupancy bitset. [`fits`](Self::fits) — the scheduler's hottest
-/// query — ORs the occupancy bits of the reservation pattern and only
-/// consults the occupant arena when some bit is set (to permit
-/// self-collisions), and neither it nor [`conflicts_into`](Self::conflicts_into)
-/// allocates.
+/// Cells live in one flat row-major arena. A unit's row starts at
+/// `class_base[class] + instance·II`, and kernel cycle `c` of it is the
+/// cell `row + c`; a parallel bitset holds one occupancy bit per cell.
+/// Every query reduces its issue time to a kernel cycle once, with one
+/// `rem_euclid`. Each reservation offset `r` then wraps `cycle + r` by
+/// subtraction; only an offset of II or more (a pattern longer than II)
+/// pays a division. The window scans [`first_fit`](Self::first_fit) and
+/// [`last_fit`](Self::last_fit) step the kernel cycle with the issue time
+/// and wrap it at II, so a whole scan pays one `rem_euclid`.
+/// [`fits`](Self::fits) is the one-cycle case of the same test. It ORs
+/// the occupancy bits of the reservation pattern and consults the
+/// occupant arena only when some bit is set (to permit self-collisions).
+/// No query allocates except [`conflicts`](Self::conflicts).
 #[derive(Clone, Debug)]
 pub struct Mrt {
     ii: u32,
@@ -41,19 +47,14 @@ impl Mrt {
     ///
     /// Panics if `ii` is zero.
     pub fn new(machine: &Machine, ii: u32) -> Self {
-        assert!(ii > 0, "II must be positive");
-        let mut class_base = Vec::with_capacity(machine.classes().len());
-        let mut total = 0usize;
-        for c in machine.classes() {
-            class_base.push(total);
-            total += c.count as usize * ii as usize;
-        }
-        Self {
+        let mut mrt = Self {
             ii,
-            class_base,
-            occupant: vec![None; total],
-            occupied: vec![0; total.div_ceil(64)],
-        }
+            class_base: Vec::new(),
+            occupant: Vec::new(),
+            occupied: Vec::new(),
+        };
+        mrt.reset(machine, ii);
+        mrt
     }
 
     /// The initiation interval this table enforces.
@@ -83,20 +84,33 @@ impl Mrt {
         self.occupied.resize(total.div_ceil(64), 0);
     }
 
+    /// The kernel cycle `time mod II` an issue at `time` lands on.
     #[inline]
-    fn idx(&self, desc: &OpDesc, instance: u32, time: i64, offset: u32) -> usize {
+    fn kernel_cycle(&self, time: i64) -> usize {
         debug_assert!(time >= 0, "operations issue at non-negative cycles");
-        let cycle = (time + i64::from(offset)).rem_euclid(i64::from(self.ii)) as usize;
-        self.class_base[desc.class.index()] + instance as usize * self.ii as usize + cycle
+        time.rem_euclid(i64::from(self.ii)) as usize
     }
 
-    /// The kernel cycle an arena index denotes, for panic messages.
-    fn describe(&self, desc: &OpDesc, instance: u32, i: usize) -> (usize, usize, usize) {
-        (
-            desc.class.index(),
-            instance as usize,
-            i - self.class_base[desc.class.index()] - instance as usize * self.ii as usize,
-        )
+    /// Arena index of kernel cycle 0 of `instance`'s row.
+    #[inline]
+    fn row(&self, desc: &OpDesc, instance: u32) -> usize {
+        self.class_base[desc.class.index()] + instance as usize * self.ii as usize
+    }
+
+    /// Arena index of the cell offset `r` holds for an issue at kernel
+    /// cycle `cycle < II` of the row at `row`.
+    #[inline]
+    fn cell(&self, row: usize, cycle: usize, r: u32) -> usize {
+        let ii = self.ii as usize;
+        let mut c = cycle + r as usize;
+        if c >= ii {
+            c -= ii;
+            if c >= ii {
+                // Only an offset of II or more gets here.
+                c %= ii;
+            }
+        }
+        row + c
     }
 
     #[inline]
@@ -134,9 +148,9 @@ impl Mrt {
         out: &mut Vec<OpId>,
     ) {
         out.clear();
+        let (row, cycle) = (self.row(desc, instance), self.kernel_cycle(time));
         for &r in &desc.reservation {
-            let i = self.idx(desc, instance, time, r);
-            if let Some(occ) = self.occupant[i] {
+            if let Some(occ) = self.occupant[self.cell(row, cycle, r)] {
                 if occ != this && !out.contains(&occ) {
                     out.push(occ);
                 }
@@ -154,11 +168,12 @@ impl Mrt {
         time: i64,
         needle: OpId,
     ) -> bool {
+        let (row, cycle) = (self.row(desc, instance), self.kernel_cycle(time));
         needle != this
             && desc
                 .reservation
                 .iter()
-                .any(|&r| self.occupant[self.idx(desc, instance, time, r)] == Some(needle))
+                .any(|&r| self.occupant[self.cell(row, cycle, r)] == Some(needle))
     }
 
     /// True if `this` can be placed at `time` without displacing anyone.
@@ -168,23 +183,86 @@ impl Mrt {
     /// operation occupies the slot), matching the behaviour of a
     /// non-pipelined unit that is simply busy.
     pub fn fits(&self, this: OpId, desc: &OpDesc, instance: u32, time: i64) -> bool {
+        self.fits_at(
+            this,
+            desc,
+            self.row(desc, instance),
+            self.kernel_cycle(time),
+        )
+    }
+
+    /// [`fits`](Self::fits) at kernel cycle `cycle < II` of a row.
+    #[inline]
+    fn fits_at(&self, this: OpId, desc: &OpDesc, row: usize, cycle: usize) -> bool {
         // Fast path: fold the occupancy bits without branching per offset.
         // Almost every query during the scheduler's cycle scan resolves
         // here — the pattern lands on wholly free cells.
         let mut busy = 0u64;
         for &r in &desc.reservation {
-            busy |= self.bit(self.idx(desc, instance, time, r));
+            busy |= self.bit(self.cell(row, cycle, r));
         }
         if busy == 0 {
             return true;
         }
         // Some cell is taken; it only blocks if held by a different op.
-        desc.reservation.iter().all(
-            |&r| match self.occupant[self.idx(desc, instance, time, r)] {
+        desc.reservation
+            .iter()
+            .all(|&r| match self.occupant[self.cell(row, cycle, r)] {
                 None => true,
                 Some(occ) => occ == this,
-            },
-        )
+            })
+    }
+
+    /// The earliest `t` in `lo..=hi` at which `this` [`fits`](Self::fits),
+    /// scanning upward. The kernel cycle steps with `t` and wraps at II.
+    pub fn first_fit(
+        &self,
+        this: OpId,
+        desc: &OpDesc,
+        instance: u32,
+        lo: i64,
+        hi: i64,
+    ) -> Option<i64> {
+        if lo > hi {
+            return None;
+        }
+        let ii = self.ii as usize;
+        let row = self.row(desc, instance);
+        let mut cycle = self.kernel_cycle(lo);
+        for t in lo..=hi {
+            if self.fits_at(this, desc, row, cycle) {
+                return Some(t);
+            }
+            cycle += 1;
+            if cycle == ii {
+                cycle = 0;
+            }
+        }
+        None
+    }
+
+    /// The latest `t` in `lo..=hi` at which `this` [`fits`](Self::fits),
+    /// scanning downward. The kernel cycle steps with `t` and wraps at II.
+    pub fn last_fit(
+        &self,
+        this: OpId,
+        desc: &OpDesc,
+        instance: u32,
+        lo: i64,
+        hi: i64,
+    ) -> Option<i64> {
+        if lo > hi {
+            return None;
+        }
+        let row = self.row(desc, instance);
+        let mut cycle = self.kernel_cycle(hi);
+        for t in (lo..=hi).rev() {
+            if self.fits_at(this, desc, row, cycle) {
+                return Some(t);
+            }
+            cycle = if cycle == 0 { self.ii as usize } else { cycle } - 1;
+        }
+        None
     }
 
     /// Records `this` at `time`.
@@ -194,20 +272,21 @@ impl Mrt {
     /// Panics if any needed slot is held by a different operation; call
     /// [`fits`](Self::fits) or eject conflicting operations first.
     pub fn place(&mut self, this: OpId, desc: &OpDesc, instance: u32, time: i64) {
+        let (row, cycle) = (self.row(desc, instance), self.kernel_cycle(time));
         // Two passes — check everything, then commit everything — so a
         // pattern whose offsets coincide modulo II needs no dedup list.
         for &r in &desc.reservation {
-            let i = self.idx(desc, instance, time, r);
+            let i = self.cell(row, cycle, r);
             let slot = self.occupant[i];
             assert!(
                 slot.is_none() || slot == Some(this),
                 "MRT slot {:?} already held by {:?}",
-                self.describe(desc, instance, i),
+                (desc.class.index(), instance, i - row),
                 slot.unwrap()
             );
         }
         for &r in &desc.reservation {
-            let i = self.idx(desc, instance, time, r);
+            let i = self.cell(row, cycle, r);
             self.occupant[i] = Some(this);
             self.set_bit(i, true);
         }
@@ -220,17 +299,18 @@ impl Mrt {
     /// Panics if a slot is not actually held by `this` — a sign the caller's
     /// bookkeeping of placement times has drifted from the table.
     pub fn remove(&mut self, this: OpId, desc: &OpDesc, instance: u32, time: i64) {
+        let (row, cycle) = (self.row(desc, instance), self.kernel_cycle(time));
         for &r in &desc.reservation {
-            let i = self.idx(desc, instance, time, r);
+            let i = self.cell(row, cycle, r);
             assert_eq!(
                 self.occupant[i],
                 Some(this),
                 "MRT slot {:?} not held by {this}",
-                self.describe(desc, instance, i)
+                (desc.class.index(), instance, i - row)
             );
         }
         for &r in &desc.reservation {
-            let i = self.idx(desc, instance, time, r);
+            let i = self.cell(row, cycle, r);
             self.occupant[i] = None;
             self.set_bit(i, false);
         }
@@ -420,6 +500,102 @@ mod tests {
                 .filter(|s| s.is_some())
                 .count()
         }
+    }
+
+    /// Cells of `fast` and `naive` hold the same occupants.
+    fn same_cells(fast: &Mrt, naive: &NaiveMrt) -> bool {
+        naive.slots.iter().enumerate().all(|(c, units)| {
+            units.iter().enumerate().all(|(u, row)| {
+                let base = fast.class_base[c] + u * fast.ii as usize;
+                row[..] == fast.occupant[base..base + row.len()]
+            })
+        })
+    }
+
+    /// Random tables at every II from 1 to 40, on the paper's machine
+    /// (17- and 21-cycle divider patterns, longer than II below 17) and a
+    /// machine whose offsets reach past 2·II. The cycle-stepped scans
+    /// return what a per-cycle `fits` loop returns, and every query and
+    /// update agrees with the `(t + r).rem_euclid(II)` oracle.
+    #[test]
+    fn kernel_cycle_scans_match_per_cycle_fits_and_the_oracle() {
+        use crate::MachineBuilder;
+        use lsms_prng::SmallRng;
+        let mut b = MachineBuilder::new("long offsets");
+        let odd = b.class("Odd", 2);
+        b.custom(
+            OpKind::FSqrt,
+            OpDesc {
+                class: odd,
+                latency: 3,
+                reservation: vec![0, 5, 41, 80, 80],
+            },
+        );
+        b.pipelined(odd, 1, &[OpKind::FAdd]);
+        let long = b.finish();
+        let huff = huff_machine();
+        let cases = [
+            (
+                &huff,
+                vec![OpKind::FDiv, OpKind::FSqrt, OpKind::FAdd, OpKind::Load],
+            ),
+            (&long, vec![OpKind::FSqrt, OpKind::FAdd]),
+        ];
+        let mut scans = 0u32;
+        for (m, kinds) in &cases {
+            for ii in 1..=40u32 {
+                let mut rng = SmallRng::seed_from_u64(0x5ca9 + u64::from(ii));
+                let mut fast = Mrt::new(m, ii);
+                let mut naive = NaiveMrt::new(m, ii);
+                let mut placed: Vec<(OpId, OpKind, u32, i64)> = Vec::new();
+                for step in 0..120usize {
+                    let kind = kinds[rng.gen_range(0..kinds.len())];
+                    let desc = m.desc(kind);
+                    let instance = rng.gen_range(0..m.classes()[desc.class.index()].count);
+                    let this = OpId::new(step);
+                    let lo = rng.gen_range(0..3 * i64::from(ii) + 30);
+                    let hi = lo + rng.gen_range(-2..2 * i64::from(ii) + 2);
+                    let fits = |t: i64| naive.fits(this, desc, instance, t);
+                    assert_eq!(
+                        fast.first_fit(this, desc, instance, lo, hi),
+                        (lo..=hi).find(|&t| fits(t)),
+                        "ii {ii} step {step}: first_fit {lo}..={hi}"
+                    );
+                    assert_eq!(
+                        fast.last_fit(this, desc, instance, lo, hi),
+                        (lo..=hi).rev().find(|&t| fits(t)),
+                        "ii {ii} step {step}: last_fit {lo}..={hi}"
+                    );
+                    scans += 2;
+                    let t = rng.gen_range(0..4 * i64::from(ii) + 30);
+                    assert_eq!(fast.fits(this, desc, instance, t), fits(t), "ii {ii}");
+                    let mut got = Vec::new();
+                    fast.conflicts_into(this, desc, instance, t, &mut got);
+                    let want = naive.conflicts(this, desc, instance, t);
+                    assert_eq!(got, want, "ii {ii} step {step}: conflicts_into");
+                    for &(other, ..) in &placed {
+                        assert_eq!(
+                            fast.conflicts_contain(this, desc, instance, t, other),
+                            want.contains(&other),
+                            "ii {ii} step {step}: conflicts_contain {other}"
+                        );
+                    }
+                    if want.is_empty() && rng.gen_bool(0.6) {
+                        fast.place(this, desc, instance, t);
+                        naive.place(this, desc, instance, t);
+                        placed.push((this, kind, instance, t));
+                    } else if !placed.is_empty() && rng.gen_bool(0.4) {
+                        let (op, kind, instance, t) =
+                            placed.swap_remove(rng.gen_range(0..placed.len()));
+                        fast.remove(op, m.desc(kind), instance, t);
+                        naive.remove(op, m.desc(kind), instance, t);
+                    }
+                    assert!(same_cells(&fast, &naive), "ii {ii} step {step}: cells");
+                    assert_eq!(fast.occupancy(), naive.occupancy(), "ii {ii}");
+                }
+            }
+        }
+        assert_eq!(scans, 2 * 2 * 40 * 120);
     }
 
     #[test]

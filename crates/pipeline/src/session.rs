@@ -893,11 +893,11 @@ impl CompileSession {
         let body = &compiled.body;
         Ok(LoopEvaluation {
             name: compiled.def.name.clone(),
-            class: body.class(),
+            class: problem.class(),
             num_ops: body.num_ops(),
             basic_blocks: body.meta().basic_blocks,
             critical_ops: bounds::critical_ops(&self.config.machine, body, mii),
-            ops_on_recurrences: bounds::ops_on_recurrences(body),
+            ops_on_recurrences: problem.components().ops_on_recurrences(),
             div_ops: body.num_divider_ops(),
             rec_mii: problem.rec_mii(),
             res_mii: problem.res_mii(),

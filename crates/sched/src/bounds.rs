@@ -12,9 +12,10 @@
 //! Every circuit lies inside one strongly connected component, so the
 //! search runs separately on each *recurrence component* — an SCC of two
 //! or more operations, or a single operation with a self-arc — over that
-//! component's own arcs, bounded above by its own latency sum. `RecMII` is
-//! the maximum over components (1 if there are none). Johnson's circuit
-//! enumeration survives as the test oracle in `tests/`.
+//! component's own arcs, bounded above by its own latency sum. The
+//! components are the ones [`SchedProblem`] found when it was built.
+//! `RecMII` is the maximum over components (1 if there are none).
+//! Johnson's circuit enumeration survives as the test oracle in `tests/`.
 
 use lsms_ir::{tarjan_scc, LoopBody};
 use lsms_machine::{critical_classes, Machine};
@@ -38,34 +39,53 @@ pub fn mii(problem: &SchedProblem<'_>) -> u32 {
 /// initiation interval can satisfy it (the loop body is malformed).
 pub fn rec_mii(problem: &SchedProblem<'_>) -> Option<u32> {
     let n = problem.num_real_ops();
-    let sccs = tarjan_scc(problem.body());
-    // Component of each op, and its index inside that component.
-    let mut comp = vec![0usize; n];
-    let mut local = vec![0usize; n];
-    for (c, scc) in sccs.iter().enumerate() {
-        for (i, op) in scc.iter().enumerate() {
-            comp[op.index()] = c;
-            local[op.index()] = i;
-        }
-    }
+    let components = problem.components();
+    let count = components.sizes.len();
+    // Each op's index inside its component.
+    let mut seen = vec![0u32; count];
+    let local: Vec<usize> = components.of[..n]
+        .iter()
+        .map(|&c| {
+            seen[c as usize] += 1;
+            seen[c as usize] as usize - 1
+        })
+        .collect();
     // An arc lies on a circuit exactly when both ends share a component
     // (Start has no in-arcs and Stop no out-arcs, so neither can).
-    let mut inner: Vec<Vec<(usize, usize, i64, i64)>> = vec![Vec::new(); sccs.len()];
+    let inner = |arc: &crate::Arc| {
+        (arc.from < n && arc.to < n && components.of[arc.from] == components.of[arc.to])
+            .then(|| components.of[arc.from] as usize)
+    };
+    // Bucket the inner arcs by component, in arc order: component `c`'s
+    // arcs are `arcs[start[c]..start[c + 1]]`.
+    let mut start = vec![0usize; count + 1];
+    for c in problem.arcs().iter().filter_map(inner) {
+        start[c + 1] += 1;
+    }
+    for c in 0..count {
+        start[c + 1] += start[c];
+    }
+    let mut fill = start.clone();
+    let mut arcs = vec![(0usize, 0usize, 0i64, 0i64); start[count]];
     for arc in problem.arcs() {
-        if arc.from < n && arc.to < n && comp[arc.from] == comp[arc.to] {
-            inner[comp[arc.from]].push((
+        if let Some(c) = inner(arc) {
+            arcs[fill[c]] = (
                 local[arc.from],
                 local[arc.to],
                 arc.latency,
                 i64::from(arc.omega),
-            ));
+            );
+            fill[c] += 1;
         }
     }
+    let mut dist = Vec::new();
     let mut best = 1;
-    for (scc, arcs) in sccs.iter().zip(&inner) {
+    for c in 0..count {
         // A lone op without a self-arc has no inner arcs and no circuit.
-        if !arcs.is_empty() {
-            best = best.max(component_rec_mii(scc.len(), arcs)?);
+        if start[c] < start[c + 1] {
+            let size = components.sizes[c] as usize;
+            let ratio = component_rec_mii(size, &arcs[start[c]..start[c + 1]], &mut dist)?;
+            best = best.max(ratio);
         }
     }
     Some(best)
@@ -74,14 +94,19 @@ pub fn rec_mii(problem: &SchedProblem<'_>) -> Option<u32> {
 /// The minimum cost-to-time ratio of one recurrence component with `n`
 /// ops and arcs `(from, to, latency, ω)` in component-local indices:
 /// binary search for the smallest II at which Bellman–Ford finds no
-/// positive cycle under weights `latency − ω·II`. Returns `None` for a
-/// positive-latency zero-ω circuit, which stays positive at every II.
-fn component_rec_mii(n: usize, arcs: &[(usize, usize, i64, i64)]) -> Option<u32> {
-    let mut dist = vec![0i64; n];
+/// positive cycle under weights `latency − ω·II`, with `dist` as its
+/// scratch. Returns `None` for a positive-latency zero-ω circuit, which
+/// stays positive at every II.
+pub(crate) fn component_rec_mii(
+    n: usize,
+    arcs: &[(usize, usize, i64, i64)],
+    dist: &mut Vec<i64>,
+) -> Option<u32> {
     let mut has_positive_cycle = |ii: i64| -> bool {
         // Longest-path Bellman–Ford from a virtual source connected to all
         // nodes with weight 0: dist starts at 0 everywhere.
-        dist.fill(0);
+        dist.clear();
+        dist.resize(n, 0);
         for round in 0..=n {
             let mut changed = false;
             for &(from, to, latency, omega) in arcs {

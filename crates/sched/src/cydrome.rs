@@ -14,8 +14,6 @@
 //! The paper measures it backtracking 3.7× as much as the slack scheduler
 //! and failing to pipeline 14 of the 1,525 loops.
 
-use lsms_ir::tarjan_scc;
-
 use crate::engine::{run_framework, Direction, EngineState, EngineWorkspace, Heuristic};
 use crate::{DecisionStats, MinDistCache, SchedFailure, SchedProblem, Schedule};
 
@@ -117,16 +115,11 @@ struct CydromeHeuristic {
 impl CydromeHeuristic {
     fn new(problem: &SchedProblem<'_>) -> Self {
         let n = problem.num_nodes();
-        let mut on_recurrence = vec![false; n];
-        for scc in tarjan_scc(problem.body()) {
-            if scc.len() >= 2 {
-                for op in scc {
-                    on_recurrence[op.index()] = true;
-                }
-            }
-        }
+        let components = problem.components();
+        // `Start` and `Stop`, the last two nodes, lie on no circuit.
+        let real = (0..problem.num_real_ops()).map(|op| components.on_recurrence(op));
         Self {
-            on_recurrence,
+            on_recurrence: real.chain([false, false]).collect(),
             rank: vec![0; n],
         }
     }
@@ -225,6 +218,91 @@ mod tests {
         assert!(h.on_recurrence[1] && h.on_recurrence[2]);
         assert!(!h.on_recurrence[0]);
         let _ = &mut h;
+    }
+
+    /// The facts read off the problem's one Tarjan pass (RecMII, the
+    /// recurrence ops, the loop class and Cydrome's recurrences-first
+    /// flags) against the same facts computed from `tarjan_scc` of the
+    /// body.
+    fn check_scc_facts(name: &str, problem: &SchedProblem<'_>) {
+        use lsms_ir::{tarjan_scc, LoopClass};
+        let body = problem.body();
+        let n = problem.num_real_ops();
+        let sccs = tarjan_scc(body);
+        let components = problem.components();
+        assert_eq!(components.sizes.len(), sccs.len(), "{name}");
+        let mut comp = vec![0usize; n];
+        let mut local = vec![0usize; n];
+        for (c, scc) in sccs.iter().enumerate() {
+            let id = components.of[scc[0].index()];
+            assert_eq!(components.sizes[id as usize] as usize, scc.len(), "{name}");
+            for (i, op) in scc.iter().enumerate() {
+                assert_eq!(components.of[op.index()], id, "{name}: {op}");
+                comp[op.index()] = c;
+                local[op.index()] = i;
+            }
+        }
+        let mut inner = vec![Vec::new(); sccs.len()];
+        for arc in problem.arcs() {
+            if arc.from < n && arc.to < n && comp[arc.from] == comp[arc.to] {
+                inner[comp[arc.from]].push((
+                    local[arc.from],
+                    local[arc.to],
+                    arc.latency,
+                    i64::from(arc.omega),
+                ));
+            }
+        }
+        let mut rec_mii = 1;
+        for (scc, arcs) in sccs.iter().zip(&inner) {
+            if !arcs.is_empty() {
+                let ratio = crate::bounds::component_rec_mii(scc.len(), arcs, &mut Vec::new());
+                rec_mii = rec_mii.max(ratio.expect("no zero-omega circuit"));
+            }
+        }
+        assert_eq!(problem.rec_mii(), rec_mii, "{name}");
+
+        let on_circuit: Vec<bool> = (0..n)
+            .map(|op| sccs[comp[op]].len() >= 2)
+            .chain([false, false])
+            .collect();
+        assert_eq!(
+            CydromeHeuristic::new(problem).on_recurrence,
+            on_circuit,
+            "{name}"
+        );
+        let on_recurrences = on_circuit.iter().filter(|&&on| on).count();
+        assert_eq!(components.ops_on_recurrences(), on_recurrences, "{name}");
+        assert_eq!(
+            crate::bounds::ops_on_recurrences(body),
+            on_recurrences,
+            "{name}"
+        );
+        let class = LoopClass::new(body.has_conditional(), on_recurrences > 0);
+        assert_eq!(problem.class(), class, "{name}");
+        assert_eq!(body.class(), class, "{name}");
+    }
+
+    #[test]
+    fn problem_scc_facts_match_tarjan_on_the_corpus_and_random_graphs() {
+        let machine = huff_machine();
+        let corpus = lsms_loops::corpus(lsms_loops::PAPER_CORPUS_SIZE, lsms_loops::CORPUS_SEED);
+        let mut recurrent = 0;
+        for compiled in &corpus {
+            let problem = SchedProblem::new(&compiled.body, &machine).unwrap();
+            check_scc_facts(&compiled.def.name, &problem);
+            recurrent += usize::from(problem.components().has_recurrence());
+        }
+        // Both kinds of loop are in the population.
+        assert!(
+            recurrent > 100 && recurrent < corpus.len() - 100,
+            "{recurrent}"
+        );
+        for (case, size) in crate::test_graphs::bound_cases() {
+            let body = crate::test_graphs::random_graph(case, size);
+            let problem = SchedProblem::new(&body, &machine).unwrap();
+            check_scc_facts(&format!("random case {case}"), &problem);
+        }
     }
 
     #[test]

@@ -434,16 +434,32 @@ impl<'p, 'a> EngineState<'p, 'a> {
         self.time(node).unwrap_or(i64::from(self.estart[node]))
     }
 
-    fn fits(&self, node: usize, t: i64) -> bool {
+    /// Step 2: the first cycle of `node`'s `[Estart, Lstart]` window, from
+    /// the end `direction` names, at which it fits the MRT. At most II
+    /// consecutive cycles need scanning (§5.2).
+    fn scan(&self, node: usize, direction: Direction) -> Option<i64> {
+        let e = i64::from(self.estart[node]);
+        let l = i64::from(self.lstart[node]);
+        let window = i64::from(self.ii) - 1;
+        let (lo, hi) = match direction {
+            Direction::Early => (e, l.min(e + window)),
+            Direction::Late => (e.max(l - window), l),
+        };
         if self.problem.is_pseudo(node) {
-            return true;
+            // A pseudo node uses no unit, so the first candidate fits.
+            let first = if direction == Direction::Early {
+                lo
+            } else {
+                hi
+            };
+            return (lo <= hi).then_some(first);
         }
-        self.mrt.fits(
-            OpId::new(node),
-            self.problem.desc(node),
-            self.assignments[node].instance,
-            t,
-        )
+        let (op, desc) = (OpId::new(node), self.problem.desc(node));
+        let instance = self.assignments[node].instance;
+        match direction {
+            Direction::Early => self.mrt.first_fit(op, desc, instance, lo, hi),
+            Direction::Late => self.mrt.last_fit(op, desc, instance, lo, hi),
+        }
     }
 
     fn place(&mut self, node: usize, t: i32) {
@@ -795,32 +811,7 @@ fn attempt(
         let direction = heuristic.direction(&st, x, decisions);
         let e = i64::from(st.estart[x]);
         let l = i64::from(st.lstart[x]);
-        let mut found = None;
-        if l >= e {
-            // At most II consecutive cycles need scanning (§5.2).
-            let window = i64::from(ii) - 1;
-            match direction {
-                Direction::Early => {
-                    let hi = l.min(e + window);
-                    for t in e..=hi {
-                        if st.fits(x, t) {
-                            found = Some(t);
-                            break;
-                        }
-                    }
-                }
-                Direction::Late => {
-                    let lo = e.max(l - window);
-                    for t in (lo..=l).rev() {
-                        if st.fits(x, t) {
-                            found = Some(t);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        match found {
+        match st.scan(x, direction) {
             Some(t) => {
                 // Step 4 & 5: place and tighten bounds.
                 lsms_trace::instant(
@@ -1213,7 +1204,8 @@ mod tests {
     /// Places `x` at its first conflict-free cycle from Estart, then
     /// tightens (and so checks) the bounds.
     fn place_early(st: &mut EngineState<'_, '_>, x: usize) {
-        let t = (i64::from(st.estart[x])..).find(|&t| st.fits(x, t));
+        let (desc, instance) = (st.problem.desc(x), st.assignments[x].instance);
+        let t = (i64::from(st.estart[x])..).find(|&t| st.mrt.fits(OpId::new(x), desc, instance, t));
         let t = stored_time(t.unwrap()).unwrap();
         st.place(x, t);
         st.tighten_bounds_after(x, t).unwrap();
@@ -1256,29 +1248,10 @@ mod tests {
     /// each line several blocks, the 12-op ones two that overlap.
     #[test]
     fn random_problems_keep_every_bound_exact() {
-        use lsms_prng::SmallRng;
         let machine = huff_machine();
         let mut ejecting = 0u32;
-        let cases = (0u64..48)
-            .map(|case| (case, 12usize))
-            .chain((48..64).map(|case| (case, 40)));
-        for (case, size) in cases {
-            let mut rng = SmallRng::seed_from_u64(0xb0d5 + case);
-            let mut b = LoopBuilder::new("g");
-            let fin = b.invariant(ValueType::Float, "fin");
-            let ops: Vec<_> = (0..size)
-                .map(|_| {
-                    let v = b.new_value(ValueType::Float);
-                    b.op(OpKind::FMul, &[fin, fin], Some(v))
-                })
-                .collect();
-            for _ in 0..rng.gen_range(1..2 * size) {
-                let (f, t) = (rng.gen_range(0..size), rng.gen_range(0..size));
-                // Back arcs carry a distance, so no zero-omega cycle forms.
-                let omega = rng.gen_range(0..3u32) + u32::from(t <= f);
-                b.flow_dep(ops[f], ops[t], omega);
-            }
-            let body = b.finish();
+        for (case, size) in crate::test_graphs::bound_cases() {
+            let body = crate::test_graphs::random_graph(case, size);
             let problem = SchedProblem::new(&body, &machine).unwrap();
             let slack = crate::SlackScheduler::new().run(&problem).unwrap();
             crate::CydromeScheduler::new().run(&problem).unwrap();

@@ -61,6 +61,8 @@ pub mod schedule;
 pub mod slack;
 pub mod stats;
 pub mod svg;
+#[cfg(test)]
+mod test_graphs;
 
 pub use backend::{
     BackendCaps, BackendInfo, BackendRun, CydromeBackend, ModuloScheduler, SchedContext,

@@ -1,9 +1,26 @@
 //! The scheduling problem: a loop body bound to a machine.
+//!
+//! [`SchedProblem::new`] resolves once every fact about a loop that no
+//! scheduling attempt changes, so the schedulers read tables instead of
+//! walking the body again:
+//!
+//! - the arcs, with latencies resolved against the machine, plus the
+//!   `Start`/`Stop` arcs;
+//! - the adjacency in both directions, each stored flat: per node an
+//!   offset into one array of arc indices, in arc order;
+//! - the strongly connected components of the dependence graph, from one
+//!   Tarjan pass: a component id per op and the size of each component.
+//!   RecMII, the Cydrome baseline's recurrences-first order and the loop's
+//!   Table 3 class all read them;
+//! - ResMII, RecMII and the II ceiling of the 32-bit arithmetic.
+//!
+//! Unit instances are not part of the problem: every engine attempt binds
+//! its own (see the `engine` module).
 
 use std::fmt;
 
-use lsms_ir::{LoopBody, OpId};
-use lsms_machine::{assign_units, dep_latency, Machine, OpDesc, UnitAssignment};
+use lsms_ir::{Components, LoopBody, LoopClass, OpId};
+use lsms_machine::{dep_latency, Machine, OpDesc};
 
 /// A dependence arc with its latency resolved against the target machine.
 ///
@@ -72,16 +89,20 @@ impl std::error::Error for ProblemError {
 }
 
 /// A loop body paired with a machine: arcs resolved to `(latency, ω)`,
-/// operations bound to unit instances, `Start`/`Stop` pseudo-operations
-/// added, and the §3.1 lower bounds precomputed.
+/// `Start`/`Stop` pseudo-operations added, the dependence graph's SCCs
+/// found, and the §3.1 lower bounds precomputed.
 #[derive(Clone, Debug)]
 pub struct SchedProblem<'a> {
     body: &'a LoopBody,
     machine: &'a Machine,
-    assignments: Vec<UnitAssignment>,
     arcs: Vec<Arc>,
-    out: Vec<Vec<usize>>,
-    inn: Vec<Vec<usize>>,
+    /// Out-arcs of node `v`: `out_arcs[out_start[v]..out_start[v + 1]]`.
+    out_start: Vec<u32>,
+    out_arcs: Vec<u32>,
+    /// In-arcs of node `v`, laid out as the out-arcs.
+    in_start: Vec<u32>,
+    in_arcs: Vec<u32>,
+    components: Components,
     res_mii: u32,
     rec_mii: u32,
     ii_ceiling: u32,
@@ -94,8 +115,8 @@ const PATH_RANGE: u64 = 1 << 27;
 
 impl<'a> SchedProblem<'a> {
     /// Builds the problem: validates the body, resolves arc latencies,
-    /// assigns unit instances, adds `Start`/`Stop` arcs, and computes
-    /// `ResMII` and `RecMII`.
+    /// adds `Start`/`Stop` arcs, finds the SCCs, and computes `ResMII` and
+    /// `RecMII`.
     ///
     /// # Errors
     ///
@@ -143,19 +164,21 @@ impl<'a> SchedProblem<'a> {
             });
         }
         let total = n + 2;
-        let mut out = vec![Vec::new(); total];
-        let mut inn = vec![Vec::new(); total];
-        for (i, arc) in arcs.iter().enumerate() {
-            out[arc.from].push(i);
-            inn[arc.to].push(i);
-        }
+        let (out_start, out_arcs) = flat_adjacency(total, &arcs, |arc| arc.from);
+        let (in_start, in_arcs) = flat_adjacency(total, &arcs, |arc| arc.to);
+        // Arcs to `Stop` leave the ops' graph and are ignored; `Start`
+        // lies outside it.
+        let components =
+            Components::of_graph(n, &out_start, |slot| arcs[out_arcs[slot] as usize].to);
         let mut problem = Self {
             body,
             machine,
-            assignments: assign_units(machine, body),
             arcs,
-            out,
-            inn,
+            out_start,
+            out_arcs,
+            in_start,
+            in_arcs,
+            components,
             res_mii: lsms_machine::res_mii(machine, body),
             rec_mii: 0,
             ii_ceiling: 0,
@@ -212,25 +235,31 @@ impl<'a> SchedProblem<'a> {
         &self.arcs
     }
 
-    /// Arc indices leaving `node`.
+    /// Arcs leaving `node`, in arc order.
     pub fn arcs_from(&self, node: usize) -> impl Iterator<Item = &Arc> + '_ {
-        self.out[node].iter().map(|&i| &self.arcs[i])
+        let slots = self.out_start[node] as usize..self.out_start[node + 1] as usize;
+        self.out_arcs[slots].iter().map(|&i| &self.arcs[i as usize])
     }
 
-    /// Arc indices entering `node`.
+    /// Arcs entering `node`, in arc order.
     pub fn arcs_to(&self, node: usize) -> impl Iterator<Item = &Arc> + '_ {
-        self.inn[node].iter().map(|&i| &self.arcs[i])
+        let slots = self.in_start[node] as usize..self.in_start[node + 1] as usize;
+        self.in_arcs[slots].iter().map(|&i| &self.arcs[i as usize])
     }
 
-    /// The unit instance the operation at problem index `node` was bound
-    /// to before scheduling.
-    ///
-    /// # Panics
-    ///
-    /// Panics for pseudo nodes, which are never bound to units.
-    pub fn assignment(&self, node: usize) -> UnitAssignment {
-        assert!(!self.is_pseudo(node), "pseudo nodes use no units");
-        self.assignments[node]
+    /// The strongly connected components of the dependence graph over
+    /// the real operations (problem indices `0..n`).
+    pub fn components(&self) -> &Components {
+        &self.components
+    }
+
+    /// The loop's class for Tables 3 and 4, from the problem's SCCs:
+    /// the same as [`LoopBody::class`].
+    pub fn class(&self) -> LoopClass {
+        LoopClass::new(
+            self.body.has_conditional(),
+            self.components.has_recurrence(),
+        )
     }
 
     /// The machine description of the operation at problem index `node`.
@@ -271,6 +300,35 @@ impl<'a> SchedProblem<'a> {
     pub fn brtop(&self) -> Option<usize> {
         self.body.brtop().map(OpId::index)
     }
+}
+
+/// The arcs grouped by `node_of(arc)` over `total` nodes, as
+/// `(start, arc indices)`: node `v`'s arcs are
+/// `indices[start[v]..start[v + 1]]`, in arc order.
+fn flat_adjacency(
+    total: usize,
+    arcs: &[Arc],
+    node_of: impl Fn(&Arc) -> usize,
+) -> (Vec<u32>, Vec<u32>) {
+    assert!(u32::try_from(arcs.len()).is_ok(), "fewer than 2^32 arcs");
+    let mut start = vec![0u32; total + 1];
+    for arc in arcs {
+        start[node_of(arc) + 1] += 1;
+    }
+    for v in 0..total {
+        start[v + 1] += start[v];
+    }
+    // Fill with `start[v]` as node v's cursor; afterwards each cursor sits
+    // at its node's end, which is the next node's start.
+    let mut indices = vec![0u32; arcs.len()];
+    for (i, arc) in arcs.iter().enumerate() {
+        let cursor = &mut start[node_of(arc)];
+        indices[*cursor as usize] = i as u32;
+        *cursor += 1;
+    }
+    start.copy_within(0..total, 1);
+    start[0] = 0;
+    (start, indices)
 }
 
 /// See [`SchedProblem::ii_ceiling`].

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use lsms_machine::{Mrt, UnitAssignment};
+use lsms_machine::{assign_units, Mrt, UnitAssignment};
 
 use crate::{SchedProblem, SchedStats};
 
@@ -21,8 +21,8 @@ pub struct Schedule {
     /// The functional-unit instance binding this schedule was built
     /// against. The binding is chosen *per II attempt* (still before any
     /// placement, as §4.3 requires) because which operations may share an
-    /// instance depends on II; empty means "use the problem's default
-    /// binding".
+    /// instance depends on II; empty means "use the pre-scheduling
+    /// binding of [`assign_units`]".
     pub assignments: Vec<UnitAssignment>,
     /// Counters describing how hard the scheduler worked (§6).
     pub stats: SchedStats,
@@ -129,14 +129,18 @@ pub fn validate(problem: &SchedProblem<'_>, schedule: &Schedule) -> Result<(), S
             });
         }
     }
+    // A schedule without unit assignments (built by hand, say) is checked
+    // against the pre-scheduling binding.
+    let fallback;
+    let assignments = if schedule.assignments.is_empty() {
+        fallback = assign_units(problem.machine(), problem.body());
+        &fallback
+    } else {
+        &schedule.assignments
+    };
     let mut mrt = Mrt::new(problem.machine(), schedule.ii);
-    for op in 0..n {
+    for (op, assignment) in assignments.iter().enumerate() {
         let desc = problem.desc(op);
-        let assignment = schedule
-            .assignments
-            .get(op)
-            .copied()
-            .unwrap_or_else(|| problem.assignment(op));
         let conflicts = mrt.conflicts(
             lsms_ir::OpId::new(op),
             desc,

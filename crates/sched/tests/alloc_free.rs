@@ -1,4 +1,5 @@
-//! The central loop allocates nothing once its workspace is warm.
+//! The central loop allocates nothing once its workspace is warm, and
+//! building a problem allocates the same number of times at every size.
 //!
 //! A counting global allocator tallies the allocations (and reallocations)
 //! made on the test's own thread. Each problem (the kernels, recurrence-
@@ -114,4 +115,40 @@ fn warm_reruns_allocate_per_attempt_not_per_iteration() {
     assert!(most_iterations >= 1000, "longest run: {most_iterations}");
     assert!(ejecting >= 8, "{ejecting} runs ejected");
     assert!(escalating >= 2, "{escalating} runs escalated");
+}
+
+/// A chain of `n` adds, each feeding the next, whose first two ops also
+/// form a recurrence: op 1 feeds op 0 of the next iteration.
+fn chain_with_one_recurrence(n: usize) -> lsms_ir::LoopBody {
+    use lsms_ir::{LoopBuilder, OpKind, ValueType};
+    let mut b = LoopBuilder::new("chain");
+    let f = b.invariant(ValueType::Float, "f");
+    let ops: Vec<_> = (0..n)
+        .map(|_| {
+            let v = b.new_value(ValueType::Float);
+            b.op(OpKind::FAdd, &[f, f], Some(v))
+        })
+        .collect();
+    for pair in ops.windows(2) {
+        b.flow_dep(pair[0], pair[1], 0);
+    }
+    b.flow_dep(ops[1], ops[0], 1);
+    b.finish()
+}
+
+/// The flat adjacency and the one Tarjan pass size every buffer up
+/// front: no allocation is per node, per arc or per component.
+#[test]
+fn building_a_problem_allocates_the_same_at_every_size() {
+    let machine = huff_machine();
+    let made = |n: usize| {
+        let body = chain_with_one_recurrence(n);
+        let before = allocations();
+        let problem = SchedProblem::new(&body, &machine).expect("buildable");
+        let made = allocations() - before;
+        assert_eq!(problem.components().ops_on_recurrences(), 2);
+        assert_eq!(problem.rec_mii(), 2);
+        made
+    };
+    assert_eq!(made(20), made(200));
 }

@@ -1,7 +1,7 @@
 //! Execution of modulo-variable-expanded code: static registers, no
 //! rotation — validating the renaming arithmetic end to end.
 
-use lsms_codegen::{MveKernel, MveRef};
+use lsms_codegen::{MveKernel, MveRef, MAX_SRCS};
 use lsms_front::{CompiledLoop, InitialSource, InvariantSource};
 use lsms_ir::OpKind;
 use lsms_sched::{SchedProblem, Schedule};
@@ -145,7 +145,11 @@ pub fn run_mve(
                         continue;
                     }
                 }
-                let srcs: Vec<u64> = inst.srcs.iter().map(read).collect();
+                let mut operands = [0u64; MAX_SRCS];
+                for (slot, r) in operands.iter_mut().zip(&inst.srcs) {
+                    *slot = read(r);
+                }
+                let srcs = &operands[..inst.srcs.len()];
                 let mut store = None;
                 let result = match inst.kind {
                     OpKind::Load => {
@@ -169,7 +173,7 @@ pub fn run_mve(
                         None
                     }
                     OpKind::Brtop => None,
-                    kind => Some(execute_opcode(kind, cmp_ty(inst.op), &srcs)),
+                    kind => Some(execute_opcode(kind, cmp_ty(inst.op), srcs)),
                 };
                 if let Some(w) = store {
                     mem_writes.push(w);

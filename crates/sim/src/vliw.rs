@@ -23,7 +23,7 @@
 
 use std::fmt;
 
-use lsms_codegen::{KernelCode, RegRef};
+use lsms_codegen::{KernelCode, RegRef, MAX_SRCS};
 use lsms_front::{BinOp, CompiledLoop, InitialSource, InvariantSource, RelOp, Ty};
 use lsms_ir::{OpKind, ValueType};
 use lsms_regalloc::RotatingAllocation;
@@ -246,7 +246,11 @@ pub fn run_kernel(
                         continue; // predicated off: a no-op (§2.2)
                     }
                 }
-                let srcs: Vec<u64> = inst.srcs.iter().map(read).collect();
+                let mut operands = [0u64; MAX_SRCS];
+                for (slot, r) in operands.iter_mut().zip(&inst.srcs) {
+                    *slot = read(r);
+                }
+                let srcs = &operands[..inst.srcs.len()];
                 let mut store = None;
                 let result = match inst.kind {
                     OpKind::Load => {
@@ -270,7 +274,7 @@ pub fn run_kernel(
                         None
                     }
                     OpKind::Brtop => None,
-                    kind => Some(execute_opcode(kind, cmp_ty(inst.op), &srcs)),
+                    kind => Some(execute_opcode(kind, cmp_ty(inst.op), srcs)),
                 };
                 if let Some((word, bits)) = store {
                     mem_writes.push((word, bits));
