@@ -56,7 +56,10 @@
 //! Diagnostics are uniform (`error[E0101]: FILE:3:7: message [parse]`)
 //! and the exit code identifies the failing stage: 2 usage, 3 I/O,
 //! 4 parse, 5 sema, 6 lower, 7 depgraph, 8 schedule, 9 regalloc,
-//! 10 codegen, 11 simulate.
+//! 10 codegen, 11 simulate. When stdout closes before the output is
+//! written (`lsmsc FILE --emit all | head -1`), `lsmsc` stops quietly
+//! with exit code 141, the status a shell reports for a process that
+//! SIGPIPE ended.
 //!
 //! Example:
 //!
@@ -77,6 +80,37 @@ use lsms_pipeline::{
 use lsms_sched::explain;
 
 const EMITS: &[&str] = &["report", "sched", "list", "asm", "mve", "dot", "svg"];
+
+/// The exit code once stdout's reader has gone away: 128 + SIGPIPE.
+const EXIT_BROKEN_PIPE: i32 = 141;
+
+/// `print!`, except that a closed stdout ends the process quietly with
+/// [`EXIT_BROKEN_PIPE`] instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`out!`].
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(EXIT_BROKEN_PIPE);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 struct Options {
     file: String,
@@ -349,7 +383,7 @@ fn eval_corpus(options: &Options, session: &CompileSession) -> QualityRollup {
         .map_or((0, 0, 0, 0, 0), |b| {
             (b.loops, b.scheduled, b.at_mii, b.ii.sum, b.mii_sum)
         });
-    println!(
+    outln!(
         "corpus: {loops} loops on {} ({} jobs): {scheduled} scheduled, {at_mii} at MII ({:.1}%), II/MII {:.3}",
         options.machine.name(),
         options.jobs,
@@ -359,7 +393,7 @@ fn eval_corpus(options: &Options, session: &CompileSession) -> QualityRollup {
     let report = session.report();
     if let Some(record) = report.get("sched-cache") {
         let get = |key| record.counters.get(key).copied().unwrap_or(0);
-        println!(
+        outln!(
             "schedule-cache: hits={} misses={}",
             get("hits"),
             get("misses")
@@ -389,19 +423,19 @@ fn compile_and_emit(
         let schedule = &artifacts.schedule;
         for emit in &options.emit {
             match emit.as_str() {
-                "report" => print!(
+                "report" => out!(
                     "{}",
                     explain::report_for_backend(&problem, schedule, backend.scheduler.as_ref())
                 ),
                 "sched" => {
-                    println!("loop {}: II = {}", artifacts.name, schedule.ii);
+                    outln!("loop {}: II = {}", artifacts.name, schedule.ii);
                     for op in artifacts.body.ops() {
-                        println!("  {:>4}  {}", schedule.times[op.id.index()], op.kind);
+                        outln!("  {:>4}  {}", schedule.times[op.id.index()], op.kind);
                     }
                 }
-                "dot" => print!("{}", lsms_ir::to_dot(&artifacts.body)),
-                "list" => print!("{}", lsms_ir::to_listing(&artifacts.body)),
-                "svg" => println!(
+                "dot" => out!("{}", lsms_ir::to_dot(&artifacts.body)),
+                "list" => out!("{}", lsms_ir::to_listing(&artifacts.body)),
+                "svg" => outln!(
                     "{}",
                     lsms_sched::svg::to_svg_for_backend(
                         &problem,
@@ -411,20 +445,24 @@ fn compile_and_emit(
                 ),
                 "asm" => {
                     let kernel = artifacts.kernel.as_ref().expect("--emit asm ran codegen");
-                    print!("{}", lsms_codegen::to_asm(kernel, &problem));
+                    out!("{}", lsms_codegen::to_asm(kernel, &problem));
                 }
                 "mve" => {
                     let kernel = artifacts.mve.as_ref().expect("--emit mve ran codegen");
-                    print!("{}", lsms_codegen::to_asm_mve(kernel));
+                    out!("{}", lsms_codegen::to_asm_mve(kernel));
                 }
                 _ => unreachable!("emit names validated in parse_args"),
             }
         }
         if let (Some(trip), Some(report)) = (options.run, &artifacts.equiv) {
-            println!(
+            outln!(
                 "run: {} iterations in {} cycles (II {}, {} stages); \
                  {} array elements verified against the reference interpreter",
-                trip, report.cycles, report.ii, report.stages, report.elements
+                trip,
+                report.cycles,
+                report.ii,
+                report.stages,
+                report.elements
             );
         }
     }
@@ -445,17 +483,17 @@ fn explain_pass(name: &str, session: &CompileSession) -> Result<(), LsmsError> {
         .filter(|entry| entry.pass == name);
     if let Some(entry) = &registry_backend {
         let info = entry.scheduler.describe();
-        println!("pass {}: {}", entry.pass, info.summary);
-        println!();
+        outln!("pass {}: {}", entry.pass, info.summary);
+        outln!();
         if info.details.is_empty() {
-            println!("no explanation available");
+            outln!("no explanation available");
         } else {
-            println!("{}", info.details);
+            outln!("{}", info.details);
         }
-        println!();
-        println!("counters:");
+        outln!();
+        outln!("counters:");
         for (key, meaning) in lsms_pipeline::SCHED_COUNTERS {
-            println!("  {key:<20} {meaning}");
+            outln!("  {key:<20} {meaning}");
         }
     } else {
         let info = pass_info(name).ok_or_else(|| {
@@ -464,32 +502,33 @@ fn explain_pass(name: &str, session: &CompileSession) -> Result<(), LsmsError> {
                 known_pass_names().join(", ")
             ))
         })?;
-        println!("pass {}: {}", info.name, info.summary);
-        println!();
-        println!("{}", info.details);
+        outln!("pass {}: {}", info.name, info.summary);
+        outln!();
+        outln!("{}", info.details);
         if !info.counters.is_empty() {
-            println!();
-            println!("counters:");
+            outln!();
+            outln!("counters:");
             for (key, meaning) in info.counters {
-                println!("  {key:<20} {meaning}");
+                outln!("  {key:<20} {meaning}");
             }
         }
     }
     let report = session.report();
     match report.get(name) {
         Some(record) => {
-            println!();
-            println!(
+            outln!();
+            outln!(
                 "this invocation: {} run(s), {:.2?} wall",
-                record.invocations, record.wall
+                record.invocations,
+                record.wall
             );
             for (key, value) in &record.counters {
-                println!("  {key:<20} {value}");
+                outln!("  {key:<20} {value}");
             }
         }
         None if !report.is_empty() => {
-            println!();
-            println!("this invocation: pass did not run");
+            outln!();
+            outln!("this invocation: pass did not run");
         }
         None => {}
     }
@@ -511,7 +550,7 @@ fn write_quality_outputs(options: &Options, rollup: &QualityRollup) -> Result<()
 /// Writes `text` to `path`, or to stdout for `-`.
 fn write_output(path: &str, text: &str) -> Result<(), LsmsError> {
     if path == "-" {
-        print!("{text}");
+        out!("{text}");
         Ok(())
     } else {
         std::fs::write(path, text).map_err(|e| LsmsError::io(format!("cannot write {path}: {e}")))
@@ -521,7 +560,7 @@ fn write_output(path: &str, text: &str) -> Result<(), LsmsError> {
 fn main() -> ExitCode {
     let options = parse_args();
     if options.list_backends {
-        print!("{}", list_backends_text());
+        out!("{}", list_backends_text());
         return ExitCode::SUCCESS;
     }
     if options.trace.is_some() {

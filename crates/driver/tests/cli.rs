@@ -198,3 +198,40 @@ fn compile_errors_are_reported_with_location() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("undeclared scalar"), "{err}");
 }
+
+/// `lsmsc … | head -1`: once the reader closes the pipe, `lsmsc` stops
+/// quietly with exit code 141 instead of panicking.
+#[test]
+fn a_closed_stdout_ends_quietly_with_141() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    // Far more output than a pipe buffers, so writes continue after the
+    // reader has gone.
+    let source: String = (0..300)
+        .map(|k| DAXPY.replace("daxpy", &format!("daxpy{k}")) + "\n")
+        .collect();
+    let path = write_loop("lsmsc_closed_stdout.loop", &source);
+    let mut child = lsmsc()
+        .arg(&path)
+        .args(["--emit", "all"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped"))
+        .read_line(&mut first)
+        .expect("reads a line");
+    assert!(!first.is_empty());
+    // The reader (and with it the pipe's read end) is dropped here.
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped")
+        .read_to_string(&mut stderr)
+        .expect("reads stderr");
+    let status = child.wait().expect("exits");
+    assert_eq!(status.code(), Some(141), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

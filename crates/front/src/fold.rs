@@ -11,35 +11,17 @@
 //! interpreter and the simulator would execute at run time (including
 //! `-x = 0.0 − x` and the compare-based `min`/`max`/`abs`), so a folded
 //! program is bitwise-identical in effect to the unfolded one.
+//!
+//! The lowering asks at each node, top down, whether its subtree folds,
+//! so every maximal foldable subtree becomes one constant and the AST is
+//! never copied.
 
 use crate::ast::{BinOp, Expr};
-
-/// Folds every foldable subtree of `expr`, bottom-up.
-pub(crate) fn fold_expr(expr: &Expr) -> Expr {
-    // First try to evaluate the whole subtree.
-    if let Some(value) = eval_real_literal(expr) {
-        return Expr::Real(value);
-    }
-    match expr {
-        Expr::Neg(inner) => Expr::Neg(Box::new(fold_expr(inner))),
-        Expr::Sqrt(inner) => Expr::Sqrt(Box::new(fold_expr(inner))),
-        Expr::Abs(inner) => Expr::Abs(Box::new(fold_expr(inner))),
-        Expr::Bin(op, lhs, rhs) => {
-            Expr::Bin(*op, Box::new(fold_expr(lhs)), Box::new(fold_expr(rhs)))
-        }
-        Expr::MinMax { is_max, lhs, rhs } => Expr::MinMax {
-            is_max: *is_max,
-            lhs: Box::new(fold_expr(lhs)),
-            rhs: Box::new(fold_expr(rhs)),
-        },
-        Expr::Real(_) | Expr::Int(_) | Expr::Scalar(..) | Expr::Elem { .. } => expr.clone(),
-    }
-}
 
 /// Evaluates a literal-only subtree as a real, provided it is *definitely*
 /// real (contains at least one real literal). Integer literals inside it
 /// coerce to real, as they would at run time.
-fn eval_real_literal(expr: &Expr) -> Option<f64> {
+pub(crate) fn eval_real_literal(expr: &Expr) -> Option<f64> {
     fn walk(expr: &Expr, saw_real: &mut bool) -> Option<f64> {
         match expr {
             Expr::Real(x) => {
@@ -100,37 +82,45 @@ mod tests {
     #[test]
     fn folds_real_arithmetic() {
         assert_eq!(
-            fold_expr(&bin(BinOp::Sub, real(2.62), real(0.88))),
-            real(2.62 - 0.88)
+            eval_real_literal(&bin(BinOp::Sub, real(2.62), real(0.88))),
+            Some(2.62 - 0.88)
         );
         assert_eq!(
-            fold_expr(&bin(
+            eval_real_literal(&bin(
                 BinOp::Mul,
                 real(2.0),
                 bin(BinOp::Add, int(1), real(0.5))
             )),
-            real(2.0 * 1.5)
+            Some(2.0 * 1.5)
         );
-        assert_eq!(fold_expr(&Expr::Sqrt(Box::new(real(4.0)))), real(2.0));
-        assert_eq!(fold_expr(&Expr::Neg(Box::new(real(0.0)))), real(0.0 - 0.0));
+        assert_eq!(
+            eval_real_literal(&Expr::Sqrt(Box::new(real(4.0)))),
+            Some(2.0)
+        );
+        assert_eq!(
+            eval_real_literal(&Expr::Neg(Box::new(real(0.0)))),
+            Some(0.0 - 0.0)
+        );
     }
 
     #[test]
     fn leaves_pure_int_subtrees_alone() {
         // `2 + 3` is polymorphic: its value depends on the context type.
-        let e = bin(BinOp::Add, int(2), int(3));
-        assert_eq!(fold_expr(&e), e);
+        assert_eq!(eval_real_literal(&bin(BinOp::Add, int(2), int(3))), None);
         // And `%` is never folded through.
-        let e = bin(BinOp::Rem, real(5.0), real(2.0));
-        assert_eq!(fold_expr(&e), e);
+        assert_eq!(
+            eval_real_literal(&bin(BinOp::Rem, real(5.0), real(2.0))),
+            None
+        );
     }
 
     #[test]
     fn folds_within_larger_expressions() {
-        // (1.5 * 2.0) + x stays an add, but the left side becomes 3.0.
+        // (1.5 * 2.0) + x stays an add, but its left side folds to 3.0.
         let x = Expr::Scalar("x".into(), crate::Span::default());
-        let e = bin(BinOp::Add, bin(BinOp::Mul, real(1.5), real(2.0)), x.clone());
-        assert_eq!(fold_expr(&e), bin(BinOp::Add, real(3.0), x));
+        let lhs = bin(BinOp::Mul, real(1.5), real(2.0));
+        assert_eq!(eval_real_literal(&lhs), Some(3.0));
+        assert_eq!(eval_real_literal(&bin(BinOp::Add, lhs, x)), None);
     }
 
     #[test]
@@ -140,7 +130,10 @@ mod tests {
             lhs: Box::new(real(2.0)),
             rhs: Box::new(real(-1.0)),
         };
-        assert_eq!(fold_expr(&e), real(-1.0));
-        assert_eq!(fold_expr(&Expr::Abs(Box::new(real(-3.5)))), real(3.5));
+        assert_eq!(eval_real_literal(&e), Some(-1.0));
+        assert_eq!(
+            eval_real_literal(&Expr::Abs(Box::new(real(-3.5)))),
+            Some(3.5)
+        );
     }
 }

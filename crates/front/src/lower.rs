@@ -23,9 +23,12 @@
 
 use std::collections::BTreeMap;
 
-use lsms_ir::{DepKind, DepVia, LoopBody, LoopBuilder, LoopMeta, OpId, OpKind, ValueId, ValueType};
+use lsms_ir::{
+    flat_adjacency, DepKind, DepVia, LoopBody, LoopBuilder, LoopMeta, OpId, OpKind, ValueId,
+    ValueType,
+};
 
-use crate::ast::{BinOp, Bound, Expr, LValue, LoopDef, RelOp, Stmt, Ty};
+use crate::ast::{BinOp, Bound, Cond, Expr, LValue, LoopDef, RelOp, Stmt, Ty};
 use crate::sema::LoopInfo;
 use crate::FrontError;
 
@@ -123,6 +126,20 @@ struct MemRef {
     seq: usize,
 }
 
+/// An array stored exactly once, unconditionally: its loads at a lower
+/// offset are eliminated (§2.3).
+#[derive(Clone, Copy, Debug)]
+struct Eligible {
+    /// The offset of the array's one store.
+    store_offset: i64,
+    /// The value that store writes and the store itself, once lowered.
+    /// Load elimination resolves against the store's *current* value
+    /// input, which earlier placeholder rewrites may have redirected.
+    stored: Option<(ValueId, OpId)>,
+}
+
+/// The lowering walk. Names borrow from the loop's AST and symbol
+/// tables (`'a`), so scalar and parameter lookups copy no strings.
 struct Lowerer<'a> {
     b: LoopBuilder,
     def: &'a LoopDef,
@@ -130,27 +147,21 @@ struct Lowerer<'a> {
     invariants: Vec<(ValueId, InvariantSource)>,
     initials: Vec<(ValueId, InitialSource)>,
     const_cache: BTreeMap<(u64, bool), ValueId>,
-    params: BTreeMap<String, ValueId>,
+    params: BTreeMap<&'a str, ValueId>,
     /// The shared `iv8` induction value, created on first array reference.
     iv8: Option<ValueId>,
-    stride: Option<ValueId>,
     /// Per-(array, offset) address value.
     ref_addrs: BTreeMap<(usize, i64), ValueId>,
     /// Per-(array, offset) load CSE cache, invalidated on stores.
     load_cache: BTreeMap<(usize, i64), ValueId>,
-    /// Elimination-eligible arrays: array -> (store offset).
-    eligible: BTreeMap<usize, i64>,
+    /// Per array (index into [`LoopInfo::arrays`]): its elimination
+    /// facts, if it is elimination-eligible.
+    eligible: Vec<Option<Eligible>>,
     /// Eliminated-load placeholders: (array, load offset) -> placeholder.
     elim_placeholders: BTreeMap<(usize, i64), ValueId>,
-    /// The value most recently stored to an eligible array this iteration.
-    stored_value: BTreeMap<usize, ValueId>,
-    /// The eligible array's single unconditional store operation; load
-    /// elimination resolves against its *current* value input, which
-    /// earlier placeholder rewrites may already have redirected.
-    stored_op: BTreeMap<usize, OpId>,
     /// Carried-scalar placeholders and current environment.
-    carry_placeholders: BTreeMap<String, ValueId>,
-    env: BTreeMap<String, ValueId>,
+    carry_placeholders: BTreeMap<&'a str, ValueId>,
+    env: BTreeMap<&'a str, ValueId>,
     /// Emitted loads/stores for memory dependence analysis.
     mem_refs: Vec<MemRef>,
     /// Early exit (`break if`): the per-iteration `live` predicate, its
@@ -168,125 +179,99 @@ struct Lowerer<'a> {
 
 /// Lowers one analyzed loop to IR.
 ///
+/// The walk borrows `def`, which then moves into the result unchanged.
+///
 /// # Errors
 ///
 /// Returns a [`FrontError`] for constructs that pass parsing but cannot be
 /// lowered (none currently — the signature leaves room for lowering
 /// limits such as op-count caps).
 pub fn lower(def: LoopDef, info: &LoopInfo) -> Result<CompiledLoop, FrontError> {
-    let def_for_lowerer = def.clone();
-    let mut lo = Lowerer {
-        b: LoopBuilder::new(def.name.clone()),
-        def: &def_for_lowerer,
-        info,
-        invariants: Vec::new(),
-        initials: Vec::new(),
-        const_cache: BTreeMap::new(),
-        params: BTreeMap::new(),
-        iv8: None,
-        stride: None,
-        ref_addrs: BTreeMap::new(),
-        load_cache: BTreeMap::new(),
-        eligible: BTreeMap::new(),
-        elim_placeholders: BTreeMap::new(),
-        stored_value: BTreeMap::new(),
-        stored_op: BTreeMap::new(),
-        carry_placeholders: BTreeMap::new(),
-        env: BTreeMap::new(),
-        mem_refs: Vec::new(),
-        live_now: None,
-        live_placeholders: None,
-        exit_not_cond: None,
-        live_guard_cache: BTreeMap::new(),
-        seq: 0,
-    };
-    lo.find_eligible_arrays();
-    // Early exit: materialise the carried `live` predicate up front so
-    // every store can be guarded by it. live(i) = live(i-1) ∧ ¬exit(i-1).
-    if def.body.iter().any(|s| matches!(s, Stmt::BreakIf { .. })) {
-        let pl_live = lo.b.named_value(ValueType::Pred, "live.in");
-        let pl_notc = lo.b.named_value(ValueType::Pred, "noexit.in");
-        let live = lo.b.named_value(ValueType::Pred, "live");
-        lo.b.op(OpKind::PredAnd, &[pl_live, pl_notc], Some(live));
-        lo.live_now = Some(live);
-        lo.live_placeholders = Some((pl_live, pl_notc));
-    }
-    for (name, _) in &info.carried {
-        let ty = lo.scalar_type(name);
-        let placeholder = lo.b.named_value(ty, format!("{name}.in"));
-        lo.carry_placeholders.insert(name.clone(), placeholder);
-        lo.env.insert(name.clone(), placeholder);
-    }
-    let stmts = def.body.clone();
-    for stmt in &stmts {
-        lo.stmt(stmt, None)?;
-    }
-    lo.resolve_carries();
-    lo.resolve_eliminated_loads();
-    lo.resolve_exit();
-    lo.memory_deps();
-    // The loop-closing branch (§2.1).
-    lo.b.op(OpKind::Brtop, &[], None);
-    let min_trip = match (&def.lo, &def.hi) {
-        (Bound::Const(a), Bound::Const(b)) => Some((b - a + 1).max(0) as u64),
-        _ => None,
-    };
-    lo.b.meta(LoopMeta {
-        basic_blocks: def.basic_blocks(),
-        min_trip_count: min_trip,
-    });
-    let body = lo.b.finish_with_auto_flow();
+    let Lowerer {
+        b,
+        invariants,
+        initials,
+        ..
+    } = Lowerer::new(&def, info).run()?;
+    let body = b.finish_with_auto_flow();
     debug_assert_eq!(body.validate(), Ok(()));
     Ok(CompiledLoop {
         body,
         def,
         info: info.clone(),
-        invariants: lo.invariants,
-        initials: lo.initials,
+        invariants,
+        initials,
     })
 }
 
-impl Lowerer<'_> {
-    fn scalar_type(&self, name: &str) -> ValueType {
-        match self.info.carried(name).unwrap_or(Ty::Real) {
-            Ty::Real => ValueType::Float,
-            Ty::Int => ValueType::Int,
+impl<'a> Lowerer<'a> {
+    fn new(def: &'a LoopDef, info: &'a LoopInfo) -> Self {
+        Lowerer {
+            b: LoopBuilder::new(def.name.as_str()),
+            def,
+            info,
+            invariants: Vec::new(),
+            initials: Vec::new(),
+            const_cache: BTreeMap::new(),
+            params: BTreeMap::new(),
+            iv8: None,
+            ref_addrs: BTreeMap::new(),
+            load_cache: BTreeMap::new(),
+            eligible: eligible_arrays(def, info),
+            elim_placeholders: BTreeMap::new(),
+            carry_placeholders: BTreeMap::new(),
+            env: BTreeMap::new(),
+            mem_refs: Vec::new(),
+            live_now: None,
+            live_placeholders: None,
+            exit_not_cond: None,
+            live_guard_cache: BTreeMap::new(),
+            seq: 0,
         }
     }
 
-    /// An array is elimination-eligible when it is stored exactly once and
-    /// that store is unconditional (top-level).
-    fn find_eligible_arrays(&mut self) {
-        fn visit(stmts: &[Stmt], depth: u32, stores: &mut Vec<(String, i64, u32)>) {
-            for stmt in stmts {
-                match stmt {
-                    Stmt::Assign {
-                        target: LValue::Elem { array, offset },
-                        ..
-                    } => {
-                        stores.push((array.clone(), *offset, depth));
-                    }
-                    Stmt::Assign { .. } | Stmt::BreakIf { .. } => {}
-                    Stmt::If {
-                        then_body,
-                        else_body,
-                        ..
-                    } => {
-                        visit(then_body, depth + 1, stores);
-                        visit(else_body, depth + 1, stores);
-                    }
-                }
-            }
+    /// Lowers the whole body; the builder then holds every op and arc
+    /// except the implied register flow arcs.
+    fn run(mut self) -> Result<Self, FrontError> {
+        let def = self.def;
+        // Early exit: materialise the carried `live` predicate up front so
+        // every store can be guarded by it. live(i) = live(i-1) ∧ ¬exit(i-1).
+        if def.body.iter().any(|s| matches!(s, Stmt::BreakIf { .. })) {
+            let pl_live = self.b.named_value(ValueType::Pred, "live.in");
+            let pl_notc = self.b.named_value(ValueType::Pred, "noexit.in");
+            let live = self.b.named_value(ValueType::Pred, "live");
+            self.b.op(OpKind::PredAnd, &[pl_live, pl_notc], Some(live));
+            self.live_now = Some(live);
+            self.live_placeholders = Some((pl_live, pl_notc));
         }
-        let mut stores = Vec::new();
-        visit(&self.def.body, 0, &mut stores);
-        for (idx, _) in self.info.arrays.iter().enumerate() {
-            let name = &self.info.arrays[idx].0;
-            let mine: Vec<_> = stores.iter().filter(|(a, _, _)| a == name).collect();
-            if let [(_, offset, 0)] = mine.as_slice() {
-                self.eligible.insert(idx, *offset);
-            }
+        for (name, _) in &self.info.carried {
+            let ty = self.scalar_type(name);
+            let placeholder = self.b.named_value(ty, format!("{name}.in"));
+            self.carry_placeholders.insert(name, placeholder);
+            self.env.insert(name, placeholder);
         }
+        for stmt in &def.body {
+            self.stmt(stmt, None)?;
+        }
+        self.resolve_carries();
+        self.resolve_eliminated_loads();
+        self.resolve_exit();
+        self.memory_deps();
+        // The loop-closing branch (§2.1).
+        self.b.op(OpKind::Brtop, &[], None);
+        let min_trip = match (&def.lo, &def.hi) {
+            (Bound::Const(a), Bound::Const(b)) => Some((b - a + 1).max(0) as u64),
+            _ => None,
+        };
+        self.b.meta(LoopMeta {
+            basic_blocks: def.basic_blocks(),
+            min_trip_count: min_trip,
+        });
+        Ok(self)
+    }
+
+    fn scalar_type(&self, name: &str) -> ValueType {
+        value_type(self.info.carried(name).unwrap_or(Ty::Real))
     }
 
     fn constant(&mut self, ty: ValueType, bits: u64, source: InvariantSource) -> ValueId {
@@ -313,18 +298,22 @@ impl Lowerer<'_> {
         self.constant(ValueType::Int, x as u64, InvariantSource::ConstInt(x))
     }
 
-    fn param(&mut self, name: &str) -> ValueId {
+    fn zero(&mut self, ty: Ty) -> ValueId {
+        match ty {
+            Ty::Real => self.real_const(0.0),
+            Ty::Int => self.int_const(0),
+        }
+    }
+
+    fn param(&mut self, name: &'a str) -> ValueId {
         if let Some(&v) = self.params.get(name) {
             return v;
         }
-        let ty = match self.info.param(name).unwrap_or(Ty::Real) {
-            Ty::Real => ValueType::Float,
-            Ty::Int => ValueType::Int,
-        };
+        let ty = value_type(self.info.param(name).unwrap_or(Ty::Real));
         let v = self.b.invariant(ty, name);
         self.invariants
             .push((v, InvariantSource::Param(name.to_owned())));
-        self.params.insert(name.to_owned(), v);
+        self.params.insert(name, v);
         v
     }
 
@@ -333,12 +322,8 @@ impl Lowerer<'_> {
         if let Some(v) = self.iv8 {
             return v;
         }
-        let stride = {
-            let v = self.b.invariant(ValueType::Addr, "stride8");
-            self.invariants.push((v, InvariantSource::Stride));
-            self.stride = Some(v);
-            v
-        };
+        let stride = self.b.invariant(ValueType::Addr, "stride8");
+        self.invariants.push((stride, InvariantSource::Stride));
         let iv = self.b.named_value(ValueType::Addr, "iv8");
         self.b
             .op_with_omegas(OpKind::AddrAdd, &[(iv, 1), (stride, 0)], Some(iv), None);
@@ -354,16 +339,15 @@ impl Lowerer<'_> {
             return v;
         }
         let iv = self.iv8();
-        let base = self.b.invariant(
-            ValueType::Addr,
-            format!("&{}[{offset:+}]", self.info.arrays[array].0),
-        );
+        let name = &self.info.arrays[array].0;
+        let base = self
+            .b
+            .invariant(ValueType::Addr, format!("&{name}[{offset:+}]"));
         self.invariants
             .push((base, InvariantSource::RefBase { array, offset }));
-        let addr = self.b.named_value(
-            ValueType::Addr,
-            format!("a.{}{offset:+}", self.info.arrays[array].0),
-        );
+        let addr = self
+            .b
+            .named_value(ValueType::Addr, format!("a.{name}{offset:+}"));
         self.b.op(OpKind::AddrAdd, &[iv, base], Some(addr));
         self.ref_addrs.insert((array, offset), addr);
         addr
@@ -372,26 +356,19 @@ impl Lowerer<'_> {
     /// Reads `array[i + offset]`, applying load/store elimination, the
     /// same-iteration forward, load CSE, or a real load.
     fn read_elem(&mut self, array: usize, offset: i64) -> VRef {
-        if let Some(&store_off) = self.eligible.get(&array) {
-            let d = store_off - offset;
+        let (name, elem_ty) = &self.info.arrays[array];
+        let ty = value_type(*elem_ty);
+        if let Some(eligible) = self.eligible[array] {
+            let d = eligible.store_offset - offset;
             if d >= 1 {
                 let placeholder = *self
                     .elim_placeholders
                     .entry((array, offset))
-                    .or_insert_with(|| {
-                        let ty = match self.info.arrays[array].1 {
-                            Ty::Real => ValueType::Float,
-                            Ty::Int => ValueType::Int,
-                        };
-                        self.b.named_value(
-                            ty,
-                            format!("{}[{offset:+}].elim", self.info.arrays[array].0),
-                        )
-                    });
+                    .or_insert_with(|| self.b.named_value(ty, format!("{name}[{offset:+}].elim")));
                 return VRef::here(placeholder);
             }
             if d == 0 {
-                if let Some(&v) = self.stored_value.get(&array) {
+                if let Some((v, _)) = eligible.stored {
                     return VRef::here(v); // forwarded within the iteration
                 }
             }
@@ -400,13 +377,7 @@ impl Lowerer<'_> {
             return VRef::here(v);
         }
         let addr = self.ref_addr(array, offset);
-        let ty = match self.info.arrays[array].1 {
-            Ty::Real => ValueType::Float,
-            Ty::Int => ValueType::Int,
-        };
-        let v = self
-            .b
-            .named_value(ty, format!("{}[{offset:+}]", self.info.arrays[array].0));
+        let v = self.b.named_value(ty, format!("{name}[{offset:+}]"));
         let op = self.b.op(OpKind::Load, &[addr], Some(v));
         self.seq += 1;
         self.mem_refs.push(MemRef {
@@ -417,21 +388,24 @@ impl Lowerer<'_> {
             seq: self.seq,
         });
         self.load_cache.insert((array, offset), v);
-        v.into_vref()
+        VRef::here(v)
     }
 
-    fn resolved_ty(&self, expr: &Expr, want: Ty) -> Ty {
-        match crate::sema::type_of(expr, self.def, self.info) {
-            Ok(crate::sema::ExprTy::Real) => Ty::Real,
-            Ok(crate::sema::ExprTy::Int) => Ty::Int,
-            _ => want,
+    /// Lowers `expr` in a context of type `ty`.
+    ///
+    /// `ty` is the only type information the walk needs: sema accepted
+    /// the loop, so a subexpression with a definite type has exactly the
+    /// type its context passes down, and only polymorphic integer
+    /// literals take the context type. `%` (int only) and `sqrt` (real
+    /// only) fix their operands' context. A literal-only real subtree
+    /// becomes one constant (see [`crate::fold`]).
+    fn expr(&mut self, expr: &'a Expr, ty: Ty, pred: Option<ValueId>) -> Result<VRef, FrontError> {
+        if let Some(x) = crate::fold::eval_real_literal(expr) {
+            return Ok(VRef::here(self.real_const(x)));
         }
-    }
-
-    fn expr(&mut self, expr: &Expr, want: Ty, pred: Option<ValueId>) -> Result<VRef, FrontError> {
         match expr {
             Expr::Real(x) => Ok(VRef::here(self.real_const(*x))),
-            Expr::Int(x) => Ok(VRef::here(match want {
+            Expr::Int(x) => Ok(VRef::here(match ty {
                 Ty::Real => self.real_const(*x as f64),
                 Ty::Int => self.int_const(*x),
             })),
@@ -459,61 +433,32 @@ impl Lowerer<'_> {
                 Ok(self.read_elem(idx, *offset))
             }
             Expr::Neg(inner) => {
-                let ty = self.resolved_ty(inner, want);
-                let zero = match ty {
-                    Ty::Real => self.real_const(0.0),
-                    Ty::Int => self.int_const(0),
-                };
+                let zero = self.zero(ty);
                 let x = self.expr(inner, ty, pred)?;
-                let kind = if ty == Ty::Real {
-                    OpKind::FSub
-                } else {
-                    OpKind::IntSub
-                };
-                Ok(self.emit(kind, &[VRef::here(zero), x], ty, pred))
+                Ok(self.emit(sub_kind(ty), &[(zero, 0), x.pair()], ty, pred))
             }
             Expr::Bin(op, lhs, rhs) => {
-                // `%` is integer-only, pinning polymorphic literals.
-                let want = if *op == BinOp::Rem { Ty::Int } else { want };
-                let lt = self.resolved_ty(lhs, want);
-                let rt = self.resolved_ty(rhs, want);
-                // At least one side has a definite type (sema rejected
-                // mixes); literals adopt it.
-                let ty = match (
-                    crate::sema::type_of(lhs, self.def, self.info),
-                    crate::sema::type_of(rhs, self.def, self.info),
-                ) {
-                    (Ok(crate::sema::ExprTy::IntLit), Ok(crate::sema::ExprTy::IntLit)) => want,
-                    (Ok(crate::sema::ExprTy::IntLit), _) => rt,
-                    _ => lt,
-                };
+                let ty = if *op == BinOp::Rem { Ty::Int } else { ty };
                 let a = self.expr(lhs, ty, pred)?;
                 let c = self.expr(rhs, ty, pred)?;
                 let kind = match (op, ty) {
                     (BinOp::Add, Ty::Real) => OpKind::FAdd,
                     (BinOp::Add, Ty::Int) => OpKind::IntAdd,
-                    (BinOp::Sub, Ty::Real) => OpKind::FSub,
-                    (BinOp::Sub, Ty::Int) => OpKind::IntSub,
+                    (BinOp::Sub, _) => sub_kind(ty),
                     (BinOp::Mul, Ty::Real) => OpKind::FMul,
                     (BinOp::Mul, Ty::Int) => OpKind::IntMul,
                     (BinOp::Div, Ty::Real) => OpKind::FDiv,
                     (BinOp::Div, Ty::Int) => OpKind::IntDiv,
                     (BinOp::Rem, _) => OpKind::IntMod,
                 };
-                Ok(self.emit(kind, &[a, c], ty, pred))
+                Ok(self.emit(kind, &[a.pair(), c.pair()], ty, pred))
             }
             Expr::Sqrt(inner) => {
                 let x = self.expr(inner, Ty::Real, pred)?;
-                let v = self.b.new_value(ValueType::Float);
-                let inputs = [x.pair()];
-                self.b.op_with_omegas(OpKind::FSqrt, &inputs, Some(v), pred);
-                Ok(VRef::here(v))
+                Ok(self.emit(OpKind::FSqrt, &[x.pair()], Ty::Real, pred))
             }
             Expr::MinMax { is_max, lhs, rhs } => {
                 // min(a,b) = select(a < b, a, b); max swaps the compare.
-                let lt = self.resolved_ty(lhs, want);
-                let rt = self.resolved_ty(rhs, want);
-                let ty = if lt == rt { lt } else { want };
                 let a = self.expr(lhs, ty, pred)?;
                 let c = self.expr(rhs, ty, pred)?;
                 let p = self.b.new_value(ValueType::Pred);
@@ -524,134 +469,136 @@ impl Lowerer<'_> {
                 };
                 self.b
                     .op_with_omegas(cmp, &[a.pair(), c.pair()], Some(p), pred);
-                let v = self.emit_select(p, a, c, ty);
-                Ok(v)
+                Ok(self.emit_select(p, a, c, ty))
             }
             Expr::Abs(inner) => {
                 // abs(x) = select(x < 0, 0 - x, x).
-                let ty = self.resolved_ty(inner, want);
                 let x = self.expr(inner, ty, pred)?;
-                let zero = match ty {
-                    Ty::Real => self.real_const(0.0),
-                    Ty::Int => self.int_const(0),
-                };
+                let zero = self.zero(ty);
                 let p = self.b.new_value(ValueType::Pred);
                 self.b
                     .op_with_omegas(OpKind::CmpLt, &[x.pair(), (zero, 0)], Some(p), pred);
-                let kind = if ty == Ty::Real {
-                    OpKind::FSub
-                } else {
-                    OpKind::IntSub
-                };
-                let neg = self.emit(kind, &[VRef::here(zero), x], ty, pred);
-                let v = self.emit_select(p, neg, x, ty);
-                Ok(v)
+                let neg = self.emit(sub_kind(ty), &[(zero, 0), x.pair()], ty, pred);
+                Ok(self.emit_select(p, neg, x, ty))
             }
         }
     }
 
     /// `select(p, a, b)` with a fresh result of the given type.
     fn emit_select(&mut self, p: ValueId, a: VRef, b: VRef, ty: Ty) -> VRef {
-        let vt = match ty {
-            Ty::Real => ValueType::Float,
-            Ty::Int => ValueType::Int,
-        };
-        let v = self.b.new_value(vt);
+        let v = self.b.new_value(value_type(ty));
         self.b
             .op_with_omegas(OpKind::Select, &[(p, 0), a.pair(), b.pair()], Some(v), None);
         VRef::here(v)
     }
 
-    fn emit(&mut self, kind: OpKind, args: &[VRef], ty: Ty, pred: Option<ValueId>) -> VRef {
-        let vt = match ty {
-            Ty::Real => ValueType::Float,
-            Ty::Int => ValueType::Int,
-        };
-        let v = self.b.new_value(vt);
-        let inputs: Vec<(ValueId, u32)> = args.iter().map(|r| r.pair()).collect();
-        self.b.op_with_omegas(kind, &inputs, Some(v), pred);
+    /// `kind` over `inputs` with a fresh result of type `ty`.
+    fn emit(
+        &mut self,
+        kind: OpKind,
+        inputs: &[(ValueId, u32)],
+        ty: Ty,
+        pred: Option<ValueId>,
+    ) -> VRef {
+        let v = self.b.new_value(value_type(ty));
+        self.b.op_with_omegas(kind, inputs, Some(v), pred);
         VRef::here(v)
     }
 
-    fn stmt(&mut self, stmt: &Stmt, pred: Option<ValueId>) -> Result<(), FrontError> {
+    /// Lowers both sides of `cond` under `pred` and emits the (unguarded)
+    /// comparison, returning its predicate. The comparison type is the
+    /// first operand's definite type, else the second's, else real — the
+    /// same rule the reference interpreter applies, so literal-only
+    /// operands cannot make the two engines compare different types.
+    fn compare(&mut self, cond: &'a Cond, pred: Option<ValueId>) -> Result<ValueId, FrontError> {
+        let ty = self
+            .definite_ty(&cond.lhs)
+            .or_else(|| self.definite_ty(&cond.rhs))
+            .unwrap_or(Ty::Real);
+        let a = self.expr(&cond.lhs, ty, pred)?;
+        let c = self.expr(&cond.rhs, ty, pred)?;
+        let kind = match cond.op {
+            RelOp::Eq => OpKind::CmpEq,
+            RelOp::Ne => OpKind::CmpNe,
+            RelOp::Lt => OpKind::CmpLt,
+            RelOp::Le => OpKind::CmpLe,
+            RelOp::Gt => OpKind::CmpGt,
+            RelOp::Ge => OpKind::CmpGe,
+        };
+        let p = self.b.new_value(ValueType::Pred);
+        self.b
+            .op_with_omegas(kind, &[a.pair(), c.pair()], Some(p), None);
+        Ok(p)
+    }
+
+    /// The type of `expr` unless it is a polymorphic integer literal.
+    fn definite_ty(&self, expr: &Expr) -> Option<Ty> {
+        match crate::sema::type_of(expr, self.def, self.info) {
+            Ok(crate::sema::ExprTy::Real) => Some(Ty::Real),
+            Ok(crate::sema::ExprTy::Int) => Some(Ty::Int),
+            _ => None,
+        }
+    }
+
+    fn stmt(&mut self, stmt: &'a Stmt, pred: Option<ValueId>) -> Result<(), FrontError> {
         match stmt {
-            Stmt::Assign { target, value, .. } => {
-                let value = &crate::fold::fold_expr(value);
-                match target {
-                    LValue::Elem { array, offset } => {
-                        let (idx, ty) = self.info.array(array).expect("checked by sema");
-                        let v = self.expr(value, ty, pred)?;
-                        let addr = self.ref_addr(idx, *offset);
-                        let inputs = [(addr, 0), v.pair()];
-                        // With an early exit, stores additionally carry the
-                        // `live` guard so post-exit iterations are
-                        // squashed; `pred` (the if-conversion context)
-                        // still decides load/store-elimination
-                        // eligibility, because pre-exit semantics are
-                        // unchanged.
-                        let store_pred = self.compose_live_guard(pred);
-                        let op = self
-                            .b
-                            .op_with_omegas(OpKind::Store, &inputs, None, store_pred);
-                        self.seq += 1;
-                        self.mem_refs.push(MemRef {
-                            op,
-                            array: idx,
-                            offset: *offset,
-                            is_store: true,
-                            seq: self.seq,
-                        });
-                        if pred.is_none() && self.eligible.contains_key(&idx) {
-                            self.stored_value.insert(idx, v.value);
-                            self.stored_op.insert(idx, op);
+            Stmt::Assign { target, value, .. } => match target {
+                LValue::Elem { array, offset } => {
+                    let (idx, ty) = self.info.array(array).expect("checked by sema");
+                    let v = self.expr(value, ty, pred)?;
+                    let addr = self.ref_addr(idx, *offset);
+                    let inputs = [(addr, 0), v.pair()];
+                    // With an early exit, stores additionally carry the
+                    // `live` guard so post-exit iterations are squashed;
+                    // `pred` (the if-conversion context) still decides
+                    // load/store-elimination eligibility, because pre-exit
+                    // semantics are unchanged.
+                    let store_pred = self.compose_live_guard(pred);
+                    let op = self
+                        .b
+                        .op_with_omegas(OpKind::Store, &inputs, None, store_pred);
+                    self.seq += 1;
+                    self.mem_refs.push(MemRef {
+                        op,
+                        array: idx,
+                        offset: *offset,
+                        is_store: true,
+                        seq: self.seq,
+                    });
+                    if pred.is_none() {
+                        if let Some(eligible) = &mut self.eligible[idx] {
+                            eligible.stored = Some((v.value, op));
                         }
-                        // A store changes the array: cached loads go stale.
-                        self.load_cache.retain(|&(a, _), _| a != idx);
                     }
-                    LValue::Scalar(name) => {
-                        let ty = self.info.carried(name).expect("checked by sema");
-                        let v = self.expr(value, ty, pred)?;
-                        match pred {
-                            None => {
-                                self.env.insert(name.clone(), v.value);
-                            }
-                            Some(p) => {
-                                // Predicated scalar assignment: merge with
-                                // the incoming value so SSA keeps a single
-                                // definition per value.
-                                let old = *self.env.get(name.as_str()).expect("env has carry");
-                                let merged = self.b.new_value(self.scalar_type(name));
-                                let inputs = [(p, 0), (v.value, v.omega), (old, 0)];
-                                self.b
-                                    .op_with_omegas(OpKind::Select, &inputs, Some(merged), None);
-                                self.env.insert(name.clone(), merged);
-                            }
+                    // A store changes the array: cached loads go stale.
+                    self.load_cache.retain(|&(a, _), _| a != idx);
+                }
+                LValue::Scalar(name) => {
+                    let ty = self.info.carried(name).expect("checked by sema");
+                    let v = self.expr(value, ty, pred)?;
+                    match pred {
+                        None => {
+                            self.env.insert(name, v.value);
+                        }
+                        Some(p) => {
+                            // Predicated scalar assignment: merge with the
+                            // incoming value so SSA keeps a single
+                            // definition per value.
+                            let old = *self.env.get(name.as_str()).expect("env has carry");
+                            let merged = self.b.new_value(self.scalar_type(name));
+                            let inputs = [(p, 0), (v.value, v.omega), (old, 0)];
+                            self.b
+                                .op_with_omegas(OpKind::Select, &inputs, Some(merged), None);
+                            self.env.insert(name, merged);
                         }
                     }
                 }
-            }
+            },
             Stmt::BreakIf { cond } => {
                 // Post-tested exit: evaluate the condition unguarded; the
                 // chain resolution wires ¬cond into next iteration's
                 // `live`.
-                let lt = match crate::sema::type_of(&cond.lhs, self.def, self.info) {
-                    Ok(crate::sema::ExprTy::Real) => Ty::Real,
-                    Ok(crate::sema::ExprTy::Int) => Ty::Int,
-                    _ => self.resolved_ty(&cond.rhs, Ty::Real),
-                };
-                let a = self.expr(&crate::fold::fold_expr(&cond.lhs), lt, None)?;
-                let c = self.expr(&crate::fold::fold_expr(&cond.rhs), lt, None)?;
-                let kind = match cond.op {
-                    RelOp::Eq => OpKind::CmpEq,
-                    RelOp::Ne => OpKind::CmpNe,
-                    RelOp::Lt => OpKind::CmpLt,
-                    RelOp::Le => OpKind::CmpLe,
-                    RelOp::Gt => OpKind::CmpGt,
-                    RelOp::Ge => OpKind::CmpGe,
-                };
-                let p = self.b.new_value(ValueType::Pred);
-                self.b
-                    .op_with_omegas(kind, &[a.pair(), c.pair()], Some(p), None);
+                let p = self.compare(cond, None)?;
                 let notp = self.b.named_value(ValueType::Pred, "noexit");
                 self.b.op(OpKind::PredNot, &[p], Some(notp));
                 self.exit_not_cond = Some(notp);
@@ -663,28 +610,7 @@ impl Lowerer<'_> {
             } => {
                 // If-conversion (§2.2): compute the branch predicate and
                 // guard both arms, composing with any enclosing context.
-                // The comparison type is the first operand's definite type,
-                // else the second's, else real — the same rule the
-                // reference interpreter applies, so literal-only operands
-                // cannot make the two engines compare different types.
-                let lt = match crate::sema::type_of(&cond.lhs, self.def, self.info) {
-                    Ok(crate::sema::ExprTy::Real) => Ty::Real,
-                    Ok(crate::sema::ExprTy::Int) => Ty::Int,
-                    _ => self.resolved_ty(&cond.rhs, Ty::Real),
-                };
-                let a = self.expr(&crate::fold::fold_expr(&cond.lhs), lt, pred)?;
-                let c = self.expr(&crate::fold::fold_expr(&cond.rhs), lt, pred)?;
-                let kind = match cond.op {
-                    RelOp::Eq => OpKind::CmpEq,
-                    RelOp::Ne => OpKind::CmpNe,
-                    RelOp::Lt => OpKind::CmpLt,
-                    RelOp::Le => OpKind::CmpLe,
-                    RelOp::Gt => OpKind::CmpGt,
-                    RelOp::Ge => OpKind::CmpGe,
-                };
-                let p = self.b.new_value(ValueType::Pred);
-                let inputs = [a.pair(), c.pair()];
-                self.b.op_with_omegas(kind, &inputs, Some(p), None);
+                let p = self.compare(cond, pred)?;
                 let then_pred = match pred {
                     None => p,
                     Some(ctx) => {
@@ -719,26 +645,22 @@ impl Lowerer<'_> {
     /// Rewrites carried-scalar placeholders to the scalar's final value at
     /// distance +1 and records the initial-value binding.
     fn resolve_carries(&mut self) {
-        let carries: Vec<(String, ValueId)> = self
-            .carry_placeholders
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect();
-        for (name, placeholder) in carries {
+        let carries = std::mem::take(&mut self.carry_placeholders);
+        for (&name, &placeholder) in &carries {
             let mut fin = *self
                 .env
-                .get(&name)
+                .get(name)
                 .expect("carried scalar has a final value");
             if fin == placeholder {
                 // Degenerate `s = s`: materialise the carry as a Copy so
                 // the value is re-defined (and re-written into the
                 // rotating file) every iteration; the replacement below
                 // turns the Copy's own input into the self-recurrence.
-                let v = self.b.new_value(self.scalar_type(&name));
+                let v = self.b.new_value(self.scalar_type(name));
                 self.b.op(OpKind::Copy, &[placeholder], Some(v));
                 fin = v;
             }
-            let carrier = self.carrier_for(fin, InitialSource::Scalar(name));
+            let carrier = self.carrier_for(fin, InitialSource::Scalar(name.to_owned()));
             self.b.replace_uses(placeholder, carrier, 1);
         }
     }
@@ -754,22 +676,17 @@ impl Lowerer<'_> {
     /// value stored at iteration `j`", keeping the pre-loop seed indices
     /// aligned with initial memory.
     fn resolve_eliminated_loads(&mut self) {
-        let placeholders: Vec<((usize, i64), ValueId)> = self
-            .elim_placeholders
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect();
-        for ((array, load_off), placeholder) in placeholders {
-            let store_off = self.eligible[&array];
-            let d = (store_off - load_off) as u32;
-            let store_op = *self
-                .stored_op
-                .get(&array)
+        let placeholders = std::mem::take(&mut self.elim_placeholders);
+        for (&(array, load_off), &placeholder) in &placeholders {
+            let eligible = self.eligible[array].expect("only eligible arrays have placeholders");
+            let d = (eligible.store_offset - load_off) as u32;
+            let (_, store_op) = eligible
+                .stored
                 .expect("eligible arrays have exactly one unconditional store");
             let (stored, extra) = self.b.op_input(store_op, 1);
             let source = InitialSource::ArrayElem {
                 array,
-                offset: store_off,
+                offset: eligible.store_offset,
             };
             let carrier = if extra == 0 {
                 self.carrier_for(stored, source)
@@ -859,15 +776,16 @@ impl Lowerer<'_> {
     }
 
     /// Adds flow/anti/output arcs with exact distances between the
-    /// remaining memory references of each array.
+    /// remaining memory references of each array. References are bucketed
+    /// by array, so the work is the number of same-array pairs; arcs come
+    /// out ordered by source reference, then sink reference.
     fn memory_deps(&mut self) {
-        for i in 0..self.mem_refs.len() {
-            for j in 0..self.mem_refs.len() {
-                if i == j {
-                    continue;
-                }
-                let (p, q) = (&self.mem_refs[i], &self.mem_refs[j]);
-                if p.array != q.array || (!p.is_store && !q.is_store) {
+        let refs = &self.mem_refs;
+        let (start, by_array) = flat_adjacency(self.info.arrays.len(), refs, |r| r.array);
+        for p in refs {
+            let same_array = &by_array[start[p.array] as usize..start[p.array + 1] as usize];
+            for q in same_array.iter().map(|&j| &refs[j as usize]) {
+                if q.seq == p.seq || (!p.is_store && !q.is_store) {
                     continue;
                 }
                 // p at iteration i touches element i + p.offset; q at
@@ -889,12 +807,60 @@ impl Lowerer<'_> {
     }
 }
 
-trait IntoVref {
-    fn into_vref(self) -> VRef;
+/// Which arrays are elimination-eligible: stored exactly once, by an
+/// unconditional (top-level) store.
+fn eligible_arrays(def: &LoopDef, info: &LoopInfo) -> Vec<Option<Eligible>> {
+    /// Per array: (stores seen, offset and nesting depth of the first).
+    fn visit(stmts: &[Stmt], depth: u32, info: &LoopInfo, stores: &mut [(u32, i64, u32)]) {
+        for stmt in stmts {
+            match stmt {
+                Stmt::Assign {
+                    target: LValue::Elem { array, offset },
+                    ..
+                } => {
+                    if let Some((idx, _)) = info.array(array) {
+                        let seen = &mut stores[idx];
+                        if seen.0 == 0 {
+                            *seen = (0, *offset, depth);
+                        }
+                        seen.0 += 1;
+                    }
+                }
+                Stmt::Assign { .. } | Stmt::BreakIf { .. } => {}
+                Stmt::If {
+                    then_body,
+                    else_body,
+                    ..
+                } => {
+                    visit(then_body, depth + 1, info, stores);
+                    visit(else_body, depth + 1, info, stores);
+                }
+            }
+        }
+    }
+    let mut stores = vec![(0, 0, 0); info.arrays.len()];
+    visit(&def.body, 0, info, &mut stores);
+    stores
+        .into_iter()
+        .map(|(count, store_offset, depth)| {
+            (count == 1 && depth == 0).then_some(Eligible {
+                store_offset,
+                stored: None,
+            })
+        })
+        .collect()
 }
 
-impl IntoVref for ValueId {
-    fn into_vref(self) -> VRef {
-        VRef::here(self)
+fn value_type(ty: Ty) -> ValueType {
+    match ty {
+        Ty::Real => ValueType::Float,
+        Ty::Int => ValueType::Int,
+    }
+}
+
+fn sub_kind(ty: Ty) -> OpKind {
+    match ty {
+        Ty::Real => OpKind::FSub,
+        Ty::Int => OpKind::IntSub,
     }
 }

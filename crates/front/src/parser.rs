@@ -34,7 +34,7 @@ use crate::{FrontError, Span, Token, TokenKind};
 /// # Errors
 ///
 /// Returns the first syntax error with its location.
-pub fn parse(tokens: &[Token]) -> Result<Vec<LoopDef>, FrontError> {
+pub fn parse(tokens: &[Token<'_>]) -> Result<Vec<LoopDef>, FrontError> {
     let mut p = Parser { tokens, pos: 0 };
     let mut loops = Vec::new();
     while !p.at_eof() {
@@ -43,13 +43,13 @@ pub fn parse(tokens: &[Token]) -> Result<Vec<LoopDef>, FrontError> {
     Ok(loops)
 }
 
-struct Parser<'t> {
-    tokens: &'t [Token],
+struct Parser<'t, 's> {
+    tokens: &'t [Token<'s>],
     pos: usize,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> &Token {
+impl<'s> Parser<'_, 's> {
+    fn peek(&self) -> &Token<'s> {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
@@ -61,8 +61,8 @@ impl Parser<'_> {
         self.peek().span
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
+    fn bump(&mut self) -> Token<'s> {
+        let t = *self.peek();
         if !self.at_eof() {
             self.pos += 1;
         }
@@ -89,10 +89,9 @@ impl Parser<'_> {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String, FrontError> {
-        match &self.peek().kind {
+    fn expect_ident(&mut self, what: &str) -> Result<&'s str, FrontError> {
+        match self.peek().kind {
             TokenKind::Ident(s) => {
-                let s = s.clone();
                 self.bump();
                 Ok(s)
             }
@@ -104,7 +103,7 @@ impl Parser<'_> {
     }
 
     fn at_keyword(&self, kw: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Ident(s) if s == kw)
+        matches!(self.peek().kind, TokenKind::Ident(s) if s == kw)
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
@@ -123,7 +122,7 @@ impl Parser<'_> {
                 format!("expected `loop`, found {}", self.peek().kind),
             ));
         }
-        let name = self.expect_ident("loop name")?;
+        let name = self.expect_ident("loop name")?.to_owned();
         self.expect_punct("(")?;
         let var = self.expect_ident("induction variable")?;
         self.expect_punct("=")?;
@@ -141,11 +140,11 @@ impl Parser<'_> {
             if self.at_eof() {
                 return Err(FrontError::new(self.span(), "unterminated loop body"));
             }
-            body.push(self.stmt(&var)?);
+            body.push(self.stmt(var)?);
         }
         Ok(LoopDef {
             name,
-            var,
+            var: var.to_owned(),
             lo,
             hi,
             decls,
@@ -154,16 +153,14 @@ impl Parser<'_> {
     }
 
     fn bound(&mut self) -> Result<Bound, FrontError> {
-        match &self.peek().kind {
+        match self.peek().kind {
             TokenKind::Int(v) => {
-                let v = *v;
                 self.bump();
                 Ok(Bound::Const(v))
             }
             TokenKind::Ident(s) => {
-                let s = s.clone();
                 self.bump();
-                Ok(Bound::Param(s))
+                Ok(Bound::Param(s.to_owned()))
             }
             other => Err(FrontError::new(
                 self.span(),
@@ -188,9 +185,9 @@ impl Parser<'_> {
     fn decl(&mut self) -> Result<Decl, FrontError> {
         if self.eat_keyword("param") {
             let ty = self.ty()?;
-            let mut names = vec![self.expect_ident("parameter name")?];
+            let mut names = vec![self.expect_ident("parameter name")?.to_owned()];
             while self.eat_punct(",") {
-                names.push(self.expect_ident("parameter name")?);
+                names.push(self.expect_ident("parameter name")?.to_owned());
             }
             self.expect_punct(";")?;
             return Ok(Decl::Param { ty, names });
@@ -199,7 +196,7 @@ impl Parser<'_> {
         let mut arrays = Vec::new();
         let mut scalars = Vec::new();
         loop {
-            let name = self.expect_ident("array or scalar name")?;
+            let name = self.expect_ident("array or scalar name")?.to_owned();
             if self.eat_punct("[") {
                 self.expect_punct("]")?;
                 arrays.push(name);
@@ -262,7 +259,7 @@ impl Parser<'_> {
             });
         }
         let span = self.span();
-        let name = self.expect_ident("assignment target")?;
+        let name = self.expect_ident("assignment target")?.to_owned();
         let target = if self.eat_punct("[") {
             let offset = self.index(var)?;
             self.expect_punct("]")?;
@@ -381,7 +378,7 @@ impl Parser<'_> {
 
     fn atom(&mut self, var: &str) -> Result<Expr, FrontError> {
         let span = self.span();
-        match self.peek().kind.clone() {
+        match self.peek().kind {
             TokenKind::Int(v) => {
                 self.bump();
                 Ok(Expr::Int(v))
@@ -396,14 +393,14 @@ impl Parser<'_> {
                 self.expect_punct(")")?;
                 Ok(e)
             }
-            TokenKind::Ident(name) if name == "sqrt" => {
+            TokenKind::Ident("sqrt") => {
                 self.bump();
                 self.expect_punct("(")?;
                 let e = self.expr(var)?;
                 self.expect_punct(")")?;
                 Ok(Expr::Sqrt(Box::new(e)))
             }
-            TokenKind::Ident(name) if name == "min" || name == "max" => {
+            TokenKind::Ident(name @ ("min" | "max")) => {
                 let is_max = name == "max";
                 self.bump();
                 self.expect_punct("(")?;
@@ -417,7 +414,7 @@ impl Parser<'_> {
                     rhs: Box::new(rhs),
                 })
             }
-            TokenKind::Ident(name) if name == "abs" => {
+            TokenKind::Ident("abs") => {
                 self.bump();
                 self.expect_punct("(")?;
                 let e = self.expr(var)?;
@@ -430,12 +427,12 @@ impl Parser<'_> {
                     let offset = self.index(var)?;
                     self.expect_punct("]")?;
                     Ok(Expr::Elem {
-                        array: name,
+                        array: name.to_owned(),
                         offset,
                         span,
                     })
                 } else {
-                    Ok(Expr::Scalar(name, span))
+                    Ok(Expr::Scalar(name.to_owned(), span))
                 }
             }
             other => Err(FrontError::new(

@@ -54,36 +54,23 @@ impl LoopInfo {
 pub fn analyze(def: &LoopDef) -> Result<LoopInfo, FrontError> {
     let mut arrays: Vec<(String, Ty)> = Vec::new();
     let mut params: Vec<(String, Ty)> = Vec::new();
-    let mut declared_scalars: BTreeMap<String, Ty> = BTreeMap::new();
+    let mut declared_scalars: BTreeMap<&str, Ty> = BTreeMap::new();
     let origin = Span::default();
 
-    let mut seen_names: Vec<String> = vec![def.var.clone()];
-    let mut check_fresh = |name: &String| -> Result<(), FrontError> {
-        if seen_names.contains(name) {
-            return Err(FrontError::new(origin, format!("`{name}` declared twice")));
-        }
-        seen_names.push(name.clone());
-        Ok(())
-    };
-
+    let mut seen_names: Vec<&str> = vec![&def.var];
     for decl in &def.decls {
-        match decl {
-            Decl::Array { ty, names } => {
-                for n in names {
-                    check_fresh(n)?;
-                    arrays.push((n.clone(), *ty));
-                }
+        let (Decl::Array { ty, names } | Decl::Param { ty, names } | Decl::Scalar { ty, names }) =
+            decl;
+        for n in names {
+            if seen_names.contains(&n.as_str()) {
+                return Err(FrontError::new(origin, format!("`{n}` declared twice")));
             }
-            Decl::Param { ty, names } => {
-                for n in names {
-                    check_fresh(n)?;
-                    params.push((n.clone(), *ty));
-                }
-            }
-            Decl::Scalar { ty, names } => {
-                for n in names {
-                    check_fresh(n)?;
-                    declared_scalars.insert(n.clone(), *ty);
+            seen_names.push(n);
+            match decl {
+                Decl::Array { .. } => arrays.push((n.clone(), *ty)),
+                Decl::Param { .. } => params.push((n.clone(), *ty)),
+                Decl::Scalar { .. } => {
+                    declared_scalars.insert(n, *ty);
                 }
             }
         }
@@ -93,7 +80,7 @@ pub fn analyze(def: &LoopDef) -> Result<LoopInfo, FrontError> {
         if let Bound::Param(n) = bound {
             if !params.iter().any(|(p, _)| p == n)
                 && !arrays.iter().any(|(a, _)| a == n)
-                && !declared_scalars.contains_key(n)
+                && !declared_scalars.contains_key(n.as_str())
             {
                 params.push((n.clone(), Ty::Int));
             }
@@ -128,9 +115,9 @@ pub fn analyze(def: &LoopDef) -> Result<LoopInfo, FrontError> {
         Ok(())
     })?;
     // Declared scalars that are never assigned are effectively parameters.
-    for (name, ty) in &declared_scalars {
+    for (&name, &ty) in &declared_scalars {
         if !carried.iter().any(|(c, _)| c == name) {
-            params.push((name.clone(), *ty));
+            params.push((name.to_owned(), ty));
         }
     }
 

@@ -36,7 +36,7 @@ fn break_lowers_to_a_carried_live_chain() {
         .filter(|o| o.kind == OpKind::PredAnd)
         .collect();
     assert_eq!(pands.len(), 1, "{}", lsms_ir::to_listing(body));
-    assert_eq!(pands[0].input_omegas, vec![1, 1]);
+    assert_eq!(pands[0].input_omegas[..], [1, 1]);
     // The store is guarded by live.
     let store = body.ops().iter().find(|o| o.kind == OpKind::Store).unwrap();
     assert_eq!(store.predicate, pands[0].result);

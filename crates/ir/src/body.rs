@@ -98,6 +98,40 @@ impl fmt::Display for BodyError {
 
 impl std::error::Error for BodyError {}
 
+/// Buckets `items` by node in compressed sparse row form: node `v`'s
+/// items are `index[start[v]..start[v + 1]]`, as indices into `items` in
+/// their original order. Two passes over `items`, two allocations.
+///
+/// # Panics
+///
+/// Panics if `items` has 2^32 entries or more, or if `node_of` returns a
+/// node `>= nodes`.
+pub fn flat_adjacency<T>(
+    nodes: usize,
+    items: &[T],
+    node_of: impl Fn(&T) -> usize,
+) -> (Vec<u32>, Vec<u32>) {
+    assert!(u32::try_from(items.len()).is_ok(), "fewer than 2^32 items");
+    let mut start = vec![0u32; nodes + 1];
+    for item in items {
+        start[node_of(item) + 1] += 1;
+    }
+    for v in 0..nodes {
+        start[v + 1] += start[v];
+    }
+    // Fill with `start[v]` as node v's cursor; afterwards each cursor sits
+    // at its node's end, which is the next node's start.
+    let mut index = vec![0u32; items.len()];
+    for (i, item) in items.iter().enumerate() {
+        let cursor = &mut start[node_of(item)];
+        index[*cursor as usize] = i as u32;
+        *cursor += 1;
+    }
+    start.copy_within(0..nodes, 1);
+    start[0] = 0;
+    (start, index)
+}
+
 /// A branch-free (if-converted) loop body in SSA form, together with its
 /// ω-labelled dependence graph.
 ///
@@ -109,8 +143,13 @@ pub struct LoopBody {
     pub(crate) ops: Vec<Op>,
     pub(crate) values: Vec<Value>,
     pub(crate) deps: Vec<Dep>,
-    pub(crate) out_deps: Vec<Vec<DepId>>,
-    pub(crate) in_deps: Vec<Vec<DepId>>,
+    /// Arcs out of op `v`: `out_arcs[out_start[v]..out_start[v + 1]]`,
+    /// in `deps` order ([`flat_adjacency`]).
+    pub(crate) out_start: Vec<u32>,
+    pub(crate) out_arcs: Vec<u32>,
+    /// Arcs into op `v`, likewise.
+    pub(crate) in_start: Vec<u32>,
+    pub(crate) in_arcs: Vec<u32>,
     pub(crate) meta: LoopMeta,
 }
 
@@ -160,18 +199,26 @@ impl LoopBody {
         self.ops.len()
     }
 
-    /// Arcs whose source is `op`.
+    /// Arcs whose source is `op`, in [`deps`](Self::deps) order.
     pub fn deps_from(&self, op: OpId) -> impl Iterator<Item = &Dep> + '_ {
-        self.out_deps[op.index()]
-            .iter()
-            .map(|&d| &self.deps[d.index()])
+        self.arcs_of(&self.out_start, &self.out_arcs, op)
     }
 
-    /// Arcs whose sink is `op`.
+    /// Arcs whose sink is `op`, in [`deps`](Self::deps) order.
     pub fn deps_to(&self, op: OpId) -> impl Iterator<Item = &Dep> + '_ {
-        self.in_deps[op.index()]
+        self.arcs_of(&self.in_start, &self.in_arcs, op)
+    }
+
+    fn arcs_of<'s>(
+        &'s self,
+        start: &'s [u32],
+        arcs: &'s [u32],
+        op: OpId,
+    ) -> impl Iterator<Item = &'s Dep> + 's {
+        let v = op.index();
+        arcs[start[v] as usize..start[v + 1] as usize]
             .iter()
-            .map(|&d| &self.deps[d.index()])
+            .map(|&d| &self.deps[d as usize])
     }
 
     /// The loop-closing `brtop`, if the body carries one.

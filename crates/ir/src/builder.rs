@@ -1,7 +1,9 @@
 //! Incremental construction of [`LoopBody`] graphs.
 
+use crate::body::flat_adjacency;
 use crate::{
-    Dep, DepId, DepKind, DepVia, LoopBody, LoopMeta, Op, OpId, OpKind, Value, ValueId, ValueType,
+    Dep, DepId, DepKind, DepVia, LoopBody, LoopMeta, Op, OpId, OpKind, Operands, Value, ValueId,
+    ValueType,
 };
 
 /// Builds a [`LoopBody`] one value, operation, and arc at a time.
@@ -61,31 +63,30 @@ impl LoopBuilder {
     /// Creates a fresh loop-variant value of type `ty` with a generated
     /// name.
     pub fn new_value(&mut self, ty: ValueType) -> ValueId {
-        let id = ValueId::new(self.values.len());
-        self.values.push(Value {
-            id,
-            ty,
-            def: None,
-            invariant: false,
-            name: format!("t{}", id.index()),
-        });
-        id
+        let name = format!("t{}", self.values.len());
+        self.push_value(ty, name, false)
     }
 
     /// Creates a fresh named loop-variant value.
     pub fn named_value(&mut self, ty: ValueType, name: impl Into<String>) -> ValueId {
-        let id = self.new_value(ty);
-        self.values[id.index()].name = name.into();
-        id
+        self.push_value(ty, name.into(), false)
     }
 
     /// Creates a loop-invariant value (GPR file): a constant, an array base
     /// address, or any scalar the loop only reads.
     pub fn invariant(&mut self, ty: ValueType, name: impl Into<String>) -> ValueId {
-        let id = self.new_value(ty);
-        let v = &mut self.values[id.index()];
-        v.invariant = true;
-        v.name = name.into();
+        self.push_value(ty, name.into(), true)
+    }
+
+    fn push_value(&mut self, ty: ValueType, name: String, invariant: bool) -> ValueId {
+        let id = ValueId::new(self.values.len());
+        self.values.push(Value {
+            id,
+            ty,
+            def: None,
+            invariant,
+            name,
+        });
         id
     }
 
@@ -112,8 +113,15 @@ impl LoopBuilder {
         result: Option<ValueId>,
         predicate: Option<ValueId>,
     ) -> OpId {
-        let with_omegas: Vec<(ValueId, u32)> = inputs.iter().map(|&v| (v, 0)).collect();
-        self.op_with_omegas(kind, &with_omegas, result, predicate)
+        assert_eq!(inputs.len(), kind.arity(), "{kind}: wrong input count");
+        let omegas = inputs.iter().map(|_| 0).collect();
+        self.push_op(
+            kind,
+            Operands::from_slice(inputs),
+            omegas,
+            result,
+            predicate,
+        )
     }
 
     /// Appends an operation whose inputs carry explicit iteration
@@ -132,6 +140,19 @@ impl LoopBuilder {
         predicate: Option<ValueId>,
     ) -> OpId {
         assert_eq!(inputs.len(), kind.arity(), "{kind}: wrong input count");
+        let values = inputs.iter().map(|&(v, _)| v).collect();
+        let omegas = inputs.iter().map(|&(_, w)| w).collect();
+        self.push_op(kind, values, omegas, result, predicate)
+    }
+
+    fn push_op(
+        &mut self,
+        kind: OpKind,
+        inputs: Operands<ValueId>,
+        input_omegas: Operands<u32>,
+        result: Option<ValueId>,
+        predicate: Option<ValueId>,
+    ) -> OpId {
         assert_eq!(
             result.is_some(),
             kind.has_result(),
@@ -150,8 +171,8 @@ impl LoopBuilder {
         self.ops.push(Op {
             id,
             kind,
-            inputs: inputs.iter().map(|&(v, _)| v).collect(),
-            input_omegas: inputs.iter().map(|&(_, w)| w).collect(),
+            inputs,
+            input_omegas,
             result,
             predicate,
         });
@@ -256,10 +277,16 @@ impl LoopBuilder {
     /// defined in the loop, a flow arc `def(v) → op` with distance ω, and
     /// likewise for guard predicates (ω = 0). Arcs identical to manually
     /// added ones are not duplicated.
+    ///
+    /// The new arcs follow the explicit ones, in op order and, within an
+    /// op, in operand order. An implied arc can only equal an arc into the
+    /// same op, so each is checked against that op's explicit in-arcs and
+    /// the arcs already implied for it: linear work in ops and arcs.
     pub fn finish_with_auto_flow(mut self) -> LoopBody {
-        let mut extra: Vec<Dep> = Vec::new();
+        let (start, into) = flat_adjacency(self.ops.len(), &self.deps, |d| d.to.index());
         for op in &self.ops {
-            let guard = op.predicate.iter().map(|&p| (p, 0u32));
+            let guard = op.predicate.map(|p| (p, 0u32));
+            let implied_from = self.deps.len();
             for (v, omega) in op
                 .inputs
                 .iter()
@@ -278,30 +305,32 @@ impl LoopBuilder {
                     omega,
                     value: Some(v),
                 };
-                if !self.deps.contains(&dep) && !extra.contains(&dep) {
-                    extra.push(dep);
+                let sink = op.id.index();
+                let mut explicit_in = into[start[sink] as usize..start[sink + 1] as usize].iter();
+                if !explicit_in.any(|&d| self.deps[d as usize] == dep)
+                    && !self.deps[implied_from..].contains(&dep)
+                {
+                    self.deps.push(dep);
                 }
             }
         }
-        self.deps.extend(extra);
         self.finish()
     }
 
     /// Finalises the body, computing the adjacency tables.
     pub fn finish(self) -> LoopBody {
-        let mut out_deps = vec![Vec::new(); self.ops.len()];
-        let mut in_deps = vec![Vec::new(); self.ops.len()];
-        for (i, dep) in self.deps.iter().enumerate() {
-            out_deps[dep.from.index()].push(DepId::new(i));
-            in_deps[dep.to.index()].push(DepId::new(i));
-        }
+        let n = self.ops.len();
+        let (out_start, out_arcs) = flat_adjacency(n, &self.deps, |d| d.from.index());
+        let (in_start, in_arcs) = flat_adjacency(n, &self.deps, |d| d.to.index());
         LoopBody {
             name: self.name,
             ops: self.ops,
             values: self.values,
             deps: self.deps,
-            out_deps,
-            in_deps,
+            out_start,
+            out_arcs,
+            in_start,
+            in_arcs,
             meta: self.meta,
         }
     }
@@ -321,6 +350,60 @@ mod tests {
         assert_eq!(body.value(x).def, Some(o));
         assert_eq!(body.value(y).def, None);
         assert!(body.validate().is_ok());
+    }
+
+    /// One implied arc per distinct `(value, ω)` an op reads, however
+    /// many operand slots read it, and none that repeats an explicit arc.
+    #[test]
+    fn duplicate_operands_imply_one_flow_arc() {
+        let mut b = LoopBuilder::new("t");
+        let a = b.invariant(ValueType::Float, "a");
+        let x = b.new_value(ValueType::Float);
+        let y = b.new_value(ValueType::Float);
+        let z = b.new_value(ValueType::Float);
+        let def = b.op(OpKind::FAdd, &[a, a], Some(x));
+        let twice = b.op(OpKind::FAdd, &[x, x], Some(y));
+        let spread = b.op_with_omegas(OpKind::FMul, &[(x, 0), (x, 1)], Some(z), None);
+        b.flow_dep(def, spread, 1);
+        let body = b.finish_with_auto_flow();
+        let arcs = |to: OpId| -> Vec<(OpId, u32)> {
+            body.deps_to(to).map(|d| (d.from, d.omega)).collect()
+        };
+        assert_eq!(arcs(twice), vec![(def, 0)]);
+        // The explicit ω = 1 arc comes first; the implied ω = 0 one follows.
+        assert_eq!(arcs(spread), vec![(def, 1), (def, 0)]);
+        assert_eq!(body.deps().len(), 3);
+        assert!(body.validate().is_ok());
+    }
+
+    /// The flat adjacency lists each op's arcs in `deps()` order, as the
+    /// per-op lists it replaced did.
+    #[test]
+    fn adjacency_keeps_arc_order() {
+        let n = 7;
+        let mut b = LoopBuilder::new("t");
+        let a = b.invariant(ValueType::Int, "a");
+        let ops: Vec<OpId> = (0..n)
+            .map(|_| {
+                let v = b.new_value(ValueType::Int);
+                b.op(OpKind::IntAdd, &[a, a], Some(v))
+            })
+            .collect();
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..40 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let (from, to) = (seed as usize % n, (seed >> 32) as usize % n);
+            b.dep(ops[from], ops[to], DepKind::Anti, DepVia::Control, 1);
+        }
+        let body = b.finish();
+        for &op in &ops {
+            let want_out: Vec<&Dep> = body.deps().iter().filter(|d| d.from == op).collect();
+            let want_in: Vec<&Dep> = body.deps().iter().filter(|d| d.to == op).collect();
+            assert!(body.deps_from(op).eq(want_out));
+            assert!(body.deps_to(op).eq(want_in));
+        }
     }
 
     #[test]

@@ -46,13 +46,13 @@ mod scc;
 mod transform;
 mod value;
 
-pub use body::{BodyError, LoopBody, LoopClass, LoopMeta};
+pub use body::{flat_adjacency, BodyError, LoopBody, LoopClass, LoopMeta};
 pub use builder::LoopBuilder;
 pub use dep::{Dep, DepKind, DepVia};
 pub use dot::{to_dot, to_listing};
 pub use fingerprint::{structural_fingerprint, Fingerprint, FpHasher};
 pub use ids::{DepId, OpId, ValueId};
-pub use op::{Op, OpKind};
+pub use op::{Op, OpKind, Operands, MAX_ARITY};
 pub use scc::{has_recurrence, tarjan_scc, Components};
 pub use transform::unroll;
 pub use value::{RegClass, Value, ValueType};

@@ -1,8 +1,90 @@
 //! Operations: the nodes of the dependence graph.
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use crate::{OpId, ValueId};
+
+/// The most value inputs any [`OpKind`] takes (`Select` takes three).
+pub const MAX_ARITY: usize = 3;
+
+/// An operation's operand list, stored inline: up to [`MAX_ARITY`]
+/// entries, so building an [`Op`] allocates nothing. Derefs to a slice
+/// of its entries.
+#[derive(Clone, Copy)]
+pub struct Operands<T> {
+    len: u8,
+    items: [T; MAX_ARITY],
+}
+
+impl<T: Copy + Default> Operands<T> {
+    /// The entries of `items`, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items` has more than [`MAX_ARITY`] entries.
+    pub fn from_slice(items: &[T]) -> Self {
+        items.iter().copied().collect()
+    }
+}
+
+impl<T: Copy + Default> FromIterator<T> for Operands<T> {
+    /// # Panics
+    ///
+    /// Panics if the iterator yields more than [`MAX_ARITY`] entries.
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut ops = Operands {
+            len: 0,
+            items: [T::default(); MAX_ARITY],
+        };
+        for item in iter {
+            let slot = ops
+                .items
+                .get_mut(usize::from(ops.len))
+                .expect("an operation has at most MAX_ARITY operands");
+            *slot = item;
+            ops.len += 1;
+        }
+        ops
+    }
+}
+
+impl<T> Deref for Operands<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items[..usize::from(self.len)]
+    }
+}
+
+impl<T> DerefMut for Operands<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.items[..usize::from(self.len)]
+    }
+}
+
+impl<'a, T> IntoIterator for &'a Operands<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: PartialEq> PartialEq for Operands<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq> Eq for Operands<T> {}
+
+impl<T: fmt::Debug> fmt::Debug for Operands<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// The executable operation repertoire of the hypothetical VLIW target.
 ///
@@ -192,12 +274,12 @@ pub struct Op {
     /// What the operation computes.
     pub kind: OpKind,
     /// Value inputs, in positional order (`kind.arity()` of them).
-    pub inputs: Vec<ValueId>,
+    pub inputs: Operands<ValueId>,
     /// Per-input iteration distance: position `k` reads the instance of
     /// `inputs[k]` produced `input_omegas[k]` iterations earlier (0 = this
     /// iteration). Lets `x(i-1) + x(i-2)` read the same SSA value at two
     /// distances, as the rotating register file does in hardware (§2.3).
-    pub input_omegas: Vec<u32>,
+    pub input_omegas: Operands<u32>,
     /// The value defined, if any (SSA: at most one, defined nowhere else).
     pub result: Option<ValueId>,
     /// Guard predicate from if-conversion, if any.
@@ -257,12 +339,35 @@ mod tests {
     }
 
     #[test]
+    fn no_kind_takes_more_than_max_arity_inputs() {
+        assert!(OpKind::ALL.iter().all(|k| k.arity() <= MAX_ARITY));
+        assert_eq!(OpKind::Select.arity(), MAX_ARITY);
+    }
+
+    #[test]
+    fn operands_behave_as_their_slice() {
+        let mut ops = Operands::from_slice(&[4u32, 5]);
+        assert_eq!(ops.len(), 2);
+        assert_eq!(&ops[..], &[4, 5]);
+        ops[1] += 2;
+        assert_eq!(ops.iter().copied().collect::<Vec<_>>(), vec![4, 7]);
+        assert_eq!(format!("{ops:?}"), "[4, 7]");
+        assert!(Operands::<u32>::from_slice(&[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most MAX_ARITY")]
+    fn operands_refuse_a_fourth_entry() {
+        let _ = Operands::from_slice(&[1u32, 2, 3, 4]);
+    }
+
+    #[test]
     fn reads_include_guard_predicate() {
         let op = Op {
             id: OpId::new(0),
             kind: OpKind::FAdd,
-            inputs: vec![ValueId::new(1), ValueId::new(2)],
-            input_omegas: vec![0, 0],
+            inputs: Operands::from_slice(&[ValueId::new(1), ValueId::new(2)]),
+            input_omegas: Operands::from_slice(&[0, 0]),
             result: Some(ValueId::new(3)),
             predicate: Some(ValueId::new(4)),
         };

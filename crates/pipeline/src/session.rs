@@ -20,8 +20,8 @@ use lsms_obs::ScheduleQuality;
 use lsms_regalloc::{allocate_rotating, RotatingAllocation, Strategy};
 use lsms_sched::pressure::{gpr_count, measure_cached, min_avg_cached};
 use lsms_sched::{
-    bounds, problem_fingerprint, validate, DecisionStats, EngineWorkspace, MinDistCache,
-    PressureReport, SchedContext, SchedProblem, SchedStats, Schedule,
+    bounds, validate, DecisionStats, EngineWorkspace, MinDistCache, PressureReport, ProblemHasher,
+    SchedContext, SchedProblem, SchedStats, Schedule,
 };
 use lsms_sim::{EquivReport, Oracle};
 
@@ -273,6 +273,9 @@ pub struct CompileSession {
     report: Mutex<PassReport>,
     /// In-memory schedule memoization, shared by every worker thread.
     sched_cache: ScheduleCache,
+    /// Problem fingerprints under the session's machine, which is hashed
+    /// once here rather than once per loop.
+    problem_hasher: ProblemHasher,
 }
 
 impl CompileSession {
@@ -286,6 +289,7 @@ impl CompileSession {
         let eval = ["slack", "early", "cydrome"]
             .map(|name| lookup_backend(name).expect("built-in backend registered"));
         Self {
+            problem_hasher: ProblemHasher::new(&config.machine),
             config,
             primary,
             eval,
@@ -495,7 +499,7 @@ impl CompileSession {
                         entry,
                         &self.config.backend.options,
                         self.config.straight_line,
-                        problem_fingerprint(problem.body(), &self.config.machine),
+                        self.problem_hasher.fingerprint(problem.body()),
                         problem,
                         cache,
                         ws,
@@ -552,8 +556,8 @@ impl CompileSession {
 
     /// Runs one backend through the session's content-addressed schedule
     /// cache, keyed by `fingerprint`, the loop's
-    /// [`problem_fingerprint`] under the session's machine, which the
-    /// caller hashes once per loop.
+    /// problem fingerprint under the session's machine
+    /// ([`ProblemHasher`]), which the caller hashes once per loop.
     ///
     /// A miss runs the backend and memoizes the outcome; a hit clones
     /// the stored run, which is byte-identical to recomputing because
@@ -848,7 +852,7 @@ impl CompileSession {
         let problem = self.depgraph(&compiled.body)?;
         let mii = problem.mii();
         let cache = MinDistCache::new();
-        let fingerprint = problem_fingerprint(&compiled.body, &self.config.machine);
+        let fingerprint = self.problem_hasher.fingerprint(&compiled.body);
 
         // The trio entries were resolved once at session build, so the
         // parallel corpus workers all share the same backend `Arc`s.

@@ -78,69 +78,157 @@ pub fn rec_mii(problem: &SchedProblem<'_>) -> Option<u32> {
             fill[c] += 1;
         }
     }
-    let mut dist = Vec::new();
+    let mut scratch = RatioScratch::default();
     let mut best = 1;
     for c in 0..count {
         // A lone op without a self-arc has no inner arcs and no circuit.
         if start[c] < start[c + 1] {
             let size = components.sizes[c] as usize;
-            let ratio = component_rec_mii(size, &arcs[start[c]..start[c + 1]], &mut dist)?;
+            let ratio = component_rec_mii(size, &arcs[start[c]..start[c + 1]], &mut scratch)?;
             best = best.max(ratio);
         }
     }
     Some(best)
 }
 
+/// Scratch buffers for [`component_rec_mii`]'s Bellman–Ford runs.
+#[derive(Default)]
+pub(crate) struct RatioScratch {
+    /// Longest-path distance per op.
+    dist: Vec<i64>,
+    /// The arc that last raised each op's distance (`usize::MAX`: none).
+    pred: Vec<usize>,
+    /// Walk stamps for the predecessor-cycle search.
+    mark: Vec<usize>,
+}
+
 /// The minimum cost-to-time ratio of one recurrence component with `n`
-/// ops and arcs `(from, to, latency, ω)` in component-local indices:
-/// binary search for the smallest II at which Bellman–Ford finds no
-/// positive cycle under weights `latency − ω·II`, with `dist` as its
-/// scratch. Returns `None` for a positive-latency zero-ω circuit, which
-/// stays positive at every II.
+/// ops and arcs `(from, to, latency, ω)` in component-local indices: the
+/// smallest II at which Bellman–Ford finds no positive cycle under
+/// weights `latency − ω·II`. Returns `None` for a positive-latency zero-ω
+/// circuit, which stays positive at every II.
+///
+/// Each infeasible probe yields a circuit `C` with `L − Ω·II > 0`, and no
+/// II below `⌈L/Ω⌉` satisfies `C`, so the search raises its lower end to
+/// that ratio rather than to `II + 1`. After a jump it probes the new
+/// lower end first (usually the answer); two infeasible probes there in
+/// a row fall back to bisection, so the probe count stays logarithmic.
 pub(crate) fn component_rec_mii(
     n: usize,
     arcs: &[(usize, usize, i64, i64)],
-    dist: &mut Vec<i64>,
+    scratch: &mut RatioScratch,
 ) -> Option<u32> {
-    let mut has_positive_cycle = |ii: i64| -> bool {
-        // Longest-path Bellman–Ford from a virtual source connected to all
-        // nodes with weight 0: dist starts at 0 everywhere.
-        dist.clear();
-        dist.resize(n, 0);
-        for round in 0..=n {
-            let mut changed = false;
-            for &(from, to, latency, omega) in arcs {
-                let reach = dist[from] + latency - omega * ii;
-                if reach > dist[to] {
-                    dist[to] = reach;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return false;
-            }
-            if round == n {
-                return true;
-            }
-        }
-        false
-    };
     // Every circuit with Ω ≥ 1 has L ≤ this sum ≤ Ω·sum, so it is
     // non-positive here: a positive cycle at `hi` is a zero-ω one.
-    let hi: i64 = arcs.iter().map(|a| a.2.max(0)).sum::<i64>().max(1);
-    if has_positive_cycle(hi) {
-        return None;
-    }
-    let (mut lo, mut hi) = (1i64, hi); // hi is feasible
+    let mut hi: i64 = arcs.iter().map(|a| a.2.max(0)).sum::<i64>().max(1);
+    let mut hi_checked = false;
+    let mut lo = 1i64;
+    let mut lo_misses = 0;
     while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if has_positive_cycle(mid) {
-            lo = mid + 1;
+        let probe = if lo_misses < 2 {
+            lo
         } else {
-            hi = mid;
+            lo + (hi - lo) / 2
+        };
+        match positive_circuit(n, arcs, probe, scratch) {
+            None => {
+                (hi, hi_checked) = (probe, true);
+                lo_misses = 2; // keep bisecting until the next jump
+            }
+            // Only a zero-ω circuit outgrows every II up to the bound.
+            Some(bound) if bound > hi => return None,
+            Some(bound) => {
+                lo_misses = if probe == lo { lo_misses + 1 } else { 0 };
+                lo = bound.max(probe + 1);
+            }
         }
     }
+    if !hi_checked && positive_circuit(n, arcs, hi, scratch).is_some() {
+        return None;
+    }
     Some(lo as u32)
+}
+
+/// Longest-path Bellman–Ford at `ii` from a virtual source joined to
+/// every op with weight 0. `None` when no positive cycle exists;
+/// otherwise a lower bound on every feasible II: `⌈L/Ω⌉` of a positive
+/// circuit read off the predecessor links, `i64::MAX` for a zero-ω one,
+/// or `ii + 1` when no circuit could be read off.
+///
+/// After every round that raised a distance, the predecessor links are
+/// walked; a cycle among them is a positive circuit (each of its arcs
+/// last raised its sink), so relaxation stops there instead of running
+/// all `n + 1` rounds.
+fn positive_circuit(
+    n: usize,
+    arcs: &[(usize, usize, i64, i64)],
+    ii: i64,
+    scratch: &mut RatioScratch,
+) -> Option<i64> {
+    let RatioScratch { dist, pred, mark } = scratch;
+    dist.clear();
+    dist.resize(n, 0);
+    pred.clear();
+    pred.resize(n, usize::MAX);
+    for _round in 0..=n {
+        let mut changed = false;
+        for (k, &(from, to, latency, omega)) in arcs.iter().enumerate() {
+            let reach = dist[from] + latency - omega * ii;
+            if reach > dist[to] {
+                dist[to] = reach;
+                pred[to] = k;
+                changed = true;
+            }
+        }
+        if !changed {
+            return None;
+        }
+        if let Some(on_cycle) = predecessor_cycle(arcs, pred, mark) {
+            let (mut latency, mut omega, mut v) = (0, 0, on_cycle);
+            loop {
+                let (from, _, l, w) = arcs[pred[v]];
+                (latency, omega, v) = (latency + l, omega + w, from);
+                if v == on_cycle {
+                    break;
+                }
+            }
+            if latency - omega * ii > 0 {
+                return Some(if omega == 0 {
+                    i64::MAX
+                } else {
+                    (latency + omega - 1) / omega
+                });
+            }
+        }
+    }
+    Some(ii + 1)
+}
+
+/// An op on a cycle of the predecessor links, if they have one: each
+/// walk stamps the ops it passes with its starting op and stops at an
+/// op stamped before, which closes a cycle exactly when the stamp is its
+/// own.
+fn predecessor_cycle(
+    arcs: &[(usize, usize, i64, i64)],
+    pred: &[usize],
+    mark: &mut Vec<usize>,
+) -> Option<usize> {
+    mark.clear();
+    mark.resize(pred.len(), usize::MAX);
+    for start in 0..pred.len() {
+        let mut v = start;
+        while mark[v] == usize::MAX {
+            mark[v] = start;
+            match pred[v] {
+                usize::MAX => break,
+                k => v = arcs[k].0,
+            }
+        }
+        if mark[v] == start && pred[v] != usize::MAX {
+            return Some(v);
+        }
+    }
+    None
 }
 
 /// Number of operations lying on non-trivial recurrence circuits (Table 2's
@@ -274,6 +362,57 @@ mod tests {
         let p = SchedProblem::new(&body, &m).unwrap();
         assert_eq!(p.rec_mii(), 4);
         assert_eq!(rec_mii(&p), Some(4));
+    }
+
+    /// The smallest II with no positive cycle, by trying every II with a
+    /// plain `n + 1`-round Bellman–Ford; `None` if none up to `limit`.
+    fn rec_mii_by_scan(n: usize, arcs: &[(usize, usize, i64, i64)], limit: i64) -> Option<u32> {
+        (1..=limit)
+            .find(|&ii| {
+                let mut dist = vec![0i64; n];
+                !(0..=n).all(|_| {
+                    let mut changed = false;
+                    for &(from, to, latency, omega) in arcs {
+                        let reach = dist[from] + latency - omega * ii;
+                        if reach > dist[to] {
+                            dist[to] = reach;
+                            changed = true;
+                        }
+                    }
+                    changed
+                })
+            })
+            .map(|ii| ii as u32)
+    }
+
+    #[test]
+    fn circuit_jumps_match_a_scan_over_every_ii() {
+        use lsms_prng::SmallRng;
+        let mut scratch = RatioScratch::default();
+        let mut zero_omega = 0;
+        for case in 0u64..400 {
+            let mut rng = SmallRng::seed_from_u64(0x5eed + case);
+            let n = rng.gen_range(1..12usize);
+            let arcs: Vec<_> = (0..rng.gen_range(1..4 * n))
+                .map(|_| {
+                    let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    let latency = rng.gen_range(0..22i64);
+                    // Mostly carried arcs; an occasional ω = 0 back arc
+                    // can close a zero-ω circuit.
+                    let omega = rng.gen_range(0..4i64) + i64::from(to <= from && case % 5 != 0);
+                    (from, to, latency, omega)
+                })
+                .collect();
+            let limit = arcs.iter().map(|a| a.2).sum::<i64>().max(1);
+            let want = rec_mii_by_scan(n, &arcs, limit);
+            zero_omega += usize::from(want.is_none());
+            assert_eq!(
+                component_rec_mii(n, &arcs, &mut scratch),
+                want,
+                "case {case}: {arcs:?}"
+            );
+        }
+        assert!(zero_omega >= 5, "{zero_omega} zero-omega cases");
     }
 
     #[test]

@@ -256,7 +256,8 @@ mod tests {
         let mut rec_mii = 1;
         for (scc, arcs) in sccs.iter().zip(&inner) {
             if !arcs.is_empty() {
-                let ratio = crate::bounds::component_rec_mii(scc.len(), arcs, &mut Vec::new());
+                let ratio =
+                    crate::bounds::component_rec_mii(scc.len(), arcs, &mut Default::default());
                 rec_mii = rec_mii.max(ratio.expect("no zero-omega circuit"));
             }
         }

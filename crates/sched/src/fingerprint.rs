@@ -50,11 +50,41 @@ pub fn write_machine(h: &mut FpHasher, machine: &Machine) {
 
 /// The fingerprint of one scheduling *problem*: body structure plus
 /// machine description. Alpha-renamed copies of the same loop collide.
+///
+/// Hashes the whole machine on every call; a caller fingerprinting many
+/// loops for one machine keeps a [`ProblemHasher`] instead.
 pub fn problem_fingerprint(body: &LoopBody, machine: &Machine) -> Fingerprint {
-    let mut h = FpHasher::new(FINGERPRINT_SALT);
-    write_machine(&mut h, machine);
-    lsms_ir::fingerprint::write_structure(&mut h, body);
-    h.finish()
+    ProblemHasher::new(machine).fingerprint(body)
+}
+
+/// [`problem_fingerprint`] for one machine, with the salt and the
+/// machine hashed once: each loop clones the primed hasher and absorbs
+/// only its own structure. The fingerprints are the same bits.
+#[derive(Clone)]
+pub struct ProblemHasher {
+    primed: FpHasher,
+}
+
+impl std::fmt::Debug for ProblemHasher {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ProblemHasher").finish_non_exhaustive()
+    }
+}
+
+impl ProblemHasher {
+    /// Absorbs [`FINGERPRINT_SALT`] and `machine`.
+    pub fn new(machine: &Machine) -> Self {
+        let mut primed = FpHasher::new(FINGERPRINT_SALT);
+        write_machine(&mut primed, machine);
+        Self { primed }
+    }
+
+    /// The problem fingerprint of `body` under the primed machine.
+    pub fn fingerprint(&self, body: &LoopBody) -> Fingerprint {
+        let mut h = self.primed.clone();
+        lsms_ir::fingerprint::write_structure(&mut h, body);
+        h.finish()
+    }
 }
 
 /// The full cache key for one backend run: the problem fingerprint
@@ -100,6 +130,21 @@ mod tests {
         let a = problem_fingerprint(&tiny("one", "a"), &m);
         let b = problem_fingerprint(&tiny("two", "zz"), &m);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_primed_hasher_gives_the_same_fingerprints() {
+        for m in [huff_machine(), lsms_machine::wide_machine()] {
+            let primed = ProblemHasher::new(&m);
+            for body in [tiny("a", "x"), tiny("b", "y")] {
+                assert_eq!(primed.fingerprint(&body), problem_fingerprint(&body, &m));
+            }
+        }
+        let (huff, wide) = (huff_machine(), lsms_machine::wide_machine());
+        assert_ne!(
+            ProblemHasher::new(&huff).fingerprint(&tiny("a", "x")),
+            ProblemHasher::new(&wide).fingerprint(&tiny("a", "x"))
+        );
     }
 
     #[test]

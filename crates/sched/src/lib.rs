@@ -71,7 +71,7 @@ pub use backend::{
 pub use bounds::{mii, rec_mii, res_mii};
 pub use cydrome::CydromeScheduler;
 pub use engine::EngineWorkspace;
-pub use fingerprint::{problem_fingerprint, schedule_key, FINGERPRINT_SALT};
+pub use fingerprint::{problem_fingerprint, schedule_key, ProblemHasher, FINGERPRINT_SALT};
 pub use mindist::{MinDist, MinDistCache, MinDistCacheStats};
 pub use pressure::PressureReport;
 pub use problem::{Arc, ProblemError, SchedProblem};

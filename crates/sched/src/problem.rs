@@ -19,7 +19,7 @@
 
 use std::fmt;
 
-use lsms_ir::{Components, LoopBody, LoopClass, OpId};
+use lsms_ir::{flat_adjacency, Components, LoopBody, LoopClass, OpId};
 use lsms_machine::{dep_latency, Machine, OpDesc};
 
 /// A dependence arc with its latency resolved against the target machine.
@@ -300,35 +300,6 @@ impl<'a> SchedProblem<'a> {
     pub fn brtop(&self) -> Option<usize> {
         self.body.brtop().map(OpId::index)
     }
-}
-
-/// The arcs grouped by `node_of(arc)` over `total` nodes, as
-/// `(start, arc indices)`: node `v`'s arcs are
-/// `indices[start[v]..start[v + 1]]`, in arc order.
-fn flat_adjacency(
-    total: usize,
-    arcs: &[Arc],
-    node_of: impl Fn(&Arc) -> usize,
-) -> (Vec<u32>, Vec<u32>) {
-    assert!(u32::try_from(arcs.len()).is_ok(), "fewer than 2^32 arcs");
-    let mut start = vec![0u32; total + 1];
-    for arc in arcs {
-        start[node_of(arc) + 1] += 1;
-    }
-    for v in 0..total {
-        start[v + 1] += start[v];
-    }
-    // Fill with `start[v]` as node v's cursor; afterwards each cursor sits
-    // at its node's end, which is the next node's start.
-    let mut indices = vec![0u32; arcs.len()];
-    for (i, arc) in arcs.iter().enumerate() {
-        let cursor = &mut start[node_of(arc)];
-        indices[*cursor as usize] = i as u32;
-        *cursor += 1;
-    }
-    start.copy_within(0..total, 1);
-    start[0] = 0;
-    (start, indices)
 }
 
 /// See [`SchedProblem::ii_ceiling`].

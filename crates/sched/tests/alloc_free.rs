@@ -152,3 +152,45 @@ fn building_a_problem_allocates_the_same_at_every_size() {
     };
     assert_eq!(made(20), made(200));
 }
+
+/// A loop of `statements` accumulations, each loading a new element:
+/// `s = s * a + x[i + k]`, then one store.
+fn accumulation_source(statements: usize) -> String {
+    let mut source = String::from("loop acc(i = 1..n) {\n real x[], y[];\n param real a;\n");
+    for k in 0..statements {
+        source.push_str(&format!(" s = s * a + x[i + {k}];\n"));
+    }
+    source.push_str(" y[i] = s;\n}\n");
+    source
+}
+
+/// Allocations per lowered op that compiling a loop may make, at any size.
+const COMPILE_PER_OP: u64 = 6;
+
+/// The front end (lex, parse, sema, lower) allocates in proportion to
+/// the loop: a fixed bound per lowered op, and a ten-times longer loop
+/// costs no more per op than a short one.
+#[test]
+fn compiling_allocates_in_proportion_to_the_loop() {
+    let compile = |statements: usize| {
+        let source = accumulation_source(statements);
+        let before = allocations();
+        let unit = lsms_front::compile(&source).expect("compiles");
+        let made = allocations() - before;
+        (made, unit.loops[0].body.num_ops() as u64)
+    };
+    let (short, short_ops) = compile(20);
+    let (long, long_ops) = compile(200);
+    assert!(long_ops >= 9 * short_ops, "{short_ops} -> {long_ops} ops");
+    for (made, ops) in [(short, short_ops), (long, long_ops)] {
+        assert!(
+            made <= COMPILE_PER_OP * ops,
+            "{made} allocations for {ops} ops (bound {COMPILE_PER_OP} per op)"
+        );
+    }
+    // Per op, the long loop may not allocate more than the short one.
+    assert!(
+        long * short_ops <= short * long_ops,
+        "{short} allocations for {short_ops} ops, {long} for {long_ops}"
+    );
+}
