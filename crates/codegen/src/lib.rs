@@ -26,10 +26,9 @@ pub mod mve;
 
 pub use mve::{emit_mve, to_asm_mve, MveInst, MveKernel, MveRef};
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use lsms_ir::{OpId, OpKind, RegClass, ValueId};
+use lsms_ir::{OpId, OpKind, Operands, RegClass, ValueId};
 use lsms_regalloc::RotatingAllocation;
 use lsms_sched::{SchedProblem, Schedule};
 
@@ -45,6 +44,13 @@ pub enum RegRef {
     Gpr(u32),
 }
 
+/// `gpr[0]`: only the padding of an [`Operands`] list's unused entries.
+impl Default for RegRef {
+    fn default() -> Self {
+        RegRef::Gpr(0)
+    }
+}
+
 impl std::fmt::Display for RegRef {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -56,9 +62,10 @@ impl std::fmt::Display for RegRef {
 }
 
 /// The most source registers an emitted instruction reads: `Select`
-/// reads three. [`emit`] and [`emit_mve`] assert it, so a simulator can
-/// read the operands into a fixed array.
-pub const MAX_SRCS: usize = 3;
+/// reads three. Operand lists are [`Operands`], stored inline, so a
+/// kernel instruction allocates nothing and a simulator can read the
+/// operands into a fixed array.
+pub const MAX_SRCS: usize = lsms_ir::MAX_ARITY;
 
 /// One emitted kernel instruction.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,10 +77,12 @@ pub struct MachineInst {
     /// Pipeline stage: the instruction executes for source iteration
     /// `k − stage` at kernel iteration `k`.
     pub stage: u32,
+    /// Kernel cycle it issues at (`time mod II`).
+    pub cycle: u32,
     /// Destination register, if the opcode produces a value.
     pub dest: Option<RegRef>,
-    /// Source registers, in operand order.
-    pub srcs: Vec<RegRef>,
+    /// Source registers, in operand order (inline; derefs to a slice).
+    pub srcs: Operands<RegRef>,
     /// Source-level guard predicate (from if-conversion), if any; the
     /// stage predicate always applies in addition.
     pub guard: Option<RegRef>,
@@ -91,8 +100,9 @@ pub struct KernelCode {
     /// Rotating ICR file size (source predicates only; stage predicates
     /// are modelled as their own hardware chain).
     pub icr_size: u32,
-    /// `slots[c]` = the instructions issuing at kernel cycle `c`.
-    pub slots: Vec<Vec<MachineInst>>,
+    /// Every instruction, by issue cycle and then by source operation:
+    /// [`slots`](Self::slots) groups them.
+    pub insts: Vec<MachineInst>,
     /// GPR index assigned to each invariant (and otherwise undefined)
     /// value.
     pub gpr_bindings: Vec<(ValueId, u32)>,
@@ -101,7 +111,19 @@ pub struct KernelCode {
 impl KernelCode {
     /// Total instruction count (excluding the implicit `brtop`).
     pub fn num_insts(&self) -> usize {
-        self.slots.iter().map(Vec::len).sum()
+        self.insts.len()
+    }
+
+    /// The issue groups: `II` slices, the `c`-th holding the instructions
+    /// issuing at kernel cycle `c` (possibly none).
+    pub fn slots(&self) -> impl Iterator<Item = &[MachineInst]> + '_ {
+        let mut rest = self.insts.as_slice();
+        (0..self.ii).map(move |c| {
+            let n = rest.iter().take_while(|inst| inst.cycle == c).count();
+            let (slot, tail) = rest.split_at(n);
+            rest = tail;
+            slot
+        })
     }
 
     /// The GPR index bound to `value`, if any.
@@ -152,14 +174,14 @@ pub fn emit(
     let ii = schedule.ii;
     let stages = schedule.stages();
 
-    // Static file: invariants (and live-in variants) the body reads.
+    // Static file: invariants (and live-in variants) the body reads, in
+    // value order.
     let gpr_bindings = lsms_regalloc::assign_gprs(problem);
-    let gpr_index: BTreeMap<ValueId, u32> = gpr_bindings.iter().copied().collect();
 
     let reg_of = |v: ValueId, omega: u32, use_stage: u32| -> Result<RegRef, CodegenError> {
         let value = body.value(v);
-        if let Some(&idx) = gpr_index.get(&v) {
-            return Ok(RegRef::Gpr(idx));
+        if let Ok(at) = gpr_bindings.binary_search_by_key(&v, |&(value, _)| value) {
+            return Ok(RegRef::Gpr(gpr_bindings[at].1));
         }
         let def = value.def.expect("non-GPR values are defined in the loop");
         let def_stage = schedule.stage(def.index());
@@ -182,23 +204,18 @@ pub fn emit(
         Ok(make(spec as u32))
     };
 
-    let mut slots: Vec<Vec<MachineInst>> = vec![Vec::new(); ii as usize];
-    for op in body.ops() {
-        if op.kind == OpKind::Brtop {
-            continue; // implicit in the kernel loop control
-        }
+    let emitted = body.ops().iter().filter(|op| op.kind != OpKind::Brtop);
+    let mut insts = Vec::with_capacity(body.ops().len());
+    for op in emitted {
         let idx = op.id.index();
         let stage = schedule.stage(idx);
-        let cycle = schedule.kernel_cycle(idx) as usize;
-        assert!(
-            op.inputs.len() <= MAX_SRCS,
-            "{} reads more than {MAX_SRCS} sources",
-            op.kind
-        );
-        let mut srcs = Vec::with_capacity(op.inputs.len());
-        for (&v, &omega) in op.inputs.iter().zip(&op.input_omegas) {
-            srcs.push(reg_of(v, omega, stage)?);
-        }
+        let cycle = schedule.kernel_cycle(idx);
+        let srcs = op
+            .inputs
+            .iter()
+            .zip(&op.input_omegas)
+            .map(|(&v, &omega)| reg_of(v, omega, stage))
+            .collect::<Result<Operands<RegRef>, _>>()?;
         let guard = match op.predicate {
             Some(p) => Some(reg_of(p, 0, stage)?),
             None => None,
@@ -220,24 +237,24 @@ pub fn emit(
             }
             None => None,
         };
-        slots[cycle].push(MachineInst {
+        insts.push(MachineInst {
             op: op.id,
             kind: op.kind,
             stage,
+            cycle,
             dest,
             srcs,
             guard,
         });
     }
-    for slot in &mut slots {
-        slot.sort_by_key(|inst| inst.op);
-    }
+    // (cycle, op) is unique, so the unstable sort is deterministic.
+    insts.sort_unstable_by_key(|inst| (inst.cycle, inst.op));
     Ok(KernelCode {
         ii,
         stages,
         rr_size: rr.num_regs,
         icr_size: icr.num_regs,
-        slots,
+        insts,
         gpr_bindings,
     })
 }
@@ -257,7 +274,7 @@ pub fn to_asm(kernel: &KernelCode, problem: &SchedProblem<'_>) -> String {
         kernel.icr_size,
         kernel.gpr_bindings.len()
     );
-    for (c, slot) in kernel.slots.iter().enumerate() {
+    for (c, slot) in kernel.slots().enumerate() {
         let _ = writeln!(s, "cycle {c}:");
         if slot.is_empty() {
             let _ = writeln!(s, "    nop");
@@ -318,7 +335,8 @@ mod tests {
         );
         // brtop is implicit; everything else is emitted once.
         assert_eq!(kernel.num_insts(), ops - 1);
-        assert_eq!(kernel.slots.len(), kernel.ii as usize);
+        assert_eq!(kernel.slots().count(), kernel.ii as usize);
+        assert_eq!(kernel.slots().map(<[_]>::len).sum::<usize>(), ops - 1);
     }
 
     #[test]
@@ -334,9 +352,8 @@ mod tests {
              }",
         );
         let max_dest = kernel
-            .slots
+            .insts
             .iter()
-            .flatten()
             .filter_map(|inst| match inst.dest {
                 Some(RegRef::Rr(o)) => Some(o),
                 _ => None,
@@ -344,9 +361,8 @@ mod tests {
             .max()
             .unwrap();
         let max_src = kernel
-            .slots
+            .insts
             .iter()
-            .flatten()
             .flat_map(|inst| &inst.srcs)
             .filter_map(|r| match r {
                 RegRef::Rr(o) => Some(*o),
@@ -368,9 +384,8 @@ mod tests {
              }",
         );
         let guarded: Vec<_> = kernel
-            .slots
+            .insts
             .iter()
-            .flatten()
             .filter(|inst| inst.guard.is_some())
             .collect();
         assert_eq!(guarded.len(), 2);
@@ -383,9 +398,8 @@ mod tests {
     fn invariants_read_from_gprs() {
         let (kernel, _) = emit_loop("loop c(i = 1..n) { real x[]; param real a; x[i] = a * 2.0; }");
         let gpr_reads = kernel
-            .slots
+            .insts
             .iter()
-            .flatten()
             .flat_map(|i| &i.srcs)
             .filter(|r| matches!(r, RegRef::Gpr(_)))
             .count();

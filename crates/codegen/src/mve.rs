@@ -17,11 +17,11 @@
 
 use std::collections::BTreeMap;
 
-use lsms_ir::{OpId, OpKind, RegClass, ValueId};
+use lsms_ir::{OpId, OpKind, Operands, RegClass, ValueId};
 use lsms_sched::pressure::lifetimes;
 use lsms_sched::{SchedProblem, Schedule};
 
-use crate::{CodegenError, MAX_SRCS};
+use crate::CodegenError;
 
 /// A static register reference in MVE code.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,6 +32,13 @@ pub enum MveRef {
     Pred(u32),
     /// A loop invariant.
     Gpr(u32),
+}
+
+/// `gpr[0]`: only the padding of an [`Operands`] list's unused entries.
+impl Default for MveRef {
+    fn default() -> Self {
+        MveRef::Gpr(0)
+    }
 }
 
 impl std::fmt::Display for MveRef {
@@ -55,8 +62,8 @@ pub struct MveInst {
     pub stage: u32,
     /// Destination, if any.
     pub dest: Option<MveRef>,
-    /// Sources in operand order.
-    pub srcs: Vec<MveRef>,
+    /// Sources in operand order (inline; derefs to a slice).
+    pub srcs: Operands<MveRef>,
     /// If-conversion guard, if any.
     pub guard: Option<MveRef>,
 }
@@ -159,11 +166,10 @@ pub fn emit_mve(
 
     // GPRs: invariants actually read.
     let gpr_bindings = lsms_regalloc::assign_gprs(problem);
-    let gpr_index: BTreeMap<ValueId, u32> = gpr_bindings.iter().copied().collect();
 
     let reg_of = |v: ValueId, omega: u32, use_stage: u32, copy: u32| -> MveRef {
-        if let Some(&g) = gpr_index.get(&v) {
-            return MveRef::Gpr(g);
+        if let Ok(at) = gpr_bindings.binary_search_by_key(&v, |&(value, _)| value) {
+            return MveRef::Gpr(gpr_bindings[at].1);
         }
         let value = body.value(v);
         let def = value.def.expect("non-GPR values are defined in the loop");
@@ -199,11 +205,6 @@ pub fn emit_mve(
             let idx = op.id.index();
             let stage = schedule.stage(idx);
             let cycle = schedule.kernel_cycle(idx) as usize;
-            assert!(
-                op.inputs.len() <= MAX_SRCS,
-                "{} reads more than {MAX_SRCS} sources",
-                op.kind
-            );
             let srcs = op
                 .inputs
                 .iter()

@@ -86,7 +86,8 @@ pub struct CompiledLoop {
     pub def: LoopDef,
     /// Resolved symbols.
     pub info: LoopInfo,
-    /// How to compute each loop-invariant value before the loop.
+    /// How to compute each loop-invariant value before the loop, in
+    /// value order.
     pub invariants: Vec<(ValueId, InvariantSource)>,
     /// Pre-loop instance sources for loop-variant values.
     pub initials: Vec<(ValueId, InitialSource)>,

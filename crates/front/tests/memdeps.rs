@@ -141,7 +141,7 @@ fn distinct_arrays_never_alias() {
         // Recover which array each touches by the address operand's name.
         let array_of = |op: &lsms_ir::Op| {
             // Address value names look like "a.x+0": take the array part.
-            let name = &b.value(op.inputs[0]).name;
+            let name = b.value(op.inputs[0]).name.to_string();
             name.trim_start_matches("a.")
                 .trim_end_matches(|c: char| c.is_ascii_digit())
                 .trim_end_matches(['+', '-'])

@@ -3,7 +3,7 @@
 use crate::body::flat_adjacency;
 use crate::{
     Dep, DepId, DepKind, DepVia, LoopBody, LoopMeta, Op, OpId, OpKind, Operands, Value, ValueId,
-    ValueType,
+    ValueName, ValueType,
 };
 
 /// Builds a [`LoopBody`] one value, operation, and arc at a time.
@@ -61,24 +61,24 @@ impl LoopBuilder {
     }
 
     /// Creates a fresh loop-variant value of type `ty` with a generated
-    /// name.
+    /// name, `t{n}` for value id `n`.
     pub fn new_value(&mut self, ty: ValueType) -> ValueId {
-        let name = format!("t{}", self.values.len());
+        let name = ValueName::Temp(self.values.len() as u32);
         self.push_value(ty, name, false)
     }
 
     /// Creates a fresh named loop-variant value.
-    pub fn named_value(&mut self, ty: ValueType, name: impl Into<String>) -> ValueId {
+    pub fn named_value(&mut self, ty: ValueType, name: impl Into<ValueName>) -> ValueId {
         self.push_value(ty, name.into(), false)
     }
 
     /// Creates a loop-invariant value (GPR file): a constant, an array base
     /// address, or any scalar the loop only reads.
-    pub fn invariant(&mut self, ty: ValueType, name: impl Into<String>) -> ValueId {
+    pub fn invariant(&mut self, ty: ValueType, name: impl Into<ValueName>) -> ValueId {
         self.push_value(ty, name.into(), true)
     }
 
-    fn push_value(&mut self, ty: ValueType, name: String, invariant: bool) -> ValueId {
+    fn push_value(&mut self, ty: ValueType, name: ValueName, invariant: bool) -> ValueId {
         let id = ValueId::new(self.values.len());
         self.values.push(Value {
             id,

@@ -34,10 +34,10 @@ pub fn to_dot(body: &LoopBody) -> String {
             .predicate
             .map(|p| format!(" if {}", body.value(p).name))
             .unwrap_or_default();
-        let args: Vec<&str> = op
+        let args: Vec<String> = op
             .inputs
             .iter()
-            .map(|&v| body.value(v).name.as_str())
+            .map(|&v| body.value(v).name.to_string())
             .collect();
         let _ = writeln!(
             s,
@@ -104,7 +104,7 @@ pub fn to_listing(body: &LoopBody) -> String {
             .map(|(&v, &w)| {
                 let name = &body.value(v).name;
                 if w == 0 {
-                    name.clone()
+                    name.to_string()
                 } else {
                     format!("{name}@{w}")
                 }

@@ -55,4 +55,4 @@ pub use ids::{DepId, OpId, ValueId};
 pub use op::{Op, OpKind, Operands, MAX_ARITY};
 pub use scc::{has_recurrence, tarjan_scc, Components};
 pub use transform::unroll;
-pub use value::{RegClass, Value, ValueType};
+pub use value::{RegClass, Value, ValueName, ValueType};

@@ -83,7 +83,50 @@ pub struct Value {
     /// True for loop invariants (stored in the GPR file).
     pub invariant: bool,
     /// Human-readable name for diagnostics (`x`, `t3`, ...).
-    pub name: String,
+    pub name: ValueName,
+}
+
+/// A value's name for diagnostics: one the front end gave it, or the
+/// `t{n}` of a temporary, rendered only when printed — so creating a
+/// temporary allocates nothing. Both print (and `Debug`-print) exactly as
+/// the equivalent `String` would.
+#[derive(Clone, PartialEq, Eq)]
+pub enum ValueName {
+    /// `t{n}`: a temporary, numbered by the value id it was created with.
+    Temp(u32),
+    /// A name given by whoever created the value.
+    Given(String),
+}
+
+impl From<String> for ValueName {
+    fn from(name: String) -> Self {
+        ValueName::Given(name)
+    }
+}
+
+impl From<&str> for ValueName {
+    fn from(name: &str) -> Self {
+        ValueName::Given(name.to_owned())
+    }
+}
+
+impl fmt::Display for ValueName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ValueName::Temp(n) if f.width().is_none() => write!(f, "t{n}"),
+            ValueName::Temp(n) => f.pad(&format!("t{n}")),
+            ValueName::Given(name) => f.pad(name),
+        }
+    }
+}
+
+impl fmt::Debug for ValueName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ValueName::Temp(n) => write!(f, "\"t{n}\""),
+            ValueName::Given(name) => fmt::Debug::fmt(name, f),
+        }
+    }
 }
 
 impl Value {
@@ -113,7 +156,7 @@ mod tests {
             ty,
             def: None,
             invariant,
-            name: "t".to_owned(),
+            name: "t".into(),
         }
     }
 
@@ -133,6 +176,19 @@ mod tests {
     fn variants_live_in_rr() {
         assert_eq!(value(ValueType::Int, false).reg_class(), RegClass::Rr);
         assert_eq!(value(ValueType::Addr, false).reg_class(), RegClass::Rr);
+    }
+
+    #[test]
+    fn names_print_as_their_strings() {
+        let cases = [
+            (ValueName::Temp(3), "t3".to_owned()),
+            (ValueName::from("a.x+0"), "a.x+0".to_owned()),
+        ];
+        for (name, string) in cases {
+            assert_eq!(name.to_string(), string);
+            assert_eq!(format!("{name:?}"), format!("{string:?}"));
+            assert_eq!(format!("{name:<6}|"), format!("{string:<6}|"));
+        }
     }
 
     #[test]

@@ -23,11 +23,12 @@ pub fn assign_gprs(problem: &SchedProblem<'_>) -> Vec<(ValueId, u32)> {
             read[v.index()] = true;
         }
     }
-    let mut bindings = Vec::new();
-    for v in body.values() {
-        if v.def.is_none() && v.reg_class() != RegClass::Icr && read[v.id.index()] {
-            bindings.push((v.id, bindings.len() as u32));
-        }
+    let live = |v: &&lsms_ir::Value| {
+        v.def.is_none() && v.reg_class() != RegClass::Icr && read[v.id.index()]
+    };
+    let mut bindings = Vec::with_capacity(body.values().iter().filter(live).count());
+    for v in body.values().iter().filter(live) {
+        bindings.push((v.id, bindings.len() as u32));
     }
     bindings
 }

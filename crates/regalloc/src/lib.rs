@@ -27,6 +27,6 @@ mod rotating;
 pub use gpr::assign_gprs;
 pub use mve::{mve_plan, MvePlan};
 pub use rotating::{
-    allocate_rotating, verify_allocation, AllocError, Fit, Ordering, RotatingAllocation, Strategy,
-    MAX_ROTATING_REGS,
+    allocate_rotating, verify_allocation, AllocError, Fit, Offsets, Ordering, RotatingAllocation,
+    Strategy, MAX_ROTATING_REGS,
 };

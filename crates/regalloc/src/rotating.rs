@@ -38,11 +38,14 @@
 //! `o_v ≡ o_w − d − s_w + s_v (mod N)` (`s = stage`): each term forbids
 //! `o_w − s_w + s_v + k` for a contiguous range of `k` (`k = −d` over the
 //! overlapping skews, then one range per live-in seed). So for each placed
-//! value the forbidden offsets are marked directly, each range touching at
-//! most `min(#k, N)` slots, instead of testing all `N` candidates against
-//! every placed value.
-
-use std::collections::BTreeMap;
+//! value the forbidden offsets are marked directly, instead of testing all
+//! `N` candidates against every placed value.
+//!
+//! The ranges depend on the pair and II, not on `N`, so they are listed
+//! once per allocation, before any size is tried. A try then reduces each
+//! range's first offset mod `N` once and marks the range as at most two
+//! slices of the slot array (all of it when the range is `N` long or
+//! more).
 
 use lsms_ir::{RegClass, ValueId};
 use lsms_sched::pressure::{lifetimes, live_vector};
@@ -85,7 +88,7 @@ pub struct RotatingAllocation {
     /// File size (number of rotating registers used).
     pub num_regs: u32,
     /// Offset per allocated value.
-    pub offsets: BTreeMap<ValueId, u32>,
+    pub offsets: Offsets,
     /// The `MaxLive` lower bound the search started from.
     pub max_live: u32,
 }
@@ -95,6 +98,42 @@ impl RotatingAllocation {
     /// that good strategies keep this at 0 or 1 almost always.
     pub fn excess(&self) -> u32 {
         self.num_regs - self.max_live
+    }
+}
+
+/// Each allocated value's offset, kept sorted by value in one vector: a
+/// map with one allocation however many values it holds.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Offsets(Vec<(ValueId, u32)>);
+
+impl Offsets {
+    /// The offset of `value`, if it has one.
+    pub fn get(&self, value: &ValueId) -> Option<&u32> {
+        let at = self.0.binary_search_by_key(value, |&(v, _)| v).ok()?;
+        Some(&self.0[at].1)
+    }
+}
+
+impl FromIterator<(ValueId, u32)> for Offsets {
+    /// # Panics
+    ///
+    /// Panics if a value appears twice.
+    fn from_iter<I: IntoIterator<Item = (ValueId, u32)>>(iter: I) -> Self {
+        let mut pairs: Vec<(ValueId, u32)> = iter.into_iter().collect();
+        pairs.sort_unstable_by_key(|&(v, _)| v);
+        assert!(
+            pairs.windows(2).all(|w| w[0].0 != w[1].0),
+            "one offset per value"
+        );
+        Self(pairs)
+    }
+}
+
+impl std::fmt::Debug for Offsets {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map()
+            .entries(self.0.iter().map(|(v, o)| (v, o)))
+            .finish()
     }
 }
 
@@ -156,6 +195,12 @@ struct Live {
     /// occupancy is `[0, j·II + def + len)` — clamped at zero, much
     /// longer than a regular instance's.
     depth: i64,
+    /// The offset chosen by the current try.
+    offset: u32,
+    /// The end of this value's ranges in [`PairTerms::terms`].
+    terms_end: usize,
+    /// `def` and `len` split by II, set by [`PairTerms::new`].
+    split: Split,
 }
 
 /// Allocates rotating registers for all live values of `class`
@@ -179,50 +224,59 @@ pub fn allocate_rotating(
     class: RegClass,
     strategy: Strategy,
 ) -> Result<RotatingAllocation, AllocError> {
-    let lt = lifetimes(problem, schedule);
-    let vector = live_vector(problem, schedule, &lt, class);
-    let max_live = vector.iter().copied().max().unwrap_or(0);
-    let ii = i64::from(schedule.ii);
-
-    // Live-in depth: the deepest ω any use reaches back; the first
-    // `depth` iterations read pre-loop instances seeded at cycle 0.
-    let mut depth = vec![0i64; problem.body().values().len()];
-    for op in problem.body().ops() {
-        for (&v, &w) in op.inputs.iter().zip(&op.input_omegas) {
-            depth[v.index()] = depth[v.index()].max(i64::from(w));
-        }
-    }
-    let mut lives: Vec<Live> = problem
-        .body()
-        .values()
-        .iter()
-        .filter(|v| v.reg_class() == class)
-        .filter_map(|v| {
-            let def = v.def?;
-            // Values with no register-flow use still occupy their
-            // destination register at the write itself: give them a
-            // one-cycle lifetime so every defined value gets an offset
-            // (code generation requires it).
-            let len = lt[v.id.index()].unwrap_or(1).max(1);
-            Some(Live {
-                value: v.id,
-                def: schedule.times[def.index()],
-                len,
-                depth: depth[v.id.index()],
-            })
-        })
-        .collect();
-    match strategy.ordering {
-        Ordering::StartTime => lives.sort_by_key(|l| (l.def, l.value)),
-        Ordering::LongestFirst => lives.sort_by_key(|l| (-l.len, l.def, l.value)),
-    }
-
-    if lives.is_empty() {
+    let body = problem.body();
+    let of_class = |v: &&lsms_ir::Value| v.reg_class() == class && v.def.is_some();
+    let count = body.values().iter().filter(of_class).count();
+    // A class with no defined value (most loops have no predicates) has
+    // an all-zero live vector and nothing to place.
+    if count == 0 {
         return Ok(RotatingAllocation {
             num_regs: 0,
-            offsets: BTreeMap::new(),
-            max_live,
+            offsets: Offsets::default(),
+            max_live: 0,
         });
+    }
+    let lt = lifetimes(problem, schedule);
+    // The live vector's storage is reused for the offset marks below.
+    let mut marks = live_vector(problem, schedule, &lt, class);
+    let max_live = marks.iter().copied().max().unwrap_or(0);
+    let ii = i64::from(schedule.ii);
+
+    let mut lives: Vec<Live> = Vec::with_capacity(count);
+    lives.extend(body.values().iter().filter(of_class).map(|v| {
+        let def = v.def.expect("filtered on a definition");
+        // Values with no register-flow use still occupy their destination
+        // register at the write itself: give them a one-cycle lifetime so
+        // every defined value gets an offset (code generation requires
+        // it).
+        Live {
+            value: v.id,
+            def: schedule.times[def.index()],
+            len: lt[v.id.index()].unwrap_or(1).max(1),
+            depth: 0,
+            offset: 0,
+            terms_end: 0,
+            split: Split::default(),
+        }
+    }));
+    drop(lt);
+    // Live-in depth: the deepest ω any use reaches back; the first
+    // `depth` iterations read pre-loop instances seeded at cycle 0.
+    // `lives` is still in value order here.
+    for op in body.ops() {
+        for (&v, &w) in op.inputs.iter().zip(&op.input_omegas) {
+            if w > 0 {
+                if let Ok(at) = lives.binary_search_by_key(&v, |l| l.value) {
+                    lives[at].depth = lives[at].depth.max(i64::from(w));
+                }
+            }
+        }
+    }
+    // Both keys end in the value, so they are unique and the unstable
+    // sort is deterministic.
+    match strategy.ordering {
+        Ordering::StartTime => lives.sort_unstable_by_key(|l| (l.def, l.value)),
+        Ordering::LongestFirst => lives.sort_unstable_by_key(|l| (-l.len, l.def, l.value)),
     }
 
     // The self-overlap constraint alone forces N*II >= max lifetime.
@@ -240,11 +294,17 @@ pub fn allocate_rotating(
     }
     let start = needed as u32;
     let cap = start + 64;
+    // A live-in seed shares its register with no other instance of its
+    // own value only when the file holds more frames than the seeds
+    // reach back; smaller sizes fail whatever the offsets.
+    let deepest = lives.iter().map(|l| l.depth).max().unwrap_or(0);
+    let terms = PairTerms::new(&mut lives, ii);
+    marks.reserve_exact((cap as usize).saturating_sub(marks.len()));
     for n in start..=cap {
-        if let Some(offsets) = try_size(&lives, ii, n, strategy.fit) {
+        if i64::from(n) > deepest && try_size(&mut lives, &terms, n, strategy.fit, &mut marks) {
             return Ok(RotatingAllocation {
                 num_regs: n,
-                offsets,
+                offsets: lives.iter().map(|l| (l.value, l.offset)).collect(),
                 max_live,
             });
         }
@@ -256,84 +316,207 @@ pub fn allocate_rotating(
     Err(AllocError::CapExceeded { cap })
 }
 
-fn try_size(lives: &[Live], ii: i64, n: u32, fit: Fit) -> Option<BTreeMap<ValueId, u32>> {
-    let n_i = i64::from(n);
-    let mut offsets: BTreeMap<ValueId, u32> = BTreeMap::new();
-    let mut placed: Vec<(Live, i64)> = Vec::new();
-    let mut forbidden = vec![false; n as usize];
-    for &live in lives {
-        // Self conflict: instances i and i + k*n share a register; they
-        // must not overlap in time (strictly, when live-in seeds extend
-        // the first instances' occupancy). Live-in depth must also fit.
-        if n_i * ii < live.len || (live.depth > 0 && n_i * ii <= live.len) || live.depth >= n_i {
-            return None;
-        }
-        forbidden.fill(false);
-        for &(other, o_w) in &placed {
-            forbid_offsets(&live, &other, o_w, ii, n_i, &mut forbidden);
-        }
-        let choice = match fit {
-            Fit::FirstFit => (0..n as usize).find(|&o| !forbidden[o]),
-            Fit::EndFit => (0..n as usize).filter(|&o| !forbidden[o]).max_by_key(|&o| {
-                // Prefer offsets adjacent to forbidden (busy) slots.
-                let prev = (o + n as usize - 1) % n as usize;
-                (forbidden[prev] as u8, std::cmp::Reverse(o))
-            }),
-        };
-        let o = choice? as i64;
-        offsets.insert(live.value, o as u32);
-        placed.push((live, o));
-    }
-    Some(offsets)
+/// A contiguous range of forbidden offsets, relative to the offset of the
+/// earlier value `w` it comes from: placing the current value anywhere in
+/// `o_w + lo ..= o_w + hi (mod N)` collides with `w`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Term {
+    /// Position of `w` in the placement order.
+    w: u32,
+    lo: i64,
+    hi: i64,
 }
 
-/// Marks in `forbidden` every offset `o_v` at which `v` would collide with
-/// `w` placed at `o_w`, listed straight from the forbidden-distance
-/// condition: `o_v ≡ o_w − s_w + s_v + k (mod N)` for each `k` a term
-/// allows, one contiguous `k` range per term, so a term touches at most
-/// `min(#k, N)` slots.
+/// Every pair's forbidden ranges, in placement order: value `v`'s are
+/// `terms[lives[v − 1].terms_end .. lives[v].terms_end]`, the ranges the
+/// values placed before it impose on it. They depend on the two values
+/// and II only, so one list serves every file size tried.
+struct PairTerms {
+    terms: Vec<Term>,
+}
+
+impl PairTerms {
+    fn new(lives: &mut [Live], ii: i64) -> Self {
+        for l in lives.iter_mut() {
+            l.split = Split::of(l, ii);
+        }
+        // A pair has at most (1 + a) · (1 + b) ranges, `a` and `b` being 1
+        // for a value with live-in seeds and 0 without: the sum over all
+        // pairs is ((Σ c)² − Σ c²) / 2 with `c = 1 + a`.
+        let (sum, squares) = lives.iter().fold((0, 0), |(sum, squares), l| {
+            let c = 1 + usize::from(l.split.seed < 0);
+            (sum + c, squares + c * c)
+        });
+        let mut terms = Vec::with_capacity((sum * sum - squares) / 2);
+        for v in 0..lives.len() {
+            let split_v = lives[v].split;
+            for (w, other) in lives[..v].iter().enumerate() {
+                for (lo, hi) in pair_ranges(&split_v, &other.split, ii) {
+                    if lo <= hi {
+                        terms.push(Term {
+                            w: w as u32,
+                            lo,
+                            hi,
+                        });
+                    }
+                }
+            }
+            lives[v].terms_end = terms.len();
+        }
+        Self { terms }
+    }
+
+    /// The ranges the values before position `v` impose on it.
+    fn of(&self, lives: &[Live], v: usize) -> &[Term] {
+        let begin = if v == 0 { 0 } else { lives[v - 1].terms_end };
+        &self.terms[begin..lives[v].terms_end]
+    }
+}
+
+/// Places every value at file size `n`, in order, recording each offset
+/// in its [`Live`]; false when some value has no allowed offset. `marks`
+/// is scratch, nonzero at forbidden offsets.
+fn try_size(lives: &mut [Live], terms: &PairTerms, n: u32, fit: Fit, marks: &mut Vec<u32>) -> bool {
+    let size = n as usize;
+    marks.resize(size, 0);
+    for v in 0..lives.len() {
+        marks.fill(0);
+        for t in terms.of(lives, v) {
+            mark(marks, i64::from(lives[t.w as usize].offset), t.lo, t.hi);
+        }
+        let choice = match fit {
+            Fit::FirstFit => marks.iter().position(|&m| m == 0),
+            Fit::EndFit => (0..size).filter(|&o| marks[o] == 0).max_by_key(|&o| {
+                // Prefer offsets adjacent to forbidden (busy) slots.
+                let prev = if o == 0 { size - 1 } else { o - 1 };
+                (marks[prev] != 0, std::cmp::Reverse(o))
+            }),
+        };
+        match choice {
+            Some(o) => lives[v].offset = o as u32,
+            None => return false,
+        }
+    }
+    true
+}
+
+/// Marks the offsets `base + lo ..= base + hi (mod N)`, `N =
+/// marks.len()`: all of them when the range is at least `N` long, else
+/// one or two slices.
+fn mark(marks: &mut [u32], base: i64, lo: i64, hi: i64) {
+    let n = marks.len() as i64;
+    let count = hi - lo + 1;
+    if count >= n {
+        marks.fill(1);
+        return;
+    }
+    let mut first = base + lo;
+    if !(0..n).contains(&first) {
+        first = first.rem_euclid(n);
+    }
+    let (first, end) = (first as usize, (first + count) as usize);
+    let n = n as usize;
+    if end <= n {
+        marks[first..end].fill(1);
+    } else {
+        marks[first..].fill(1);
+        marks[..end - n].fill(1);
+    }
+}
+
+/// One value's times split by II, so that a pair's ranges need no
+/// division: `def = stage·II + at` and `len = laps·II + rest`, with `at`
+/// and `rest` in `[0, II)`, and its lowest live-in seed.
+#[derive(Clone, Copy, Debug, Default)]
+struct Split {
+    stage: i64,
+    at: i64,
+    laps: i64,
+    rest: i64,
+    seed: i64,
+}
+
+impl Split {
+    fn of(l: &Live, ii: i64) -> Self {
+        Split {
+            stage: l.def.div_euclid(ii),
+            at: l.def.rem_euclid(ii),
+            laps: l.len.div_euclid(ii),
+            rest: l.len.rem_euclid(ii),
+            seed: lowest_seed(l, ii),
+        }
+    }
+}
+
+/// `⌊x / II⌋` for `−2·II < x < 2·II`, by comparison.
+fn floor_near(x: i64, ii: i64) -> i64 {
+    if x < 0 {
+        if x < -ii {
+            -2
+        } else {
+            -1
+        }
+    } else if x < ii {
+        0
+    } else {
+        1
+    }
+}
+
+/// The offsets at which `v` would collide with `w`, relative to `o_w`,
+/// listed straight from the forbidden-distance condition: `o_v ≡ o_w −
+/// s_w + s_v + k (mod N)` for each `k` a term allows, one contiguous `k`
+/// range per term. Empty ranges have `lo > hi`.
 ///
 /// Instance `i ≥ 0` of `v` occupies rotation frame `i + stage(v)` during
 /// `[i·II + t_v, + LT_v)`; live-in instances `i < 0` occupy their frame
 /// from cycle 0 through their last read instead.
-fn forbid_offsets(v: &Live, w: &Live, o_w: i64, ii: i64, n: i64, forbidden: &mut [bool]) {
-    let base = o_w - w.def.div_euclid(ii) + v.def.div_euclid(ii);
-    let mut forbid = |k_lo: i64, k_hi: i64| {
-        let first = (base + k_lo).rem_euclid(n);
-        for i in 0..(k_hi - k_lo + 1).min(n) {
-            forbidden[((first + i) % n) as usize] = true;
-        }
-    };
+///
+/// Each quotient by II below is the two values' whole parts plus
+/// [`floor_near`] of their remainders, which lie within two II of zero.
+fn pair_ranges(v: &Split, w: &Split, ii: i64) -> [(i64, i64); 4] {
+    let shift = v.stage - w.stage;
+    let at = |k_lo: i64, k_hi: i64| (shift + k_lo, shift + k_hi);
+    const NONE: (i64, i64) = (0, -1);
     // Regular against regular: k = −d for every skew d = j − i whose
-    // lifetimes overlap.
-    let diff = w.def - v.def;
-    let d_lo = div_floor(-w.len - diff, ii) + 1;
-    let d_hi = div_ceil(v.len - diff, ii) - 1;
-    forbid(-d_hi, -d_lo);
+    // lifetimes overlap, −LT_w < d·II + t_w − t_v < LT_v:
+    // d_lo = ⌊(−LT_w − t_w + t_v) / II⌋ + 1, d_hi = ⌈(LT_v − t_w + t_v) / II⌉ − 1.
+    let d_lo = shift - w.laps + floor_near(v.at - w.at - w.rest, ii) + 1;
+    let d_hi = shift + v.laps - floor_near(w.at - v.at - v.rest, ii) - 1;
     // The live-in seeds of each value form one range `[lo, −1]`: see
     // `lowest_seed`. Each term below is the union, over that range, of
-    // nested or adjacent `k` ranges, so it is one range itself and one
-    // `forbid` call, whatever the recurrence distance.
-    let (seed_v, seed_w) = (lowest_seed(v, ii), lowest_seed(w, ii));
-    // v's seed j against w's regular instances m written before its last
-    // read, m ∈ [0, j + C] with C = ⌊(t_v + LT_v − t_w)/II⌋: k = j − m ∈
-    // [−C, j]. The seed's closed occupancy `[0, end]` is conservative by
-    // one cycle but keeps the model immune to read-at-end/write-at-end
-    // ordering subtleties. The ranges nest; the seed j = −1 covers them.
-    if seed_v < 0 {
-        forbid(-div_floor(v.def + v.len - w.def, ii), -1);
-    }
-    // w's seed j against v's regular instances m ∈ [0, j + C′]: k = m − j
-    // ∈ [−j, C′], again covered by j = −1.
-    if seed_w < 0 {
-        forbid(1, div_floor(w.def + w.len - v.def, ii));
-    }
-    // Seed against seed: both are written at loop-setup time and read at
-    // or after cycle 0, so sharing a frame is enough: k = j_v − j_w, and
-    // the differences of two ranges form one range.
-    if seed_v < 0 && seed_w < 0 {
-        forbid(seed_v + 1, -1 - seed_w);
-    }
+    // nested or adjacent `k` ranges, so it is one range itself, whatever
+    // the recurrence distance.
+    let (seed_v, seed_w) = (v.seed, w.seed);
+    [
+        at(-d_hi, -d_lo),
+        // v's seed j against w's regular instances m written before its
+        // last read, m ∈ [0, j + C] with C = ⌊(t_v + LT_v − t_w)/II⌋:
+        // k = j − m ∈ [−C, j]. The seed's closed occupancy `[0, end]` is
+        // conservative by one cycle but keeps the model immune to
+        // read-at-end/write-at-end ordering subtleties. The ranges nest;
+        // the seed j = −1 covers them.
+        if seed_v < 0 {
+            at(-(shift + v.laps + floor_near(v.at + v.rest - w.at, ii)), -1)
+        } else {
+            NONE
+        },
+        // w's seed j against v's regular instances m ∈ [0, j + C′]:
+        // k = m − j ∈ [−j, C′], C′ = ⌊(t_w + LT_w − t_v)/II⌋.
+        if seed_w < 0 {
+            at(1, w.laps - shift + floor_near(w.at + w.rest - v.at, ii))
+        } else {
+            NONE
+        },
+        // Seed against seed: both are written at loop-setup time and read
+        // at or after cycle 0, so sharing a frame is enough: k = j_v − j_w,
+        // and the differences of two ranges form one range.
+        if seed_v < 0 && seed_w < 0 {
+            at(seed_v + 1, -1 - seed_w)
+        } else {
+            NONE
+        },
+    ]
 }
 
 /// The lowest live-in instance of `l` still read after the loop starts.
@@ -346,10 +529,6 @@ fn lowest_seed(l: &Live, ii: i64) -> i64 {
 
 fn div_floor(a: i64, b: i64) -> i64 {
     a.div_euclid(b)
-}
-
-fn div_ceil(a: i64, b: i64) -> i64 {
-    -(-a).div_euclid(b)
 }
 
 /// Brute-force check of an allocation: replays every value instance over
@@ -426,6 +605,10 @@ mod tests {
     use lsms_prng::SmallRng;
     use lsms_sched::pressure::measure;
     use lsms_sched::SlackScheduler;
+
+    fn div_ceil(a: i64, b: i64) -> i64 {
+        -(-a).div_euclid(b)
+    }
 
     fn strategies() -> Vec<Strategy> {
         vec![
@@ -542,7 +725,7 @@ mod tests {
     /// True when values `v` (at offset `o_v`) and `w` (at `o_w`) have some
     /// pair of instances sharing a physical register while both are live:
     /// the forbidden-distance condition tested one candidate `o_v` at a
-    /// time, the oracle for [`forbid_offsets`].
+    /// time, the oracle for [`pair_ranges`] and [`mark`].
     fn pair_conflicts(v: &Live, o_v: i64, w: &Live, o_w: i64, ii: i64, n: i64) -> bool {
         let s_v = v.def.div_euclid(ii);
         let s_w = w.def.div_euclid(ii);
@@ -605,6 +788,9 @@ mod tests {
                 def: rng.gen_range(0..4 * ii),
                 len: rng.gen_range(1..=4 * ii),
                 depth: rng.gen_range(0..=3i64),
+                offset: 0,
+                terms_end: 0,
+                split: Split::default(),
             }
         }
         let mut rng = SmallRng::seed_from_u64(0x0ff5e7);
@@ -614,8 +800,13 @@ mod tests {
             let self_min = v.len.max(w.len).div_euclid(ii) + 1;
             for n in self_min..=self_min + 8 {
                 for o_w in 0..n {
-                    let mut forbidden = vec![false; n as usize];
-                    forbid_offsets(&v, &w, o_w, ii, n, &mut forbidden);
+                    let mut marks = vec![0u32; n as usize];
+                    for (lo, hi) in pair_ranges(&Split::of(&v, ii), &Split::of(&w, ii), ii) {
+                        if lo <= hi {
+                            mark(&mut marks, o_w, lo, hi);
+                        }
+                    }
+                    let forbidden: Vec<bool> = marks.iter().map(|&m| m != 0).collect();
                     let oracle: Vec<bool> = (0..n)
                         .map(|o_v| pair_conflicts(&v, o_v, &w, o_w, ii, n))
                         .collect();
@@ -624,6 +815,15 @@ mod tests {
                         "case {case}: II {ii}, N {n}, o_w {o_w}, {v:?} vs {w:?}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn floor_near_divides_near_zero() {
+        for ii in 1..=9i64 {
+            for x in (1 - 2 * ii)..(2 * ii) {
+                assert_eq!(floor_near(x, ii), div_floor(x, ii), "{x} / {ii}");
             }
         }
     }

@@ -90,3 +90,30 @@ fn mve_plan_is_consistent_with_lifetimes() {
         );
     }
 }
+
+/// Every loop of the corpus, both classes: the allocator's offsets, from
+/// its pair terms listed once per allocation, agree with the brute-force
+/// replay of every instance onto concrete registers and cycles.
+#[test]
+fn corpus_allocations_verify_for_both_classes() {
+    let machine = huff_machine();
+    let mut checked = [0u32; 2];
+    for compiled in lsms_loops::corpus(lsms_loops::PAPER_CORPUS_SIZE, lsms_loops::CORPUS_SEED) {
+        let problem = SchedProblem::new(&compiled.body, &machine).expect("problem builds");
+        let Ok(schedule) = SlackScheduler::new().run(&problem) else {
+            continue;
+        };
+        for (class, count) in [RegClass::Rr, RegClass::Icr].into_iter().zip(&mut checked) {
+            let alloc = allocate_rotating(&problem, &schedule, class, Strategy::default())
+                .expect("allocation succeeds within the cap");
+            verify_allocation(&problem, &schedule, class, &alloc, 8).unwrap_or_else(|(a, b, r)| {
+                panic!(
+                    "{} {class:?}: {a} and {b} collide in r{r}",
+                    compiled.def.name
+                )
+            });
+            *count += u32::from(alloc.num_regs > 0);
+        }
+    }
+    assert!(checked[0] >= 1500 && checked[1] >= 300, "{checked:?}");
+}

@@ -503,10 +503,27 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// §4.1 incremental update after placing `node` at `t`: for every node
     /// `u`, `Estart(u) ≥ t + MinDist(node, u)` and
     /// `Lstart(u) ≤ t − MinDist(u, node)`.
+    ///
+    /// A line the node's own bound already implies is skipped. When `t ==
+    /// Estart(node)`, that bound was attained by a placed `z` with `t =
+    /// t_z + MinDist(z, node)`, and by the triangle inequality on the
+    /// closure `t + MinDist(node, u) ≤ t_z + MinDist(z, u) ≤ Estart(u)`
+    /// already. The Estart floor of 0 is no exception: `Start`, placed
+    /// at 0, has a 0-weight arc to every op, so its line lies above the
+    /// floor everywhere. When `t == Lstart(node)` the Lstart line is
+    /// implied the same way, by a placed node or by the `Stop` deadline.
     fn tighten_bounds_after(&mut self, node: usize, t: i32) -> Result<(), OutOfRange> {
+        let (estarts, lstarts) = (t != self.estart[node], t != self.lstart[node]);
         lsms_lanes::wide(
             #[inline(always)]
-            || self.push_bounds_from(node, t, true),
+            || {
+                if estarts {
+                    self.push_estarts_from(node, t);
+                }
+                if lstarts {
+                    self.push_lstarts_from(node, t);
+                }
+            },
         );
         self.maybe_grow_lstart_stop()?;
         #[cfg(test)]
@@ -514,23 +531,27 @@ impl<'p, 'a> EngineState<'p, 'a> {
         Ok(())
     }
 
-    /// Raises every Estart to `t + MinDist(z, ·)`, when `estarts`, and
-    /// lowers every Lstart to `t − MinDist(·, z)`: the bounds `z` placed
-    /// at `t` imposes.
+    /// Raises every Estart to `t + MinDist(z, ·)`: the lower bounds `z`
+    /// placed at `t` imposes.
     ///
-    /// Both sweeps run over whole matrix lines without a branch: a
+    /// Both push sweeps run over whole matrix lines without a branch: a
     /// [`NO_PATH`] cell puts `t ± NO_PATH` outside every real bound, and
     /// the bounds of placed nodes are dead state that
     /// [`refresh_bounds`](Self::refresh_bounds) resets before a node
     /// re-enters the ready set.
     #[inline(always)]
-    fn push_bounds_from(&mut self, z: usize, t: i32, estarts: bool) {
+    fn push_estarts_from(&mut self, z: usize, t: i32) {
+        lines::max_plus(&mut self.estart, self.md.row(z), t);
+        self.cells_touched += self.problem.num_nodes() as u64;
+    }
+
+    /// Lowers every Lstart to `t − MinDist(·, z)`: the upper bounds `z`
+    /// placed at `t` imposes.
+    #[inline(always)]
+    fn push_lstarts_from(&mut self, z: usize, t: i32) {
         let n = self.problem.num_nodes();
-        if estarts {
-            lines::max_plus(&mut self.estart, self.md.row(z), t);
-        }
         lines::min_minus(&mut self.lstart, &self.dt[z * n..(z + 1) * n], t);
-        self.cells_touched += (1 + u64::from(estarts)) * n as u64;
+        self.cells_touched += n as u64;
     }
 
     /// Full recomputation of the bounds of all unplaced nodes from the
@@ -567,21 +588,45 @@ impl<'p, 'a> EngineState<'p, 'a> {
     }
 
     /// The body of [`refresh_bounds`](Self::refresh_bounds).
+    ///
+    /// The push branch skips every placed node whose line is implied by
+    /// the lines already swept (see
+    /// [`tighten_bounds_after`](Self::tighten_bounds_after)). It resets
+    /// each bound to the line every refresh starts from — `Start`'s row
+    /// for Estart, the `Stop` deadline for Lstart — so that a placed
+    /// `z`'s own entry holds the bound the swept lines give it, then
+    /// sweeps `z`'s line only when its time is beyond that bound:
+    /// `Estart(z) < t_z`, or `Lstart(z) > t_z`. Estarts take the placed
+    /// nodes in ascending index, Lstarts in descending index, `Stop`
+    /// first; either order is exact.
     #[inline(always)]
     fn refresh_bounds_from_placed(&mut self, estarts: bool) {
         let n = self.problem.num_nodes();
-        let stop = self.problem.stop();
+        let (start, stop) = (self.problem.start(), self.problem.stop());
         if n - self.ready.len() <= self.ready.len() {
-            for &u in &self.ready {
-                if estarts {
-                    self.estart[u] = 0;
+            if estarts {
+                self.estart.copy_from_slice(self.md.row(start));
+                self.cells_touched += n as u64;
+                for z in (0..n).filter(|&z| z != start) {
+                    let t = self.tpos[z];
+                    if t != NO_PATH && self.estart[z] < t {
+                        self.push_estarts_from(z, t);
+                    }
                 }
-                self.lstart[u] = self.lstart_stop - self.md.get(u, stop);
             }
-            for z in 0..n {
+            let deadline = self.lstart_stop;
+            for (l, &d) in self
+                .lstart
+                .iter_mut()
+                .zip(&self.dt[stop * n..(stop + 1) * n])
+            {
+                *l = deadline - d;
+            }
+            self.cells_touched += n as u64;
+            for z in (0..n).rev() {
                 let t = self.tpos[z];
-                if t != NO_PATH {
-                    self.push_bounds_from(z, t, estarts);
+                if t != NO_PATH && self.lstart[z] > t {
+                    self.push_lstarts_from(z, t);
                 }
             }
             #[cfg(test)]
@@ -599,13 +644,13 @@ impl<'p, 'a> EngineState<'p, 'a> {
                 self.lstart[u] = lines::min_minus_fold(md.row(u), &self.tneg, deadline);
             }
             let per_node = 1 + u64::from(estarts);
-            self.cells_touched += per_node * (self.ready.len() * n) as u64;
+            self.cells_touched +=
+                per_node * (self.ready.len() * n) as u64 + self.ready.len() as u64;
             #[cfg(test)]
             {
                 self.refreshes.1 += 1;
             }
         }
-        self.cells_touched += self.ready.len() as u64;
     }
 
     /// §4.2: `Lstart(Stop)` is reset only when `Estart(Stop)` is pushed out
@@ -1258,6 +1303,54 @@ mod tests {
             ejecting += u32::from(slack.stats.ejected_ops > 0);
         }
         assert!(ejecting >= 4, "only {ejecting} cases ejected");
+    }
+
+    /// The pruned sweeps treat `Start`'s line as covering the Estart
+    /// floor of 0: `Start` has a 0-weight arc to every op, so
+    /// `MinDist(Start, u) ≥ 0` for every other node, `Stop` included.
+    #[test]
+    fn start_line_lies_above_the_estart_floor() {
+        let machine = huff_machine();
+        let mut bodies = vec![chain_body()];
+        bodies.extend(
+            crate::test_graphs::bound_cases()
+                .map(|(case, size)| crate::test_graphs::random_graph(case, size)),
+        );
+        for body in &bodies {
+            let problem = SchedProblem::new(body, &machine).unwrap();
+            let md = MinDistCache::new().get(&problem, problem.mii());
+            let start = problem.start();
+            for u in (0..problem.num_nodes()).filter(|&u| u != start) {
+                assert!(md.get(start, u) >= 0, "MinDist(Start, {u})");
+            }
+        }
+    }
+
+    /// A node placed at its own Estart sweeps no Estart line, and one
+    /// placed at its Lstart no Lstart line; the bounds stay exact (the
+    /// tighten checks itself against the from-scratch oracle).
+    #[test]
+    fn a_placement_at_its_bound_skips_the_implied_line() {
+        let body = chain_body();
+        let machine = huff_machine();
+        let problem = SchedProblem::new(&body, &machine).unwrap();
+        let n = problem.num_nodes() as u64;
+        let cache = MinDistCache::new();
+        let mut st = EngineState::new(&problem, problem.mii(), false, &cache).unwrap();
+        // The load at its Estart 0, well before its Lstart: the Lstart
+        // line only.
+        assert!(st.estart[0] == 0 && st.lstart[0] > 0);
+        let before = st.cells_touched;
+        st.place(0, 0);
+        st.tighten_bounds_after(0, 0).unwrap();
+        assert_eq!(st.cells_touched - before, n);
+        // The fadd at its Lstart: the Estart line only.
+        let t = st.lstart[1];
+        assert!(t > st.estart[1]);
+        let before = st.cells_touched;
+        st.place(1, t);
+        st.tighten_bounds_after(1, t).unwrap();
+        assert_eq!(st.cells_touched - before, n);
     }
 
     #[test]

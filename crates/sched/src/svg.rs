@@ -137,7 +137,7 @@ fn to_svg_impl(problem: &SchedProblem<'_>, schedule: &Schedule, backend: Option<
         let def = v.def.expect("filtered");
         let start = schedule.times[def.index()];
         let len = lt[v.id.index()].unwrap_or(0);
-        label(&mut out, 8, y + 13, &v.name);
+        label(&mut out, 8, y + 13, &v.name.to_string());
         rect(
             &mut out,
             LEFT + start * CELL_W,

@@ -10,9 +10,9 @@ use lsms_prng::SmallRng;
 use lsms_regalloc::RotatingAllocation;
 use lsms_sched::{SchedProblem, Schedule, SlackConfig};
 
-use crate::mve_sim::run_mve;
-use crate::reference::run_reference;
-use crate::vliw::{run_kernel, SimError, SimOutcome};
+use crate::mve_sim::simulate_mve;
+use crate::reference::Reference;
+use crate::vliw::{simulate, SimError};
 use crate::Workspace;
 
 /// Inputs and slack configuration of one simulate-verify run, as the
@@ -43,11 +43,11 @@ pub struct EquivReport {
 }
 
 /// The most array cells (array length × number of arrays) an [`Oracle`]
-/// lays out. The workspace, the reference arrays and the simulated
-/// memory each hold that many 8-byte cells, so this caps verification
-/// at a few hundred MB however long the recurrence distance or the trip
-/// count. A loop without arrays counts as one array, which bounds its
-/// trip count the same way.
+/// lays out. Verification holds two copies of them, the reference's
+/// final arrays and the simulated memory, so this caps it at a few
+/// hundred MB however long the recurrence distance or the trip count. A
+/// loop without arrays counts as one array, which bounds its trip count
+/// the same way.
 pub const MAX_SIM_CELLS: u64 = 1 << 23;
 
 /// The first loop index `lo` and the per-array length that
@@ -77,6 +77,56 @@ fn layout(compiled: &CompiledLoop, trip: u64) -> (i64, u64) {
     (lo, len)
 }
 
+/// The generator every seeded input comes from.
+fn input_rng(seed: u64) -> SmallRng {
+    SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15)
+}
+
+/// `len` initial cells of one array of element type `ty`.
+fn draw_array(rng: &mut SmallRng, ty: Ty, len: usize) -> impl Iterator<Item = u64> + '_ {
+    (0..len).map(move |_| random_cell(rng, ty))
+}
+
+/// Every array's `len` initial cells, array after array: the first draws
+/// of [`input_rng`].
+fn draw_arrays(rng: &mut SmallRng, compiled: &CompiledLoop, len: usize, cells: &mut Vec<u64>) {
+    for &(_, ty) in &compiled.info.arrays {
+        cells.extend(draw_array(rng, ty, len));
+    }
+}
+
+/// The draw for parameter `ty` after the arrays: reals are random;
+/// integer parameters get the trip-consistent bound value.
+fn draw_param(rng: &mut SmallRng, ty: Ty, lo: i64, trip: u64) -> u64 {
+    match ty {
+        Ty::Real => random_cell(rng, Ty::Real),
+        Ty::Int => (lo + trip as i64) as u64, // loop bounds and friends
+    }
+}
+
+/// The draws after the arrays, in `make_workspace`'s order, by position:
+/// every parameter, then every carried scalar's initial value.
+fn draw_scalars(
+    rng: &mut SmallRng,
+    compiled: &CompiledLoop,
+    lo: i64,
+    trip: u64,
+    scalars: &mut Vec<Option<u64>>,
+) {
+    let info = &compiled.info;
+    scalars.clear();
+    scalars.extend(
+        info.params
+            .iter()
+            .map(|&(_, ty)| Some(draw_param(rng, ty, lo, trip))),
+    );
+    scalars.extend(
+        info.carried
+            .iter()
+            .map(|&(_, ty)| Some(random_cell(rng, ty))),
+    );
+}
+
 /// Builds a deterministic workspace for a compiled loop: arrays sized so
 /// every access (including pre-loop seed instances) is in bounds, filled
 /// with seeded pseudo-random data; integer data stays in small positive
@@ -84,7 +134,7 @@ fn layout(compiled: &CompiledLoop, trip: u64) -> (i64, u64) {
 /// bound value. It allocates without a limit; [`Oracle::new`] checks
 /// [`MAX_SIM_CELLS`] first.
 pub fn make_workspace(compiled: &CompiledLoop, trip: u64, seed: u64) -> Workspace {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let mut rng = input_rng(seed);
     let (lo, len) = layout(compiled, trip);
     let len = len as usize;
 
@@ -92,15 +142,11 @@ pub fn make_workspace(compiled: &CompiledLoop, trip: u64, seed: u64) -> Workspac
         .info
         .arrays
         .iter()
-        .map(|&(_, ty)| (0..len).map(|_| random_cell(&mut rng, ty)).collect())
+        .map(|&(_, ty)| draw_array(&mut rng, ty, len).collect())
         .collect();
     let mut params = BTreeMap::new();
     for (name, ty) in &compiled.info.params {
-        let bits = match ty {
-            Ty::Real => random_cell(&mut rng, Ty::Real),
-            Ty::Int => (lo + trip as i64) as u64, // loop bounds and friends
-        };
-        params.insert(name.clone(), bits);
+        params.insert(name.clone(), draw_param(&mut rng, *ty, lo, trip));
     }
     let mut scalar_inits = BTreeMap::new();
     for (name, ty) in &compiled.info.carried {
@@ -120,6 +166,83 @@ pub fn make_workspace(compiled: &CompiledLoop, trip: u64, seed: u64) -> Workspac
         scalar_inits,
         lo,
         trip,
+    }
+}
+
+/// The scalar half of one run's inputs, resolved by position: every
+/// `LoopInfo::params` entry, then every `LoopInfo::carried` entry, each
+/// `None` when the inputs lack it.
+#[derive(Clone, Debug)]
+pub(crate) struct Inputs {
+    /// The first iteration index.
+    pub(crate) lo: i64,
+    /// Iteration count.
+    pub(crate) trip: u64,
+    /// Parameter values, then carried scalars' initial values.
+    pub(crate) scalars: Vec<Option<u64>>,
+}
+
+impl Inputs {
+    /// The scalars of a name-keyed workspace.
+    pub(crate) fn of_workspace(compiled: &CompiledLoop, workspace: &Workspace) -> Self {
+        let info = &compiled.info;
+        let params = info.params.iter().map(|(n, _)| workspace.params.get(n));
+        let carried = info
+            .carried
+            .iter()
+            .map(|(n, _)| workspace.scalar_inits.get(n));
+        Self {
+            lo: workspace.lo,
+            trip: workspace.trip,
+            scalars: params.chain(carried).map(|v| v.copied()).collect(),
+        }
+    }
+
+    /// Parameter `name`'s value.
+    pub(crate) fn param(&self, compiled: &CompiledLoop, name: &str) -> Option<u64> {
+        let at = compiled.info.params.iter().position(|(n, _)| n == name)?;
+        self.scalars[at]
+    }
+
+    /// Carried scalar `name`'s initial value.
+    pub(crate) fn scalar_init(&self, compiled: &CompiledLoop, name: &str) -> Option<u64> {
+        let info = &compiled.info;
+        let at = info.carried.iter().position(|(n, _)| n == name)?;
+        self.scalars[info.params.len() + at]
+    }
+}
+
+/// Every array's cells back to back, 8-byte words: array `a` occupies
+/// `cells[starts[a] .. starts[a + 1]]`, and its byte address is `8 ×`
+/// that index. The reference interpreter and both simulators run on
+/// this one layout.
+#[derive(Clone, Debug)]
+pub(crate) struct Memory {
+    pub(crate) cells: Vec<u64>,
+    /// One entry per array plus the end.
+    pub(crate) starts: Vec<usize>,
+}
+
+impl Memory {
+    /// A copy of a workspace's arrays.
+    pub(crate) fn of_workspace(workspace: &Workspace) -> Self {
+        let mut starts = Vec::with_capacity(workspace.arrays.len() + 1);
+        starts.push(0);
+        for a in &workspace.arrays {
+            starts.push(starts[starts.len() - 1] + a.len());
+        }
+        Self {
+            cells: workspace.arrays.concat(),
+            starts,
+        }
+    }
+
+    /// The arrays, one `Vec` each.
+    pub(crate) fn into_arrays(self) -> Vec<Vec<u64>> {
+        self.starts
+            .windows(2)
+            .map(|w| self.cells[w[0]..w[1]].to_vec())
+            .collect()
     }
 }
 
@@ -174,27 +297,30 @@ fn visit_offsets(stmts: &[Stmt], sink: &mut impl FnMut(i64)) {
 /// Seeded inputs for one loop and the reference interpreter's arrays for
 /// them: what every simulated kernel of that loop is compared against.
 ///
-/// Building one costs the workspace and one reference run; checking a
-/// kernel costs one simulation and the comparison. A caller that already
-/// holds its schedule, allocations and kernels therefore checks them
-/// without compiling anything again.
+/// Building one costs the inputs and one reference run, which runs in
+/// place over the seeded arrays; checking a kernel costs one simulation
+/// over a fresh draw of the same arrays and the comparison, read in
+/// place. The seeded inputs are drawn again rather than kept. So verification holds at most two copies of the arrays, and a
+/// caller that already holds its schedule, allocations and kernels checks
+/// them without compiling anything again.
 #[derive(Clone, Debug)]
 pub struct Oracle {
-    workspace: Workspace,
-    /// The reference interpreter's final arrays for `workspace`.
-    expected: Vec<Vec<u64>>,
+    seed: u64,
+    inputs: Inputs,
+    /// The reference interpreter's final arrays for the seeded inputs.
+    expected: Memory,
 }
 
 impl Oracle {
-    /// Builds the workspace for `trip` iterations from `seed` and runs the
-    /// reference interpreter on it.
+    /// Draws the inputs for `trip` iterations from `seed` and runs the
+    /// reference interpreter on them.
     ///
     /// # Errors
     ///
     /// [`SimError::WorkspaceTooLarge`], before allocating anything, when
     /// the arrays would exceed [`MAX_SIM_CELLS`].
     pub fn new(compiled: &CompiledLoop, trip: u64, seed: u64) -> Result<Self, SimError> {
-        let (_, len) = layout(compiled, trip);
+        let (lo, len) = layout(compiled, trip);
         let cells = len.saturating_mul(compiled.info.arrays.len().max(1) as u64);
         if cells > MAX_SIM_CELLS {
             return Err(SimError::WorkspaceTooLarge {
@@ -202,12 +328,39 @@ impl Oracle {
                 limit: MAX_SIM_CELLS,
             });
         }
-        let workspace = make_workspace(compiled, trip, seed);
-        let expected = run_reference(compiled, &workspace);
+        let len = len as usize;
+        let info = &compiled.info;
+        let mut rng = input_rng(seed);
+        let mut cells = Vec::with_capacity(len * info.arrays.len());
+        draw_arrays(&mut rng, compiled, len, &mut cells);
+        let mut scalars_rng = rng.clone();
+        let mut inputs = Inputs {
+            lo,
+            trip,
+            scalars: Vec::with_capacity(info.params.len() + info.carried.len()),
+        };
+        draw_scalars(&mut rng, compiled, lo, trip, &mut inputs.scalars);
+        let mut expected = Memory {
+            cells,
+            starts: (0..=info.arrays.len()).map(|a| a * len).collect(),
+        };
+        Reference::new(compiled, &expected.starts).run(compiled, &mut inputs, &mut expected.cells);
+        // The run left the carried scalars' final values: draw the inputs
+        // again, as each check draws the arrays again.
+        draw_scalars(&mut scalars_rng, compiled, lo, trip, &mut inputs.scalars);
         Ok(Self {
-            workspace,
+            seed,
+            inputs,
             expected,
         })
+    }
+
+    /// A fresh copy of the seeded arrays to simulate in.
+    fn seeded_cells(&self, compiled: &CompiledLoop) -> Vec<u64> {
+        let len = self.expected.starts.get(1).copied().unwrap_or(0);
+        let mut cells = Vec::with_capacity(self.expected.cells.len());
+        draw_arrays(&mut input_rng(self.seed), compiled, len, &mut cells);
+        cells
     }
 
     /// Simulates a rotating-file kernel and compares its arrays with the
@@ -226,17 +379,18 @@ impl Oracle {
         rr: &RotatingAllocation,
         icr: &RotatingAllocation,
     ) -> Result<EquivReport, String> {
-        let outcome = run_kernel(
+        let mut cells = self.seeded_cells(compiled);
+        let cycles = simulate(
             compiled,
             problem,
             schedule,
             kernel,
-            rr,
-            icr,
-            &self.workspace,
+            (rr, icr),
+            &self.inputs,
+            (&self.expected.starts, &mut cells),
         )
         .map_err(|e| format!("sim: {e}"))?;
-        self.report(compiled, schedule, &outcome)
+        self.report(compiled, schedule, cycles, &cells)
     }
 
     /// Simulates a modulo-variable-expansion kernel (static registers, no
@@ -253,65 +407,72 @@ impl Oracle {
         schedule: &Schedule,
         kernel: &MveKernel,
     ) -> Result<EquivReport, String> {
-        let outcome = run_mve(compiled, problem, schedule, kernel, &self.workspace)
-            .map_err(|e| format!("sim: {e}"))?;
-        self.report(compiled, schedule, &outcome)
+        let mut cells = self.seeded_cells(compiled);
+        let cycles = simulate_mve(
+            compiled,
+            problem,
+            schedule,
+            kernel,
+            &self.inputs,
+            (&self.expected.starts, &mut cells),
+        )
+        .map_err(|e| format!("sim: {e}"))?;
+        self.report(compiled, schedule, cycles, &cells)
     }
 
     fn report(
         &self,
         compiled: &CompiledLoop,
         schedule: &Schedule,
-        outcome: &SimOutcome,
+        cycles: u64,
+        cells: &[u64],
     ) -> Result<EquivReport, String> {
-        let elements = self.compare(compiled, schedule.ii, &outcome.arrays)?;
+        let elements = self.compare(compiled, schedule.ii, cells)?;
         Ok(EquivReport {
             ii: schedule.ii,
             stages: schedule.stages(),
-            cycles: outcome.cycles,
+            cycles,
             elements,
         })
     }
 
-    /// Compares simulated arrays with the reference element by element and
-    /// returns how many were compared. Every kernel kind goes through here,
-    /// so all of them report a mismatch the same way: a
-    /// `sim.verify_mismatch` trace event and a message naming the array,
+    /// Compares simulated memory with the reference element by element,
+    /// in place, and returns how many were compared. Every kernel kind
+    /// goes through here, so all of them report a mismatch the same way:
+    /// a `sim.verify_mismatch` trace event and a message naming the array,
     /// the element, both values, the loop, the II and the trip count.
-    fn compare(
-        &self,
-        compiled: &CompiledLoop,
-        ii: u32,
-        arrays: &[Vec<u64>],
-    ) -> Result<usize, String> {
-        let mut elements = 0usize;
-        for (a, (got, want)) in arrays.iter().zip(&self.expected).enumerate() {
-            for (idx, (g, w)) in got.iter().zip(want).enumerate() {
-                elements += 1;
-                if g != w {
-                    lsms_trace::instant(
-                        "sim.verify_mismatch",
-                        &[
-                            ("array", a as i64),
-                            ("element", idx as i64),
-                            ("ii", i64::from(ii)),
-                        ],
-                    );
-                    return Err(format!(
-                        "array {} ({}) element {idx}: pipeline {:e} ({g:#x}) != reference {:e} ({w:#x}) \
-                         [loop {}, II {}, trip {}]",
-                        a,
-                        compiled.info.arrays[a].0,
-                        f64::from_bits(*g),
-                        f64::from_bits(*w),
-                        compiled.def.name,
-                        ii,
-                        self.workspace.trip,
-                    ));
-                }
+    fn compare(&self, compiled: &CompiledLoop, ii: u32, cells: &[u64]) -> Result<usize, String> {
+        for (a, span) in self.expected.starts.windows(2).enumerate() {
+            let (got, want) = (
+                &cells[span[0]..span[1]],
+                &self.expected.cells[span[0]..span[1]],
+            );
+            if got == want {
+                continue;
             }
+            let idx = got.iter().zip(want).position(|(g, w)| g != w).unwrap_or(0);
+            let (g, w) = (got[idx], want[idx]);
+            lsms_trace::instant(
+                "sim.verify_mismatch",
+                &[
+                    ("array", a as i64),
+                    ("element", idx as i64),
+                    ("ii", i64::from(ii)),
+                ],
+            );
+            return Err(format!(
+                "array {} ({}) element {idx}: pipeline {:e} ({g:#x}) != reference {:e} ({w:#x}) \
+                 [loop {}, II {}, trip {}]",
+                a,
+                compiled.info.arrays[a].0,
+                f64::from_bits(g),
+                f64::from_bits(w),
+                compiled.def.name,
+                ii,
+                self.inputs.trip,
+            ));
         }
-        Ok(elements)
+        Ok(self.expected.cells.len())
     }
 }
 
@@ -332,12 +493,11 @@ mod tests {
         .unwrap();
         let compiled = &unit.loops[0];
         let mut oracle = Oracle::new(compiled, 9, 4).expect("small workspace");
-        let got = oracle.expected.clone();
-        let all: usize = got.iter().map(Vec::len).sum();
-        assert_eq!(oracle.compare(compiled, 3, &got), Ok(all));
+        let got = oracle.expected.cells.clone();
+        assert_eq!(oracle.compare(compiled, 3, &got), Ok(got.len()));
 
         // Corrupt one expected element of `y`, the second array.
-        oracle.expected[1][5] ^= 1;
+        oracle.expected.cells[oracle.expected.starts[1] + 5] ^= 1;
         let err = oracle.compare(compiled, 3, &got).unwrap_err();
         assert!(err.starts_with("array 1 (y) element 5: pipeline "), "{err}");
         assert!(err.ends_with("[loop axpy, II 3, trip 9]"), "{err}");

@@ -10,9 +10,10 @@
 //! * [`vliw`] — executes [`KernelCode`](lsms_codegen::KernelCode) with
 //!   rotating RR/ICR files, stage predicates (ramp-up/ramp-down by
 //!   predication), guard predicates, and a flat word-addressed memory;
-//! * [`harness`] — lays out arrays, seeds initial register-file
-//!   instances, runs both engines on identical inputs, and compares every
-//!   array bit for bit: [`Oracle`] checks kernels a caller already built.
+//! * [`harness`] — lays out arrays, draws the seeded inputs, runs both
+//!   engines on identical inputs over one flat memory layout, and
+//!   compares every array bit for bit: [`Oracle`] checks kernels a caller
+//!   already built, holding at most two copies of the arrays.
 //!   The pipeline's `CompileSession` builds them and checks them through
 //!   it when verification is on; that is the one way to compile and
 //!   verify a loop.

@@ -1,12 +1,14 @@
 //! Execution of modulo-variable-expanded code: static registers, no
 //! rotation — validating the renaming arithmetic end to end.
 
-use lsms_codegen::{MveKernel, MveRef, MAX_SRCS};
-use lsms_front::{CompiledLoop, InitialSource, InvariantSource};
-use lsms_ir::OpKind;
+use lsms_codegen::{MveKernel, MveRef};
+use lsms_front::CompiledLoop;
 use lsms_sched::{SchedProblem, Schedule};
 
-use crate::vliw::{execute_opcode, SimError, SimOutcome};
+use crate::harness::{Inputs, Memory};
+use crate::vliw::{
+    bind_gprs, execute, seed_bits, seed_depths, Files, Inst, Reg, SimError, SimOutcome,
+};
 use crate::Workspace;
 
 /// Executes an MVE kernel on the workspace.
@@ -28,191 +30,107 @@ pub fn run_mve(
     kernel: &MveKernel,
     workspace: &Workspace,
 ) -> Result<SimOutcome, SimError> {
+    let mut memory = Memory::of_workspace(workspace);
+    let cycles = simulate_mve(
+        compiled,
+        problem,
+        schedule,
+        kernel,
+        &Inputs::of_workspace(compiled, workspace),
+        (&memory.starts, &mut memory.cells),
+    )?;
+    Ok(SimOutcome {
+        arrays: memory.into_arrays(),
+        cycles,
+    })
+}
+
+/// Executes an MVE kernel over flat memory in place (see
+/// [`simulate`](crate::vliw::simulate)) and returns the machine cycles it
+/// ran. It shares the rotating simulator's decoded form and execution
+/// loop; its two files, the renamed registers and the predicates, simply
+/// never rotate.
+pub(crate) fn simulate_mve(
+    compiled: &CompiledLoop,
+    problem: &SchedProblem<'_>,
+    schedule: &Schedule,
+    kernel: &MveKernel,
+    inputs: &Inputs,
+    (starts, cells): (&[usize], &mut [u64]),
+) -> Result<u64, SimError> {
     let body = problem.body();
-    let lo = workspace.lo;
-    let trip = workspace.trip;
-
-    let mut bases = Vec::with_capacity(workspace.arrays.len());
-    let mut memory: Vec<u64> = Vec::new();
-    for a in &workspace.arrays {
-        bases.push((memory.len() as i64) * 8);
-        memory.extend_from_slice(a);
-    }
-
-    let mut gpr = vec![0u64; kernel.gpr_bindings.len()];
-    for (value, index) in &kernel.gpr_bindings {
-        let source = compiled
-            .invariants
-            .iter()
-            .find(|(v, _)| v == value)
-            .map(|(_, s)| s)
-            .ok_or_else(|| SimError::UnboundGpr(body.value(*value).name.clone()))?;
-        gpr[*index as usize] = match source {
-            InvariantSource::ConstReal(x) => x.to_bits(),
-            InvariantSource::ConstInt(x) => *x as u64,
-            InvariantSource::Param(name) => *workspace
-                .params
-                .get(name)
-                .ok_or_else(|| SimError::MissingParam(name.clone()))?,
-            InvariantSource::RefBase { array, offset } => (bases[*array] + 8 * offset) as u64,
-            InvariantSource::Stride => 8u64,
-        };
-    }
-
-    let mut regs = vec![0u64; kernel.num_regs as usize];
-    let mut preds = vec![0u64; kernel.num_preds.max(1) as usize];
+    let sizes = [kernel.num_regs as usize, kernel.num_preds.max(1) as usize];
+    let mut files = Files::new(kernel.gpr_bindings.len(), sizes, false);
+    bind_gprs(
+        compiled,
+        body,
+        &kernel.gpr_bindings,
+        inputs,
+        starts,
+        &mut files.regs,
+    )?;
 
     // Seed pre-loop instances: defs in copy `u` write
     // `base + (u mod q)`, i.e. instance `i` lands in
     // `base + ((i + stage(def)) mod q)` — the same stage shift applies to
     // the seeds.
+    let depth = seed_depths(body, &compiled.initials);
     for (value, source) in &compiled.initials {
-        let (is_pred, base, q) = match kernel.blocks.get(value) {
-            Some(&(base, q)) => (false, base, q),
+        let (file, base, q) = match kernel.blocks.get(value) {
+            Some(&(base, q)) => (1, base, q),
             None => match kernel.pred_blocks.get(value) {
-                Some(&(base, q)) => (true, base, q),
+                Some(&(base, q)) => (2, base, q),
                 None => continue,
             },
         };
         let def = body.value(*value).def.expect("initials are defined values");
         let s_v = i64::from(schedule.stage(def.index()));
-        let depth = body
-            .ops()
-            .iter()
-            .flat_map(|op| {
-                op.inputs
-                    .iter()
-                    .zip(&op.input_omegas)
-                    .filter(|&(&v, _)| v == *value)
-                    .map(|(_, &w)| w)
-            })
-            .max()
-            .unwrap_or(0) as i64;
-        for j in -depth..0 {
-            let bits = match source {
-                InitialSource::ArrayElem { array, offset } => {
-                    let elem = lo + j + offset;
-                    let elem = usize::try_from(elem).map_err(|_| SimError::SeedOutOfBounds)?;
-                    *workspace.arrays[*array]
-                        .get(elem)
-                        .ok_or(SimError::SeedOutOfBounds)?
-                }
-                InitialSource::Scalar(name) => *workspace
-                    .scalar_inits
-                    .get(name)
-                    .ok_or_else(|| SimError::MissingScalarInit(name.clone()))?,
-                InitialSource::Index8 => (8 * (lo + j)) as u64,
-                InitialSource::PredTrue => 1u64,
-            };
-            let idx = (base as i64 + (j + s_v).rem_euclid(i64::from(q))) as usize;
-            if is_pred {
-                preds[idx] = bits;
-            } else {
-                regs[idx] = bits;
-            }
+        for j in -i64::from(depth[value.index()])..0 {
+            let bits = seed_bits(compiled, source, j, inputs, starts, cells)?;
+            let idx = (i64::from(base) + (j + s_v).rem_euclid(i64::from(q))) as usize;
+            files.regs[files.starts[file] + idx] = bits;
         }
     }
 
-    let cmp_ty = |op_id: lsms_ir::OpId| -> lsms_front::Ty {
-        match body.value(body.op(op_id).inputs[0]).ty {
-            lsms_ir::ValueType::Float => lsms_front::Ty::Real,
-            _ => lsms_front::Ty::Int,
-        }
+    let fixed = |r: MveRef| match r {
+        MveRef::Reg(i) => Reg::of_file(1, i),
+        MveRef::Pred(i) => Reg::of_file(2, i),
+        MveRef::Gpr(i) => Reg::fixed(i),
     };
-
-    let kernel_iters = trip + u64::from(kernel.stages) - 1;
-    let mut reg_writes: Vec<(bool, usize, u64)> = Vec::new();
-    let mut mem_writes: Vec<(usize, u64)> = Vec::new();
-    for k in 0..kernel_iters as i64 {
-        let copy = (k.rem_euclid(i64::from(kernel.unroll))) as usize;
-        for slot in &kernel.slots[copy] {
-            reg_writes.clear();
-            mem_writes.clear();
-            for inst in slot {
-                let source_iter = k - i64::from(inst.stage);
-                if source_iter < 0 || source_iter >= trip as i64 {
-                    continue;
-                }
-                let read = |r: &MveRef| -> u64 {
-                    match *r {
-                        MveRef::Reg(i) => regs[i as usize],
-                        MveRef::Pred(i) => preds[i as usize],
-                        MveRef::Gpr(i) => gpr[i as usize],
-                    }
-                };
-                if let Some(g) = &inst.guard {
-                    if read(g) == 0 {
-                        continue;
-                    }
-                }
-                let mut operands = [0u64; MAX_SRCS];
-                for (slot, r) in operands.iter_mut().zip(&inst.srcs) {
-                    *slot = read(r);
-                }
-                let srcs = &operands[..inst.srcs.len()];
-                let mut store = None;
-                let result = match inst.kind {
-                    OpKind::Load => {
-                        let addr = srcs[0] as i64;
-                        let word = usize::try_from(addr / 8)
-                            .map_err(|_| SimError::MemoryOutOfBounds { addr })?;
-                        Some(
-                            *memory
-                                .get(word)
-                                .ok_or(SimError::MemoryOutOfBounds { addr })?,
-                        )
-                    }
-                    OpKind::Store => {
-                        let addr = srcs[0] as i64;
-                        let word = usize::try_from(addr / 8)
-                            .map_err(|_| SimError::MemoryOutOfBounds { addr })?;
-                        if word >= memory.len() {
-                            return Err(SimError::MemoryOutOfBounds { addr });
-                        }
-                        store = Some((word, srcs[1]));
-                        None
-                    }
-                    OpKind::Brtop => None,
-                    kind => Some(execute_opcode(kind, cmp_ty(inst.op), srcs)),
-                };
-                if let Some(w) = store {
-                    mem_writes.push(w);
-                }
-                if let (Some(bits), Some(dest)) = (result, &inst.dest) {
-                    let (is_pred, idx) = match *dest {
-                        MveRef::Reg(i) => (false, i as usize),
-                        MveRef::Pred(i) => (true, i as usize),
-                        MveRef::Gpr(_) => unreachable!("results never target GPRs"),
-                    };
-                    if reg_writes.iter().any(|&(p, i, _)| p == is_pred && i == idx) {
-                        return Err(SimError::WriteCollision { phys: idx as u32 });
-                    }
-                    reg_writes.push((is_pred, idx, bits));
-                }
-            }
-            for &(is_pred, idx, bits) in &reg_writes {
-                if is_pred {
-                    preds[idx] = bits;
-                } else {
-                    regs[idx] = bits;
-                }
-            }
-            for &(word, bits) in &mem_writes {
-                memory[word] = bits;
-            }
+    let mut program = Vec::with_capacity(kernel.kernel_insts());
+    for copy in &kernel.slots {
+        for (cycle, slot) in copy.iter().enumerate() {
+            program.extend(slot.iter().map(|inst| {
+                let dest = inst.dest.map(|d| {
+                    assert!(!matches!(d, MveRef::Gpr(_)), "results never target GPRs");
+                    fixed(d)
+                });
+                Inst::new(
+                    body,
+                    cycle as u32,
+                    (inst.op, inst.kind, inst.stage),
+                    inst.guard.map(fixed),
+                    inst.srcs.iter().map(|&r| fixed(r)),
+                    dest,
+                )
+            }));
         }
     }
-
-    let mut arrays = Vec::with_capacity(workspace.arrays.len());
-    let mut cursor = 0usize;
-    for a in &workspace.arrays {
-        arrays.push(memory[cursor..cursor + a.len()].to_vec());
-        cursor += a.len();
-    }
-    Ok(SimOutcome {
-        arrays,
-        cycles: kernel_iters * u64::from(kernel.ii),
-    })
+    let copies = kernel.unroll as usize;
+    debug_assert!(kernel
+        .slots
+        .iter()
+        .all(|c| c.iter().map(Vec::len).sum::<usize>() * copies == program.len()));
+    let kernel_iters = inputs.trip + u64::from(kernel.stages) - 1;
+    execute(
+        &mut program,
+        copies,
+        &mut files,
+        cells,
+        inputs.trip,
+        kernel_iters,
+    )?;
+    Ok(kernel_iters * u64::from(kernel.ii))
 }
 
 #[cfg(test)]

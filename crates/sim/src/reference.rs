@@ -1,9 +1,17 @@
 //! The source-level reference interpreter: semantic ground truth.
-
-use std::collections::BTreeMap;
+//!
+//! It reads only the loop's AST and sema's `LoopInfo` — never the
+//! lowered IR, the schedule or any kernel — so a fault anywhere in the
+//! lowering or the back end shows as a mismatch instead of being shared.
+//! Everything that does not change between iterations is resolved once
+//! per loop, before the first one: each array access becomes a position
+//! in the flat memory, each scalar a slot, each integer literal its bits
+//! for the type its context gives it, and each operator its operand type.
+//! An iteration then only evaluates.
 
 use lsms_front::{BinOp, CompiledLoop, Cond, Expr, LValue, RelOp, Stmt, Ty};
 
+use crate::harness::{Inputs, Memory};
 use crate::Workspace;
 
 /// Interprets the loop's AST over the workspace, returning the final
@@ -24,132 +32,487 @@ use crate::Workspace;
 /// Panics if an array access falls outside the workspace's arrays — the
 /// harness sizes them to make that impossible.
 pub fn run_reference(compiled: &CompiledLoop, workspace: &Workspace) -> Vec<Vec<u64>> {
-    let mut arrays = workspace.arrays.clone();
-    let mut scalars: BTreeMap<String, u64> = workspace.scalar_inits.clone();
-    let def = &compiled.def;
-    'iterations: for i in workspace.lo..workspace.lo + workspace.trip as i64 {
-        for stmt in &def.body {
+    let mut memory = Memory::of_workspace(workspace);
+    let mut inputs = Inputs::of_workspace(compiled, workspace);
+    Reference::new(compiled, &memory.starts).run(compiled, &mut inputs, &mut memory.cells);
+    memory.into_arrays()
+}
+
+/// One expression node; children are indices into [`Reference::nodes`].
+#[derive(Clone, Copy, Debug)]
+enum Node {
+    /// A literal, already in its context's type.
+    Const(u64),
+    /// A parameter or carried scalar.
+    Slot(u32),
+    /// `cells[start + i + offset]`, within an array of `len` cells.
+    Elem {
+        start: usize,
+        len: usize,
+        offset: i64,
+    },
+    Neg {
+        ty: Ty,
+        x: u32,
+    },
+    Bin {
+        op: BinOp,
+        ty: Ty,
+        l: u32,
+        r: u32,
+    },
+    Sqrt(u32),
+    MinMax {
+        max: bool,
+        ty: Ty,
+        l: u32,
+        r: u32,
+    },
+    Abs {
+        ty: Ty,
+        x: u32,
+    },
+}
+
+/// A comparison with its operands resolved.
+#[derive(Clone, Copy, Debug)]
+struct Test {
+    op: RelOp,
+    ty: Ty,
+    lhs: u32,
+    rhs: u32,
+}
+
+/// Where an assignment stores.
+#[derive(Clone, Copy, Debug)]
+enum Target {
+    Elem {
+        start: usize,
+        len: usize,
+        offset: i64,
+    },
+    Slot(u32),
+}
+
+/// One statement. The steps of an `If` follow it: `then_len` steps of
+/// the taken side, then `else_len` of the other.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Assign {
+        target: Target,
+        value: u32,
+    },
+    If {
+        test: Test,
+        then_len: u32,
+        else_len: u32,
+    },
+    BreakIf(Test),
+}
+
+/// A loop's body with every name and type resolved: the reference
+/// interpreter's program.
+///
+/// Scalar slots are `LoopInfo::params` followed by `LoopInfo::carried`,
+/// the order of [`Inputs::scalars`].
+#[derive(Clone, Debug)]
+pub(crate) struct Reference {
+    nodes: Vec<Node>,
+    steps: Vec<Step>,
+}
+
+impl Reference {
+    /// Resolves `compiled`'s body against a flat memory whose array `a`
+    /// occupies `starts[a] .. starts[a + 1]`.
+    pub(crate) fn new(compiled: &CompiledLoop, starts: &[usize]) -> Self {
+        let (mut nodes, mut steps) = (0, 0);
+        visit(&compiled.def.body, &mut |_| nodes += 1, &mut || steps += 1);
+        let mut resolver = Resolver {
+            compiled,
+            starts,
+            program: Reference {
+                nodes: Vec::with_capacity(nodes),
+                steps: Vec::with_capacity(steps),
+            },
+        };
+        resolver.stmts(&compiled.def.body);
+        resolver.program
+    }
+
+    /// Runs every iteration over `cells` in place, starting from the
+    /// scalar inputs, which it leaves holding the carried scalars' final
+    /// values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an array access falls outside its array, or a scalar is
+    /// read that the inputs lack and no assignment has set yet.
+    pub(crate) fn run(&self, compiled: &CompiledLoop, inputs: &mut Inputs, cells: &mut [u64]) {
+        let mut state = State {
+            program: self,
+            compiled,
+            cells,
+            slots: &mut inputs.scalars,
+            i: 0,
+        };
+        for i in inputs.lo..inputs.lo + inputs.trip as i64 {
+            state.i = i;
+            if state.exec(&self.steps) {
+                // Post-tested exit: stop starting new iterations.
+                break;
+            }
+        }
+    }
+}
+
+/// Calls `expr` on every expression node and `stmt` on every statement.
+fn visit(stmts: &[Stmt], expr: &mut impl FnMut(&Expr), stmt: &mut impl FnMut()) {
+    fn walk(e: &Expr, f: &mut impl FnMut(&Expr)) {
+        f(e);
+        match e {
+            Expr::Neg(x) | Expr::Sqrt(x) | Expr::Abs(x) => walk(x, f),
+            Expr::Bin(_, l, r) | Expr::MinMax { lhs: l, rhs: r, .. } => {
+                walk(l, f);
+                walk(r, f);
+            }
+            Expr::Real(_) | Expr::Int(_) | Expr::Scalar(..) | Expr::Elem { .. } => {}
+        }
+    }
+    for s in stmts {
+        stmt();
+        match s {
+            Stmt::Assign { value, .. } => walk(value, expr),
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                walk(&cond.lhs, expr);
+                walk(&cond.rhs, expr);
+                visit(then_body, expr, stmt);
+                visit(else_body, expr, stmt);
+            }
+            Stmt::BreakIf { cond } => {
+                walk(&cond.lhs, expr);
+                walk(&cond.rhs, expr);
+            }
+        }
+    }
+}
+
+struct Resolver<'a> {
+    compiled: &'a CompiledLoop,
+    starts: &'a [usize],
+    program: Reference,
+}
+
+impl Resolver<'_> {
+    fn stmts(&mut self, stmts: &[Stmt]) {
+        for stmt in stmts {
             match stmt {
+                Stmt::Assign { target, value, .. } => {
+                    let info = &self.compiled.info;
+                    let (target, want) = match target {
+                        LValue::Elem { array, offset } => {
+                            let (a, ty) = info.array(array).expect("sema checked");
+                            let (start, len) = self.span(a);
+                            (
+                                Target::Elem {
+                                    start,
+                                    len,
+                                    offset: *offset,
+                                },
+                                ty,
+                            )
+                        }
+                        LValue::Scalar(name) => (
+                            Target::Slot(self.slot(name)),
+                            info.carried(name).unwrap_or(Ty::Real),
+                        ),
+                    };
+                    let value = self.expr(value, want);
+                    self.program.steps.push(Step::Assign { target, value });
+                }
+                Stmt::If {
+                    cond,
+                    then_body,
+                    else_body,
+                } => {
+                    let test = self.test(cond);
+                    let at = self.program.steps.len();
+                    self.program.steps.push(Step::If {
+                        test,
+                        then_len: 0,
+                        else_len: 0,
+                    });
+                    self.stmts(then_body);
+                    let mid = self.program.steps.len();
+                    self.stmts(else_body);
+                    let end = self.program.steps.len();
+                    self.program.steps[at] = Step::If {
+                        test,
+                        then_len: (mid - at - 1) as u32,
+                        else_len: (end - mid) as u32,
+                    };
+                }
                 Stmt::BreakIf { cond } => {
-                    // Post-tested exit: the iteration completed; stop
-                    // starting new ones when the condition fires.
-                    if eval_cond(
-                        cond,
-                        compiled,
-                        ws_ref(workspace),
-                        &mut arrays,
-                        &mut scalars,
-                        i,
-                    ) {
-                        break 'iterations;
+                    let test = self.test(cond);
+                    self.program.steps.push(Step::BreakIf(test));
+                }
+            }
+        }
+    }
+
+    /// First operand's definite type, else the second's, else real — the
+    /// same rule the lowering applies.
+    fn test(&mut self, cond: &Cond) -> Test {
+        let ty = self
+            .definite_type(&cond.lhs)
+            .or_else(|| self.definite_type(&cond.rhs))
+            .unwrap_or(Ty::Real);
+        Test {
+            op: cond.op,
+            ty,
+            lhs: self.expr(&cond.lhs, ty),
+            rhs: self.expr(&cond.rhs, ty),
+        }
+    }
+
+    /// The node evaluating `expr` where its context wants `want`.
+    fn expr(&mut self, expr: &Expr, want: Ty) -> u32 {
+        let node = match expr {
+            Expr::Real(x) => Node::Const(x.to_bits()),
+            Expr::Int(x) => Node::Const(match want {
+                Ty::Real => (*x as f64).to_bits(),
+                Ty::Int => *x as u64,
+            }),
+            Expr::Scalar(name, _) => Node::Slot(self.slot(name)),
+            Expr::Elem { array, offset, .. } => {
+                let (a, _) = self.compiled.info.array(array).expect("sema checked");
+                let (start, len) = self.span(a);
+                Node::Elem {
+                    start,
+                    len,
+                    offset: *offset,
+                }
+            }
+            Expr::Neg(inner) => {
+                let ty = self.expr_type(inner, want);
+                Node::Neg {
+                    ty,
+                    x: self.expr(inner, ty),
+                }
+            }
+            Expr::Bin(op, lhs, rhs) => {
+                let ty = if *op == BinOp::Rem {
+                    Ty::Int
+                } else {
+                    self.expr_type(expr, want)
+                };
+                Node::Bin {
+                    op: *op,
+                    ty,
+                    l: self.expr(lhs, ty),
+                    r: self.expr(rhs, ty),
+                }
+            }
+            Expr::Sqrt(inner) => Node::Sqrt(self.expr(inner, Ty::Real)),
+            Expr::MinMax { is_max, lhs, rhs } => {
+                let ty = self.expr_type(expr, want);
+                Node::MinMax {
+                    max: *is_max,
+                    ty,
+                    l: self.expr(lhs, ty),
+                    r: self.expr(rhs, ty),
+                }
+            }
+            Expr::Abs(inner) => {
+                let ty = self.expr_type(inner, want);
+                Node::Abs {
+                    ty,
+                    x: self.expr(inner, ty),
+                }
+            }
+        };
+        self.program.nodes.push(node);
+        (self.program.nodes.len() - 1) as u32
+    }
+
+    /// The definite type of an expression, or `None` when it consists
+    /// only of polymorphic integer literals. Mirrors `sema::type_of`
+    /// exactly.
+    fn definite_type(&self, expr: &Expr) -> Option<Ty> {
+        let info = &self.compiled.info;
+        match expr {
+            Expr::Real(_) => Some(Ty::Real),
+            Expr::Int(_) => None,
+            Expr::Scalar(name, _) => info.param(name).or_else(|| info.carried(name)),
+            Expr::Elem { array, .. } => info.array(array).map(|(_, t)| t),
+            Expr::Neg(x) => self.definite_type(x),
+            Expr::Bin(op, l, r) => {
+                if *op == BinOp::Rem {
+                    return Some(Ty::Int);
+                }
+                self.definite_type(l).or_else(|| self.definite_type(r))
+            }
+            Expr::Sqrt(_) => Some(Ty::Real),
+            Expr::MinMax { lhs, rhs, .. } => {
+                self.definite_type(lhs).or_else(|| self.definite_type(rhs))
+            }
+            Expr::Abs(x) => self.definite_type(x),
+        }
+    }
+
+    /// The statically resolved type of an expression, defaulting
+    /// literal-only subtrees to `want`.
+    fn expr_type(&self, expr: &Expr, want: Ty) -> Ty {
+        self.definite_type(expr).unwrap_or(want)
+    }
+
+    /// The slot of a parameter or carried scalar.
+    fn slot(&self, name: &str) -> u32 {
+        let info = &self.compiled.info;
+        let slot = match info.carried.iter().position(|(n, _)| n == name) {
+            Some(c) => info.params.len() + c,
+            None => info
+                .params
+                .iter()
+                .position(|(n, _)| n == name)
+                .expect("sema resolved every scalar"),
+        };
+        slot as u32
+    }
+
+    /// Array `a`'s first cell and length in the flat memory.
+    fn span(&self, a: usize) -> (usize, usize) {
+        (self.starts[a], self.starts[a + 1] - self.starts[a])
+    }
+}
+
+/// One run's mutable state.
+struct State<'a> {
+    program: &'a Reference,
+    compiled: &'a CompiledLoop,
+    cells: &'a mut [u64],
+    slots: &'a mut [Option<u64>],
+    /// The current iteration's index.
+    i: i64,
+}
+
+impl State<'_> {
+    /// Executes `steps`; true when a `break if` fired.
+    fn exec(&mut self, steps: &[Step]) -> bool {
+        let mut at = 0;
+        while at < steps.len() {
+            match steps[at] {
+                Step::Assign { target, value } => {
+                    let bits = self.eval(value);
+                    match target {
+                        Target::Elem { start, len, offset } => {
+                            let elem = self.elem(start, len, offset);
+                            self.cells[elem] = bits;
+                        }
+                        Target::Slot(s) => self.slots[s as usize] = Some(bits),
                     }
+                    at += 1;
                 }
-                _ => exec_stmt(stmt, compiled, workspace, &mut arrays, &mut scalars, i),
-            }
-        }
-    }
-    arrays
-}
-
-fn ws_ref(ws: &Workspace) -> &Workspace {
-    ws
-}
-
-fn exec_stmt(
-    stmt: &Stmt,
-    compiled: &CompiledLoop,
-    ws: &Workspace,
-    arrays: &mut [Vec<u64>],
-    scalars: &mut BTreeMap<String, u64>,
-    i: i64,
-) {
-    match stmt {
-        Stmt::Assign { target, value, .. } => {
-            let want = target_type(target, compiled);
-            let bits = eval(value, compiled, ws, arrays, scalars, i, want);
-            match target {
-                LValue::Elem { array, offset } => {
-                    let (idx, _) = compiled.info.array(array).expect("sema checked");
-                    let elem = usize::try_from(i + offset).expect("negative array index");
-                    arrays[idx][elem] = bits;
+                Step::If {
+                    test,
+                    then_len,
+                    else_len,
+                } => {
+                    let then_at = at + 1;
+                    let else_at = then_at + then_len as usize;
+                    let end = else_at + else_len as usize;
+                    let body = if self.test(test) {
+                        &steps[then_at..else_at]
+                    } else {
+                        &steps[else_at..end]
+                    };
+                    if self.exec(body) {
+                        return true;
+                    }
+                    at = end;
                 }
-                LValue::Scalar(name) => {
-                    scalars.insert(name.clone(), bits);
+                Step::BreakIf(test) => {
+                    if self.test(test) {
+                        return true;
+                    }
+                    at += 1;
                 }
             }
         }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            let taken = eval_cond(cond, compiled, ws, arrays, scalars, i);
-            let body = if taken { then_body } else { else_body };
-            for s in body {
-                exec_stmt(s, compiled, ws, arrays, scalars, i);
+        false
+    }
+
+    fn test(&mut self, test: Test) -> bool {
+        let a = self.eval(test.lhs);
+        let b = self.eval(test.rhs);
+        compare(test.op, test.ty, a, b)
+    }
+
+    /// The flat position of element `i + offset` of the array at `start`.
+    fn elem(&self, start: usize, len: usize, offset: i64) -> usize {
+        let elem = usize::try_from(self.i + offset).expect("negative array index");
+        assert!(elem < len, "array index {elem} out of bounds ({len} cells)");
+        start + elem
+    }
+
+    fn eval(&mut self, node: u32) -> u64 {
+        match self.program.nodes[node as usize] {
+            Node::Const(bits) => bits,
+            Node::Slot(s) => self.slots[s as usize].unwrap_or_else(|| {
+                let info = &self.compiled.info;
+                let name = info
+                    .params
+                    .iter()
+                    .chain(&info.carried)
+                    .nth(s as usize)
+                    .map_or("?", |(n, _)| n.as_str());
+                panic!("parameter `{name}` missing from workspace")
+            }),
+            Node::Elem { start, len, offset } => self.cells[self.elem(start, len, offset)],
+            Node::Neg { ty, x } => {
+                let x = self.eval(x);
+                arith(BinOp::Sub, ty, zero(ty), x)
+            }
+            Node::Bin { op, ty, l, r } => {
+                let a = self.eval(l);
+                let b = self.eval(r);
+                arith(op, ty, a, b)
+            }
+            Node::Sqrt(x) => f64::from_bits(self.eval(x)).sqrt().to_bits(),
+            Node::MinMax { max, ty, l, r } => {
+                // Matches the select lowering exactly: min = (a < b) ? a :
+                // b, max = (a > b) ? a : b — so NaN and -0.0 behaviour
+                // agree.
+                let a = self.eval(l);
+                let b = self.eval(r);
+                let op = if max { RelOp::Gt } else { RelOp::Lt };
+                if compare(op, ty, a, b) {
+                    a
+                } else {
+                    b
+                }
+            }
+            Node::Abs { ty, x } => {
+                // abs(x) = (x < 0) ? 0 - x : x, matching the lowering.
+                let x = self.eval(x);
+                if compare(RelOp::Lt, ty, x, zero(ty)) {
+                    arith(BinOp::Sub, ty, zero(ty), x)
+                } else {
+                    x
+                }
             }
         }
-        Stmt::BreakIf { .. } => {
-            unreachable!("sema keeps `break if` at top level; handled by the driver loop")
-        }
     }
 }
 
-fn target_type(target: &LValue, compiled: &CompiledLoop) -> Ty {
-    match target {
-        LValue::Elem { array, .. } => compiled.info.array(array).expect("sema checked").1,
-        LValue::Scalar(name) => compiled.info.carried(name).unwrap_or(Ty::Real),
+fn zero(ty: Ty) -> u64 {
+    match ty {
+        Ty::Real => 0f64.to_bits(),
+        Ty::Int => 0u64,
     }
-}
-
-/// The definite type of an expression, or `None` when it consists only of
-/// polymorphic integer literals. Mirrors `sema::type_of` exactly.
-fn definite_type(expr: &Expr, compiled: &CompiledLoop) -> Option<Ty> {
-    match expr {
-        Expr::Real(_) => Some(Ty::Real),
-        Expr::Int(_) => None,
-        Expr::Scalar(name, _) => compiled
-            .info
-            .param(name)
-            .or_else(|| compiled.info.carried(name)),
-        Expr::Elem { array, .. } => compiled.info.array(array).map(|(_, t)| t),
-        Expr::Neg(x) => definite_type(x, compiled),
-        Expr::Bin(op, l, r) => {
-            if *op == BinOp::Rem {
-                return Some(Ty::Int);
-            }
-            definite_type(l, compiled).or_else(|| definite_type(r, compiled))
-        }
-        Expr::Sqrt(_) => Some(Ty::Real),
-        Expr::MinMax { lhs, rhs, .. } => {
-            definite_type(lhs, compiled).or_else(|| definite_type(rhs, compiled))
-        }
-        Expr::Abs(x) => definite_type(x, compiled),
-    }
-}
-
-/// The statically resolved type of an expression, defaulting literal-only
-/// subtrees to `want`.
-fn expr_type(expr: &Expr, compiled: &CompiledLoop, want: Ty) -> Ty {
-    definite_type(expr, compiled).unwrap_or(want)
-}
-
-fn eval_cond(
-    cond: &Cond,
-    compiled: &CompiledLoop,
-    ws: &Workspace,
-    arrays: &mut [Vec<u64>],
-    scalars: &mut BTreeMap<String, u64>,
-    i: i64,
-) -> bool {
-    // First operand's definite type, else the second's, else real — the
-    // same rule the lowering applies.
-    let ty = definite_type(&cond.lhs, compiled)
-        .or_else(|| definite_type(&cond.rhs, compiled))
-        .unwrap_or(Ty::Real);
-    let a = eval(&cond.lhs, compiled, ws, arrays, scalars, i, ty);
-    let b = eval(&cond.rhs, compiled, ws, arrays, scalars, i, ty);
-    compare(cond.op, ty, a, b)
 }
 
 /// Shared comparison semantics for both engines.
@@ -220,92 +583,11 @@ pub(crate) fn arith(op: BinOp, ty: Ty, a: u64, b: u64) -> u64 {
     }
 }
 
-fn eval(
-    expr: &Expr,
-    compiled: &CompiledLoop,
-    ws: &Workspace,
-    arrays: &mut [Vec<u64>],
-    scalars: &mut BTreeMap<String, u64>,
-    i: i64,
-    want: Ty,
-) -> u64 {
-    match expr {
-        Expr::Real(x) => x.to_bits(),
-        Expr::Int(x) => match want {
-            Ty::Real => (*x as f64).to_bits(),
-            Ty::Int => *x as u64,
-        },
-        Expr::Scalar(name, _) => {
-            if let Some(&bits) = scalars.get(name.as_str()) {
-                bits
-            } else {
-                *ws.params
-                    .get(name.as_str())
-                    .unwrap_or_else(|| panic!("parameter `{name}` missing from workspace"))
-            }
-        }
-        Expr::Elem { array, offset, .. } => {
-            let (idx, _) = compiled.info.array(array).expect("sema checked");
-            let elem = usize::try_from(i + offset).expect("negative array index");
-            arrays[idx][elem]
-        }
-        Expr::Neg(inner) => {
-            let ty = expr_type(inner, compiled, want);
-            let x = eval(inner, compiled, ws, arrays, scalars, i, ty);
-            let zero = match ty {
-                Ty::Real => 0f64.to_bits(),
-                Ty::Int => 0u64,
-            };
-            arith(BinOp::Sub, ty, zero, x)
-        }
-        Expr::Bin(op, lhs, rhs) => {
-            let ty = if *op == BinOp::Rem {
-                Ty::Int
-            } else {
-                expr_type(expr, compiled, want)
-            };
-            let a = eval(lhs, compiled, ws, arrays, scalars, i, ty);
-            let b = eval(rhs, compiled, ws, arrays, scalars, i, ty);
-            arith(*op, ty, a, b)
-        }
-        Expr::Sqrt(inner) => {
-            let x = eval(inner, compiled, ws, arrays, scalars, i, Ty::Real);
-            f64::from_bits(x).sqrt().to_bits()
-        }
-        Expr::MinMax { is_max, lhs, rhs } => {
-            // Matches the select lowering exactly: min = (a < b) ? a : b,
-            // max = (a > b) ? a : b — so NaN and -0.0 behaviour agree.
-            let ty = expr_type(expr, compiled, want);
-            let a = eval(lhs, compiled, ws, arrays, scalars, i, ty);
-            let b = eval(rhs, compiled, ws, arrays, scalars, i, ty);
-            let op = if *is_max { RelOp::Gt } else { RelOp::Lt };
-            if compare(op, ty, a, b) {
-                a
-            } else {
-                b
-            }
-        }
-        Expr::Abs(inner) => {
-            // abs(x) = (x < 0) ? 0 - x : x, matching the lowering.
-            let ty = expr_type(inner, compiled, want);
-            let x = eval(inner, compiled, ws, arrays, scalars, i, ty);
-            let zero = match ty {
-                Ty::Real => 0f64.to_bits(),
-                Ty::Int => 0u64,
-            };
-            if compare(RelOp::Lt, ty, x, zero) {
-                arith(BinOp::Sub, ty, zero, x)
-            } else {
-                x
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lsms_front::compile;
+    use std::collections::BTreeMap;
 
     fn ws(arrays: Vec<Vec<f64>>, trip: u64, lo: i64) -> Workspace {
         Workspace {

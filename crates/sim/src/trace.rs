@@ -26,7 +26,7 @@ pub fn issue_trace(schedule: &Schedule, kernel: &KernelCode, trip: u64) -> Vec<T
     let ii = u64::from(kernel.ii);
     let mut events = Vec::new();
     for k in 0..trip + u64::from(kernel.stages) - 1 {
-        for (c, slot) in kernel.slots.iter().enumerate() {
+        for (c, slot) in kernel.slots().enumerate() {
             for inst in slot {
                 let source = k as i64 - i64::from(inst.stage);
                 if source < 0 || source >= trip as i64 {
