@@ -244,6 +244,7 @@ fn trace_is_wellformed_balanced_and_covers_the_pipeline() {
         "sema",
         "lower",
         "depgraph",
+        "mindist.fw",
         "schedule:slack",
         "simulate-verify",
     ] {

@@ -22,10 +22,11 @@
 //! `base_ref = base(array) + 8·offset` constants in the GPR file.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use lsms_ir::{
     flat_adjacency, DepKind, DepVia, LoopBody, LoopBuilder, LoopMeta, OpId, OpKind, ValueId,
-    ValueType,
+    ValueName, ValueType,
 };
 
 use crate::ast::{BinOp, Bound, Cond, Expr, LValue, LoopDef, RelOp, Stmt, Ty};
@@ -280,10 +281,10 @@ impl<'a> Lowerer<'a> {
         if let Some(&v) = self.const_cache.get(&key) {
             return v;
         }
-        let name = match &source {
-            InvariantSource::ConstReal(x) => format!("c{x}"),
-            InvariantSource::ConstInt(x) => format!("c{x}"),
-            _ => "c".to_owned(),
+        let name = match source {
+            InvariantSource::ConstReal(x) => ValueName::Real(x.to_bits()),
+            InvariantSource::ConstInt(x) => ValueName::Int(x),
+            _ => ValueName::from("c"),
         };
         let v = self.b.invariant(ty, name);
         self.invariants.push((v, source));
@@ -340,32 +341,41 @@ impl<'a> Lowerer<'a> {
             return v;
         }
         let iv = self.iv8();
-        let name = &self.info.arrays[array].0;
-        let base = self
-            .b
-            .invariant(ValueType::Addr, format!("&{name}[{offset:+}]"));
+        let base = self.b.invariant(
+            ValueType::Addr,
+            ValueName::RefBase(self.array_name(array), offset),
+        );
         self.invariants
             .push((base, InvariantSource::RefBase { array, offset }));
-        let addr = self
-            .b
-            .named_value(ValueType::Addr, format!("a.{name}{offset:+}"));
+        let addr = self.b.named_value(
+            ValueType::Addr,
+            ValueName::RefAddr(self.array_name(array), offset),
+        );
         self.b.op(OpKind::AddrAdd, &[iv, base], Some(addr));
         self.ref_addrs.insert((array, offset), addr);
         addr
     }
 
+    /// The name of `array`, shared with every value that names it.
+    fn array_name(&self, array: usize) -> Arc<String> {
+        Arc::clone(&self.info.arrays[array].0)
+    }
+
     /// Reads `array[i + offset]`, applying load/store elimination, the
     /// same-iteration forward, load CSE, or a real load.
     fn read_elem(&mut self, array: usize, offset: i64) -> VRef {
-        let (name, elem_ty) = &self.info.arrays[array];
-        let ty = value_type(*elem_ty);
+        let ty = value_type(self.info.arrays[array].1);
         if let Some(eligible) = self.eligible[array] {
             let d = eligible.store_offset - offset;
             if d >= 1 {
+                let name = &self.info.arrays[array].0;
                 let placeholder = *self
                     .elim_placeholders
                     .entry((array, offset))
-                    .or_insert_with(|| self.b.named_value(ty, format!("{name}[{offset:+}].elim")));
+                    .or_insert_with(|| {
+                        let name = ValueName::Elim(Arc::clone(name), offset);
+                        self.b.named_value(ty, name)
+                    });
                 return VRef::here(placeholder);
             }
             if d == 0 {
@@ -378,7 +388,9 @@ impl<'a> Lowerer<'a> {
             return VRef::here(v);
         }
         let addr = self.ref_addr(array, offset);
-        let v = self.b.named_value(ty, format!("{name}[{offset:+}]"));
+        let v = self
+            .b
+            .named_value(ty, ValueName::Elem(self.array_name(array), offset));
         let op = self.b.op(OpKind::Load, &[addr], Some(v));
         self.seq += 1;
         self.mem_refs.push(MemRef {

@@ -1,6 +1,7 @@
 //! Semantic analysis: symbol resolution and type checking.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::ast::{BinOp, Bound, Decl, Expr, LValue, LoopDef, Stmt, Ty};
 use crate::{FrontError, Span};
@@ -8,8 +9,9 @@ use crate::{FrontError, Span};
 /// Resolved symbol information for one loop.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoopInfo {
-    /// Declared arrays, in declaration order.
-    pub arrays: Vec<(String, Ty)>,
+    /// Declared arrays, in declaration order. A lowered value that
+    /// names an array shares its name from here.
+    pub arrays: Vec<(Arc<String>, Ty)>,
     /// Loop-invariant parameters: declared `param`s plus any parameter
     /// named in the loop bounds (always `int`).
     pub params: Vec<(String, Ty)>,
@@ -22,7 +24,7 @@ impl LoopInfo {
     pub fn array(&self, name: &str) -> Option<(usize, Ty)> {
         self.arrays
             .iter()
-            .position(|(n, _)| n == name)
+            .position(|(n, _)| n.as_str() == name)
             .map(|i| (i, self.arrays[i].1))
     }
 
@@ -52,7 +54,7 @@ impl LoopInfo {
 ///
 /// Returns the first semantic error with its source location.
 pub fn analyze(def: &LoopDef) -> Result<LoopInfo, FrontError> {
-    let mut arrays: Vec<(String, Ty)> = Vec::new();
+    let mut arrays: Vec<(Arc<String>, Ty)> = Vec::new();
     let mut params: Vec<(String, Ty)> = Vec::new();
     let mut declared_scalars: BTreeMap<&str, Ty> = BTreeMap::new();
     let origin = Span::default();
@@ -67,7 +69,7 @@ pub fn analyze(def: &LoopDef) -> Result<LoopInfo, FrontError> {
             }
             seen_names.push(n);
             match decl {
-                Decl::Array { .. } => arrays.push((n.clone(), *ty)),
+                Decl::Array { .. } => arrays.push((Arc::new(n.clone()), *ty)),
                 Decl::Param { .. } => params.push((n.clone(), *ty)),
                 Decl::Scalar { .. } => {
                     declared_scalars.insert(n, *ty);
@@ -79,7 +81,7 @@ pub fn analyze(def: &LoopDef) -> Result<LoopInfo, FrontError> {
     for bound in [&def.lo, &def.hi] {
         if let Bound::Param(n) = bound {
             if !params.iter().any(|(p, _)| p == n)
-                && !arrays.iter().any(|(a, _)| a == n)
+                && !arrays.iter().any(|(a, _)| **a == *n)
                 && !declared_scalars.contains_key(n.as_str())
             {
                 params.push((n.clone(), Ty::Int));
@@ -102,7 +104,7 @@ pub fn analyze(def: &LoopDef) -> Result<LoopInfo, FrontError> {
                 "cannot assign to the induction variable",
             ));
         }
-        if arrays.iter().any(|(a, _)| a == name) {
+        if arrays.iter().any(|(a, _)| a.as_str() == name) {
             return Err(FrontError::new(
                 span,
                 format!("array `{name}` needs a subscript"),

@@ -1,6 +1,7 @@
 //! SSA values and their register classes.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::{OpId, ValueId};
 
@@ -86,14 +87,31 @@ pub struct Value {
     pub name: ValueName,
 }
 
-/// A value's name for diagnostics: one the front end gave it, or the
-/// `t{n}` of a temporary, rendered only when printed — so creating a
-/// temporary allocates nothing. Both print (and `Debug`-print) exactly as
-/// the equivalent `String` would.
+/// A value's name for diagnostics: one the front end gave it, or one
+/// rendered only when printed from what it names — a temporary's number,
+/// a constant's value, an array reference — so creating such a value
+/// allocates nothing. Every name prints (and `Debug`-prints) exactly as
+/// the `String` it renders to would.
+///
+/// A reference names its array through an `Arc<String>`, one pointer
+/// wide, so a name stays three words like the `String` it replaces.
 #[derive(Clone, PartialEq, Eq)]
 pub enum ValueName {
     /// `t{n}`: a temporary, numbered by the value id it was created with.
     Temp(u32),
+    /// `c{x}`: the real constant whose `f64` bits these are.
+    Real(u64),
+    /// `c{x}`: an integer constant.
+    Int(i64),
+    /// `&x[+k]`: the invariant base address of the reference `x[i + k]`.
+    RefBase(Arc<String>, i64),
+    /// `a.x+k`: the address of the element `x[i + k]`.
+    RefAddr(Arc<String>, i64),
+    /// `x[+k]`: the element `x[i + k]`, loaded.
+    Elem(Arc<String>, i64),
+    /// `x[+k].elim`: the element `x[i + k]`, left by a store for a load
+    /// that was eliminated.
+    Elim(Arc<String>, i64),
     /// A name given by whoever created the value.
     Given(String),
 }
@@ -110,12 +128,35 @@ impl From<&str> for ValueName {
     }
 }
 
+impl ValueName {
+    /// Writes the `String` this name stands for.
+    fn render(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        match self {
+            ValueName::Temp(n) => write!(out, "t{n}"),
+            ValueName::Real(bits) => write!(out, "c{}", f64::from_bits(*bits)),
+            ValueName::Int(x) => write!(out, "c{x}"),
+            ValueName::RefBase(array, offset) => write!(out, "&{array}[{offset:+}]"),
+            ValueName::RefAddr(array, offset) => write!(out, "a.{array}{offset:+}"),
+            ValueName::Elem(array, offset) => write!(out, "{array}[{offset:+}]"),
+            ValueName::Elim(array, offset) => write!(out, "{array}[{offset:+}].elim"),
+            ValueName::Given(name) => out.write_str(name),
+        }
+    }
+
+    /// The `String` this name stands for.
+    fn rendered(&self) -> String {
+        let mut out = String::new();
+        self.render(&mut out).expect("writing to a String");
+        out
+    }
+}
+
 impl fmt::Display for ValueName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ValueName::Temp(n) if f.width().is_none() => write!(f, "t{n}"),
-            ValueName::Temp(n) => f.pad(&format!("t{n}")),
             ValueName::Given(name) => f.pad(name),
+            _ if f.width().is_none() && f.precision().is_none() => self.render(f),
+            _ => f.pad(&self.rendered()),
         }
     }
 }
@@ -123,8 +164,8 @@ impl fmt::Display for ValueName {
 impl fmt::Debug for ValueName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ValueName::Temp(n) => write!(f, "\"t{n}\""),
             ValueName::Given(name) => fmt::Debug::fmt(name, f),
+            _ => fmt::Debug::fmt(&self.rendered(), f),
         }
     }
 }
@@ -180,15 +221,33 @@ mod tests {
 
     #[test]
     fn names_print_as_their_strings() {
+        let x = Arc::new("x".to_owned());
         let cases = [
             (ValueName::Temp(3), "t3".to_owned()),
+            (ValueName::Real(2.5f64.to_bits()), "c2.5".to_owned()),
+            (ValueName::Real((-0.0f64).to_bits()), "c-0".to_owned()),
+            (ValueName::Int(-7), "c-7".to_owned()),
+            (ValueName::RefBase(Arc::clone(&x), 0), "&x[+0]".to_owned()),
+            (ValueName::RefAddr(Arc::clone(&x), -2), "a.x-2".to_owned()),
+            (ValueName::Elem(Arc::clone(&x), 3), "x[+3]".to_owned()),
+            (ValueName::Elim(x, 1), "x[+1].elim".to_owned()),
             (ValueName::from("a.x+0"), "a.x+0".to_owned()),
         ];
         for (name, string) in cases {
             assert_eq!(name.to_string(), string);
             assert_eq!(format!("{name:?}"), format!("{string:?}"));
             assert_eq!(format!("{name:<6}|"), format!("{string:<6}|"));
+            assert_eq!(format!("{name:>8.2}|"), format!("{string:>8.2}|"));
         }
+    }
+
+    /// A name is three words, like the `String` it stands for.
+    #[test]
+    fn a_name_is_as_small_as_a_string() {
+        assert_eq!(
+            std::mem::size_of::<ValueName>(),
+            std::mem::size_of::<String>()
+        );
     }
 
     #[test]

@@ -104,6 +104,10 @@ mod tests {
         let sched = report.get("schedule:slack").unwrap();
         assert!(sched.counters["central_iterations"] >= 1);
         assert!(sched.counters["ii"] >= 1);
+        // The Floyd–Warshall run is booked on `mindist`, not the pass.
+        let mindist = report.get("mindist").expect("mindist missing");
+        assert!(mindist.counters["misses"] >= 1);
+        assert!(mindist.wall > std::time::Duration::ZERO);
     }
 
     /// Every counter a session records is documented in the pass

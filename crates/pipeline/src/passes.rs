@@ -86,12 +86,12 @@ pub const PASSES: &[PassInfo] = &[
     },
     PassInfo {
         name: "mindist",
-        summary: "MinDist cache accounting: hits and Floyd-Warshall misses",
-        details: "Accounting view of the per-loop MinDist cache (the wall \
-                  clock of each matrix lives inside the scheduling pass \
-                  that requested it): how many matrix requests hit the \
-                  cache, and how many misses paid one fixed-II \
-                  Floyd-Warshall each.",
+        summary: "MinDist matrices: cache hits and Floyd-Warshall runs",
+        details: "The per-loop MinDist cache (§4.1). Its wall clock is \
+                  the time the Floyd-Warshall runs took, timed once per \
+                  miss, so the scheduling passes book engine time only. \
+                  Counts how many matrix requests hit the cache, and how \
+                  many misses paid one fixed-II Floyd-Warshall each.",
         counters: &[
             ("hits", "requests answered from an already-built matrix"),
             ("misses", "requests that ran a Floyd-Warshall"),

@@ -10,7 +10,7 @@
 //! per-pass observability (the [`PassReport`]).
 
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use lsms_codegen::{KernelCode, MveKernel};
 use lsms_front::{analyze, lex, lower_loop, parse, CompiledLoop, CompiledUnit, LoopDef};
@@ -347,7 +347,11 @@ impl CompileSession {
     /// — when the invocation overran a configured [`PassBudget`] — a
     /// `budget_exceeded` trace event and counter.
     fn record(&self, pass: &'static str, started: Instant, counters: &[(&'static str, u64)]) {
-        let elapsed = started.elapsed();
+        self.record_wall(pass, started.elapsed(), counters);
+    }
+
+    /// As [`record`](Self::record), for an invocation that took `elapsed`.
+    fn record_wall(&self, pass: &'static str, elapsed: Duration, counters: &[(&'static str, u64)]) {
         let over_budget = self
             .config
             .budgets
@@ -480,7 +484,7 @@ impl CompileSession {
             .iter()
             .find(|b| b.pass == pass)
             .map(|b| Instant::now() + b.limit);
-        let started = Instant::now();
+        let (started, fw_before) = (Instant::now(), cache.stats().fw_time);
         let result = {
             let _span = lsms_trace::span(pass);
             match deadline {
@@ -512,14 +516,15 @@ impl CompileSession {
         // A capped run is not a pipeline failure: the fallback below
         // decides whether the loop compiles.
         let counters = sched_counters(&result, !capped);
+        let elapsed = engine_time(started, cache, fw_before);
         if capped {
-            self.record(
+            self.record_wall(
                 pass,
-                started,
+                elapsed,
                 &[&counters[..], &[("budget_capped", 1)]].concat(),
             );
         } else {
-            self.record(pass, started, &counters);
+            self.record_wall(pass, elapsed, &counters);
         }
         let produced_by = |result, entry: &BackendEntry, degraded| ScheduledRun {
             result,
@@ -537,7 +542,7 @@ impl CompileSession {
         let fallback_entry = &self.eval[2];
         let last_ii = result.as_ref().err().map_or(0, |f| f.last_ii);
         lsms_trace::instant("sched.degrade", &[("last_ii", i64::from(last_ii))]);
-        let started = Instant::now();
+        let (started, fw_before) = (Instant::now(), cache.stats().fw_time);
         let fallback = {
             let _span = lsms_trace::span(fallback_entry.pass);
             fallback_entry
@@ -546,9 +551,9 @@ impl CompileSession {
                 .result
         };
         let counters = sched_counters(&fallback, true);
-        self.record(
+        self.record_wall(
             fallback_entry.pass,
-            started,
+            engine_time(started, cache, fw_before),
             &[&counters[..], &[("degraded", 1)]].concat(),
         );
         produced_by(fallback, fallback_entry, true)
@@ -599,16 +604,16 @@ impl CompileSession {
     }
 
     /// Folds the shared MinDist cache's counters into the report under
-    /// the `mindist` accounting entry (wall ≈ 0 — the compute time lives
-    /// inside whichever pass triggered each matrix).
+    /// the `mindist` entry, whose wall time is the cache's Floyd–Warshall
+    /// time (the scheduling passes book theirs without it).
     fn record_mindist(&self, cache: &MinDistCache) {
         let stats = cache.stats();
         if stats.hits == 0 && stats.misses == 0 {
             return;
         }
-        self.record(
+        self.record_wall(
             "mindist",
-            Instant::now(),
+            stats.fw_time,
             &[("hits", stats.hits), ("misses", stats.misses)],
         );
     }
@@ -857,7 +862,7 @@ impl CompileSession {
         // The trio entries were resolved once at session build, so the
         // parallel corpus workers all share the same backend `Arc`s.
         let run_entry = |entry: &BackendEntry| -> (SchedOutcome, DecisionStats) {
-            let started = Instant::now();
+            let (started, fw_before) = (Instant::now(), cache.stats().fw_time);
             let (result, decisions) = {
                 let _span = lsms_trace::span(entry.pass);
                 self.run_backend_memo(
@@ -872,7 +877,11 @@ impl CompileSession {
             };
             let counters = sched_counters(&result, true);
             let outcome = outcome_of(result, &problem, &cache, false);
-            self.record(entry.pass, started, &counters);
+            self.record_wall(
+                entry.pass,
+                engine_time(started, &cache, fw_before),
+                &counters,
+            );
             (outcome, decisions)
         };
         let [slack, early_entry, cydrome] = &self.eval;
@@ -914,6 +923,18 @@ impl CompileSession {
             decisions,
         })
     }
+}
+
+/// The wall time since `started` less the Floyd–Warshall time `cache`
+/// booked since it read `fw_before`: a scheduling pass's own time, with
+/// each matrix charged to the `mindist` entry instead. When
+/// `evaluate_variants` fans the trio out over threads sharing one cache,
+/// the runs overlap and each subtracts the others' matrices too, so the
+/// split between them is approximate there.
+fn engine_time(started: Instant, cache: &MinDistCache, fw_before: Duration) -> Duration {
+    started
+        .elapsed()
+        .saturating_sub(cache.stats().fw_time - fw_before)
 }
 
 /// The [`SCHED_COUNTERS`](crate::SCHED_COUNTERS) every schedule-pass

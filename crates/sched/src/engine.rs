@@ -16,10 +16,14 @@
 //! that each II attempt builds once, so the paths out of a node (a row)
 //! and into it (a transpose row) are both contiguous. A placement tightens
 //! every node's bounds from the placed node's row and column, without a
-//! branch. After a forcing step the bounds are recomputed from the placed
-//! set, sweeping the placed nodes' lines (push) or the unplaced nodes' own
-//! lines (pull), whichever set is smaller. Either way every Estart and
-//! Lstart is the same max or min over the same placed set.
+//! branch. After a forcing step each ejected node pulls its own bounds
+//! from the nodes still placed. On a side (Estart or Lstart) where every
+//! ejected node's line is implied by a node still placed, only the forced
+//! node's line is pushed; a side with a line that no placed node implies
+//! is recomputed from the placed set, sweeping the placed nodes' lines
+//! (push) or the unplaced nodes' own lines (pull), whichever set is
+//! smaller. Either way every Estart and Lstart is the same max or min
+//! over the same placed set.
 //!
 //! The bounds, stored times and both matrices are `i32`, and the sweeps
 //! walk each line in blocks of eight (`lines`): one ymm register, or two
@@ -108,6 +112,8 @@ pub struct EngineWorkspace {
     conflict_buf: Vec<OpId>,
     /// Scratch for the forcing path's dependence-violation sweep.
     eject_buf: Vec<usize>,
+    /// The nodes one forcing step ejected, with the times they held.
+    ejected: Vec<(usize, i32)>,
     /// Scratch for the per-attempt unit-assignment ordering.
     order: Vec<usize>,
     /// Scratch for the per-class round-robin cursors.
@@ -139,6 +145,13 @@ fn stored_time(t: i64) -> Option<i32> {
 /// A time or `Lstart(Stop)` left ±[`TIME_RANGE`]: the attempt stops.
 #[derive(Debug)]
 struct OutOfRange;
+
+#[cfg(test)]
+thread_local! {
+    /// The forcing updates run on this thread, by which sides had every
+    /// ejected line implied: both, Estart only, Lstart only, neither.
+    static FORCING_CASES: std::cell::Cell<[u32; 4]> = const { std::cell::Cell::new([0; 4]) };
+}
 
 /// Mutable scheduling state for one II attempt, visible to heuristics.
 pub(crate) struct EngineState<'p, 'a> {
@@ -196,6 +209,9 @@ pub(crate) struct EngineState<'p, 'a> {
     conflict_buf: Vec<OpId>,
     /// Scratch for the forcing path's dependence-violation sweep.
     eject_buf: Vec<usize>,
+    /// The nodes ejected since the last forcing update, with the times
+    /// they held ([`eject`](Self::eject) appends).
+    ejected: Vec<(usize, i32)>,
     /// Bound refreshes run so far, as `(push, pull)`.
     #[cfg(test)]
     refreshes: (u32, u32),
@@ -338,6 +354,8 @@ impl<'p, 'a> EngineState<'p, 'a> {
         conflict_buf.clear();
         let mut eject_buf = std::mem::take(&mut ws.eject_buf);
         eject_buf.clear();
+        let mut ejected = std::mem::take(&mut ws.ejected);
+        ejected.clear();
         Ok(Self {
             problem,
             ii,
@@ -360,6 +378,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
             cells_touched: 0,
             conflict_buf,
             eject_buf,
+            ejected,
             #[cfg(test)]
             refreshes: (0, 0),
         })
@@ -388,6 +407,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
         ws.ready_pos = self.ready_pos;
         ws.conflict_buf = self.conflict_buf;
         ws.eject_buf = self.eject_buf;
+        ws.ejected = self.ejected;
         ws.mrt = Some(self.mrt);
     }
 
@@ -484,16 +504,20 @@ impl<'p, 'a> EngineState<'p, 'a> {
         self.ready_pos[node] = PLACED;
     }
 
+    /// Takes `node` out of the schedule and records it, with its time, in
+    /// `ejected` for the next [`update_bounds_after_forcing`](Self::update_bounds_after_forcing).
     fn eject(&mut self, node: usize) {
-        let t = self.time(node).expect("ejecting an unplaced node");
+        let t = self.tpos[node];
+        assert!(t != NO_PATH, "ejecting an unplaced node");
         if !self.problem.is_pseudo(node) {
             self.mrt.remove(
                 OpId::new(node),
                 self.problem.desc(node),
                 self.assignments[node].instance,
-                t,
+                i64::from(t),
             );
         }
+        self.ejected.push((node, t));
         self.tpos[node] = NO_PATH;
         self.tneg[node] = -NO_PATH;
         self.ready_pos[node] = self.ready.len();
@@ -537,8 +561,8 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// Both push sweeps run over whole matrix lines without a branch: a
     /// [`NO_PATH`] cell puts `t ± NO_PATH` outside every real bound, and
     /// the bounds of placed nodes are dead state that
-    /// [`refresh_bounds`](Self::refresh_bounds) resets before a node
-    /// re-enters the ready set.
+    /// [`update_bounds_after_forcing`](Self::update_bounds_after_forcing)
+    /// sets before a node re-enters the ready set.
     #[inline(always)]
     fn push_estarts_from(&mut self, z: usize, t: i32) {
         lines::max_plus(&mut self.estart, self.md.row(z), t);
@@ -554,22 +578,78 @@ impl<'p, 'a> EngineState<'p, 'a> {
         self.cells_touched += n as u64;
     }
 
-    /// Full recomputation of the bounds of all unplaced nodes from the
-    /// placed set, used after ejections (§4.4), then the §4.2 deadline
-    /// check.
-    fn recompute_bounds(&mut self) -> Result<(), OutOfRange> {
-        self.refresh_bounds(true);
+    /// The bound update after the §4.4 forcing step placed `x` at `t` and
+    /// ejected the nodes in `ejected`, then the §4.2 deadline check.
+    ///
+    /// Before the step every bound was exact over the placed set `P`;
+    /// now it must be exact over `P' = P − ejected + x`. Each ejected `e`
+    /// first pulls its own bounds over `P'`. If the pulled `Estart(e) ≥
+    /// t_e`, some `z` in `P'` has `t_z + MinDist(z, e) ≥ t_e`, and by the
+    /// triangle inequality on the closure `t_z + MinDist(z, u) ≥ t_e +
+    /// MinDist(e, u)` for every `u`: `e`'s Estart line is implied, so
+    /// ejecting `e` lowers no Estart (the floor of 0 is `Start`'s line,
+    /// see [`tighten_bounds_after`](Self::tighten_bounds_after)). A
+    /// pulled `Lstart(e) ≤ t_e` implies `e`'s Lstart line the same way,
+    /// by a placed node or by the `Stop` deadline. On a side where every
+    /// ejected line is implied, the bounds over `P'` are those over `P`
+    /// tightened by `x`'s line, so only that line is pushed; a side with
+    /// a line no node in `P'` implies is refreshed from scratch.
+    fn update_bounds_after_forcing(&mut self, x: usize, t: i32) -> Result<(), OutOfRange> {
+        lsms_lanes::wide(
+            #[inline(always)]
+            || {
+                let (estarts_implied, lstarts_implied) = self.pull_ejected_bounds();
+                if estarts_implied {
+                    self.push_estarts_from(x, t);
+                }
+                if lstarts_implied {
+                    self.push_lstarts_from(x, t);
+                }
+                if !(estarts_implied && lstarts_implied) {
+                    self.refresh_bounds_from_placed(!estarts_implied, !lstarts_implied);
+                }
+                #[cfg(test)]
+                FORCING_CASES.with(|cases| {
+                    let mut counts = cases.get();
+                    counts[usize::from(!lstarts_implied) + 2 * usize::from(!estarts_implied)] += 1;
+                    cases.set(counts);
+                });
+            },
+        );
+        self.ejected.clear();
         self.maybe_grow_lstart_stop()?;
         #[cfg(test)]
         self.assert_bounds_from_scratch();
         Ok(())
     }
 
-    /// From-scratch bounds for every unplaced node `u`:
-    /// `Lstart(u) = min(Lstart(Stop) − MinDist(u, Stop),
-    /// min over placed z of t_z − MinDist(u, z))`, and, when `estarts`,
+    /// Sets each ejected node's bounds to the max and min over the nodes
+    /// still placed, `2n + 1` cells a node, and reports per side whether
+    /// every ejected node's line is implied: `(Estart(e) ≥ t_e for every
+    /// e, Lstart(e) ≤ t_e for every e)`.
+    #[inline(always)]
+    fn pull_ejected_bounds(&mut self) -> (bool, bool) {
+        let n = self.problem.num_nodes();
+        let stop = self.problem.stop();
+        let md = &*self.md;
+        let mut implied = (true, true);
+        for &(e, t) in &self.ejected {
+            let into = &self.dt[e * n..(e + 1) * n];
+            self.estart[e] = lines::max_plus_fold(into, &self.tpos, 0);
+            let deadline = self.lstart_stop - md.get(e, stop);
+            self.lstart[e] = lines::min_minus_fold(md.row(e), &self.tneg, deadline);
+            implied.0 &= self.estart[e] >= t;
+            implied.1 &= self.lstart[e] <= t;
+        }
+        self.cells_touched += (2 * n as u64 + 1) * self.ejected.len() as u64;
+        implied
+    }
+
+    /// From-scratch bounds for every unplaced node `u`: when `estarts`,
     /// `Estart(u) = max(0, max over placed z of t_z + MinDist(z, u))`
-    /// (`Start`, placed at 0, contributes `MinDist(Start, u)`).
+    /// (`Start`, placed at 0, contributes `MinDist(Start, u)`), and when
+    /// `lstarts`, `Lstart(u) = min(Lstart(Stop) − MinDist(u, Stop),
+    /// min over placed z of t_z − MinDist(u, z))`.
     ///
     /// The same cells can be read from either end, and the refresh reads
     /// them from the smaller one. While the placed nodes are no more
@@ -580,10 +660,10 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// and the min. Pull alone made the slack pass slower everywhere,
     /// push alone on `calibrated` (EXPERIMENTS.md "Dense two-way
     /// MinDist").
-    fn refresh_bounds(&mut self, estarts: bool) {
+    fn refresh_bounds(&mut self, estarts: bool, lstarts: bool) {
         lsms_lanes::wide(
             #[inline(always)]
-            || self.refresh_bounds_from_placed(estarts),
+            || self.refresh_bounds_from_placed(estarts, lstarts),
         );
     }
 
@@ -600,7 +680,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
     /// nodes in ascending index, Lstarts in descending index, `Stop`
     /// first; either order is exact.
     #[inline(always)]
-    fn refresh_bounds_from_placed(&mut self, estarts: bool) {
+    fn refresh_bounds_from_placed(&mut self, estarts: bool, lstarts: bool) {
         let n = self.problem.num_nodes();
         let (start, stop) = (self.problem.start(), self.problem.stop());
         if n - self.ready.len() <= self.ready.len() {
@@ -614,19 +694,21 @@ impl<'p, 'a> EngineState<'p, 'a> {
                     }
                 }
             }
-            let deadline = self.lstart_stop;
-            for (l, &d) in self
-                .lstart
-                .iter_mut()
-                .zip(&self.dt[stop * n..(stop + 1) * n])
-            {
-                *l = deadline - d;
-            }
-            self.cells_touched += n as u64;
-            for z in (0..n).rev() {
-                let t = self.tpos[z];
-                if t != NO_PATH && self.lstart[z] > t {
-                    self.push_lstarts_from(z, t);
+            if lstarts {
+                let deadline = self.lstart_stop;
+                for (l, &d) in self
+                    .lstart
+                    .iter_mut()
+                    .zip(&self.dt[stop * n..(stop + 1) * n])
+                {
+                    *l = deadline - d;
+                }
+                self.cells_touched += n as u64;
+                for z in (0..n).rev() {
+                    let t = self.tpos[z];
+                    if t != NO_PATH && self.lstart[z] > t {
+                        self.push_lstarts_from(z, t);
+                    }
                 }
             }
             #[cfg(test)]
@@ -640,12 +722,13 @@ impl<'p, 'a> EngineState<'p, 'a> {
                     let into = &self.dt[u * n..(u + 1) * n];
                     self.estart[u] = lines::max_plus_fold(into, &self.tpos, 0);
                 }
-                let deadline = self.lstart_stop - md.get(u, stop);
-                self.lstart[u] = lines::min_minus_fold(md.row(u), &self.tneg, deadline);
+                if lstarts {
+                    let deadline = self.lstart_stop - md.get(u, stop);
+                    self.lstart[u] = lines::min_minus_fold(md.row(u), &self.tneg, deadline);
+                }
             }
-            let per_node = 1 + u64::from(estarts);
-            self.cells_touched +=
-                per_node * (self.ready.len() * n) as u64 + self.ready.len() as u64;
+            let per_node = u64::from(estarts) * n as u64 + u64::from(lstarts) * (n as u64 + 1);
+            self.cells_touched += per_node * self.ready.len() as u64;
             #[cfg(test)]
             {
                 self.refreshes.1 += 1;
@@ -668,7 +751,7 @@ impl<'p, 'a> EngineState<'p, 'a> {
                 self.contended,
             );
             self.lstart_stop = stored_time(deadline).ok_or(OutOfRange)?;
-            self.refresh_bounds(false);
+            self.refresh_bounds(false, true);
         }
         Ok(())
     }
@@ -945,7 +1028,7 @@ fn attempt(
                     stats.ejected_ops += 1;
                 }
                 st.eject_buf = victims;
-                if st.recompute_bounds().is_err() {
+                if st.update_bounds_after_forcing(x, t32).is_err() {
                     return st.end(Attempt::OutOfRange, ws, stats);
                 }
             }
@@ -1237,10 +1320,11 @@ mod tests {
         st.tighten_bounds_after(0, 0).unwrap();
         check(&st);
         assert!(!st.ready.contains(&0));
+        // Force the fadd in at 13, ejecting the load.
         st.place(1, 13);
         check(&st);
         st.eject(0);
-        st.recompute_bounds().unwrap();
+        st.update_bounds_after_forcing(1, 13).unwrap();
         check(&st);
         assert!(st.ready.contains(&0));
         assert!(st.unplaced().any(|x| x == 0));
@@ -1265,9 +1349,13 @@ mod tests {
         let problem = SchedProblem::new(&body, &machine).unwrap();
         let cache = MinDistCache::new();
         let mut st = EngineState::new(&problem, problem.mii(), false, &cache).unwrap();
+        let refresh = |st: &mut EngineState<'_, '_>| {
+            st.refresh_bounds(true, true);
+            st.assert_bounds_from_scratch();
+        };
         // Start and the load placed, four nodes unplaced: push.
         place_early(&mut st, 0);
-        st.recompute_bounds().unwrap();
+        refresh(&mut st);
         assert_eq!(st.refreshes, (1, 0));
         // Five placed, Stop unplaced; ejecting the store leaves two
         // unplaced against four placed: pull.
@@ -1275,12 +1363,12 @@ mod tests {
             place_early(&mut st, x);
         }
         st.eject(2);
-        st.recompute_bounds().unwrap();
+        refresh(&mut st);
         assert_eq!(st.refreshes, (1, 1));
         // The victim sweep reports placed nodes only, in ascending order:
         // forcing the load far past its Estart violates the fadd after it.
         st.eject(0);
-        st.recompute_bounds().unwrap();
+        refresh(&mut st);
         st.place(0, 20);
         st.collect_dependence_victims(0, 20);
         assert_eq!(st.eject_buf, [1]);
@@ -1295,6 +1383,7 @@ mod tests {
     fn random_problems_keep_every_bound_exact() {
         let machine = huff_machine();
         let mut ejecting = 0u32;
+        let before = FORCING_CASES.with(std::cell::Cell::get);
         for (case, size) in crate::test_graphs::bound_cases() {
             let body = crate::test_graphs::random_graph(case, size);
             let problem = SchedProblem::new(&body, &machine).unwrap();
@@ -1303,6 +1392,11 @@ mod tests {
             ejecting += u32::from(slack.stats.ejected_ops > 0);
         }
         assert!(ejecting >= 4, "only {ejecting} cases ejected");
+        // Each case of the forcing update ran under the oracle: both
+        // sides implied, Estart only, Lstart only, neither.
+        let after = FORCING_CASES.with(std::cell::Cell::get);
+        let ran: Vec<u32> = (0..4).map(|case| after[case] - before[case]).collect();
+        assert!(ran.iter().all(|&runs| runs > 0), "forcing cases {ran:?}");
     }
 
     /// The pruned sweeps treat `Start`'s line as covering the Estart

@@ -254,6 +254,28 @@ fn every_kernel_matches_the_oracle() {
     }
 }
 
+/// Loops of the seed-1993 corpus whose matrices
+/// `corpus_prefix_matches_the_oracle` checks: enough to cover every
+/// kernel and a few hundred generated loops, few enough for a quick
+/// debug build.
+const CORPUS_PREFIX: usize = 300;
+
+/// `MinDist::compute` takes its pivots in reverse node order, and the
+/// front end numbers ops in program order, which is close to topological
+/// order. The random graphs above have no such order, so this checks the
+/// matrices of real, program-ordered loops against the oracle at MII and
+/// one above.
+#[test]
+fn corpus_prefix_matches_the_oracle() {
+    let machine = huff_machine();
+    for l in lsms_loops::corpus(CORPUS_PREFIX, 1993) {
+        let problem = SchedProblem::new(&l.body, &machine).expect("buildable");
+        for ii in [problem.mii(), problem.mii() + 1] {
+            assert_matches_oracle(&problem, ii, &l.def.name);
+        }
+    }
+}
+
 /// `col(x)[y] == row(y)[x] == get(y, x)` for every pair, where `col(x)`
 /// is row `x` of the transpose the scheduling engine builds per attempt
 /// ([`MinDist::transpose_into`]), at every II from just below RecMII,
